@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -243,12 +242,6 @@ def _config_echo(chain: ChainConfig, episode: _Episode) -> dict:
     return echo
 
 
-def _run_one(
-    chain: ChainConfig, method_name: str, episode: _Episode
-) -> tuple[RelayMessage, RelayReport]:
-    return run_chain(episode.source(), _method_chain(chain, method_name))
-
-
 def _summary_value(value):
     return None if value is None else float(value)
 
@@ -272,13 +265,10 @@ def cmd_simulate(
     tasks = [(m, ep) for m in cfg.methods for ep in cfg.episodes]
     results: dict[tuple[str, int], tuple[RelayMessage, RelayReport]] = {}
     try:
-        with ThreadPoolExecutor(max_workers=min(8, len(tasks))) as pool:
-            futures = {
-                pool.submit(_run_one, cfg.chain, method, episode): (method, episode.index)
-                for method, episode in tasks
-            }
-            for future, key in futures.items():
-                results[key] = future.result()
+        for method, episode in tasks:
+            results[(method, episode.index)] = run_chain(
+                episode.source(), _method_chain(cfg.chain, method)
+            )
     except KvRelayError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

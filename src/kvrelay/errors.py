@@ -59,3 +59,7 @@ class ZeroLength(KvRelayError):
 
 class ChainEmpty(KvRelayError):
     """A relay chain must contain at least one agent round."""
+
+
+class NumericalFailure(KvRelayError):
+    """A kernel received non-finite input or its SVD did not converge."""

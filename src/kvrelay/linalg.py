@@ -1,26 +1,26 @@
 """Dense linear-algebra kernels for selection and backfill.
 
-All float64, all deterministic. Orthonormal bases come from Householder QR
-with greedy column pivoting (rank truncated by pivot-norm threshold);
-singular values and right singular vectors come from a one-sided Jacobi
-sweep. Shared conventions:
+All float64, all deterministic. Orthonormal bases, singular values, right
+singular vectors and numeric rank all come from one LAPACK SVD
+(``np.linalg.svd(full_matrices=False)``). Shared conventions:
 
   * basis vectors are sign-fixed so their first entry above 1e-12 in
     magnitude is non-negative;
   * numeric rank counts singular values above ``tol * sigma_max`` with
     ``tol = max(rows, cols) * machine_eps`` by default;
+  * non-finite input raises :class:`NumericalFailure`, as does an SVD
+    that does not converge;
   * top-k breaks score ties toward the smaller global position and
     returns positions sorted ascending.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput
+from .errors import DimensionMismatch, EmptyInput, NumericalFailure
 from .kv import as_index_list
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -32,62 +32,42 @@ def _default_rank_tol(shape: tuple[int, int]) -> float:
     return max(shape) * _EPS
 
 
-def _fix_column_signs(q: np.ndarray) -> np.ndarray:
-    """Flip columns so the first entry with |x| > 1e-12 is non-negative."""
-    q = np.array(q)
-    for j in range(q.shape[1]):
-        nz = np.nonzero(np.abs(q[:, j]) > _SIGN_TOL)[0]
-        if nz.size and q[nz[0], j] < 0:
-            q[:, j] = -q[:, j]
-    return q
+def _as_matrix(m) -> np.ndarray:
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2:
+        raise DimensionMismatch("expected a 2-D matrix")
+    return m
 
 
-def _householder_vector(x: np.ndarray) -> tuple[np.ndarray, float]:
-    # Essential-part reflector: (I - beta v v^T) x lands on a multiple of e1,
-    # with v[0] normalized to 1. beta == 0 means x is already aligned.
-    v = x.copy()
-    v[0] = 1.0
-    sigma = float(x[1:] @ x[1:])
-    if sigma == 0.0:
-        return v, 0.0
-    mu = math.sqrt(x[0] * x[0] + sigma)
-    v0 = x[0] - mu if x[0] <= 0 else -sigma / (x[0] + mu)
-    beta = 2.0 * v0 * v0 / (sigma + v0 * v0)
-    v[1:] = x[1:] / v0
-    return v, beta
+def _svd(m: np.ndarray, compute_uv: bool = True):
+    """Thin LAPACK SVD of a finite matrix: (U, sigmas descending, V^T) or sigmas."""
+    if not np.isfinite(m).all():
+        raise NumericalFailure(f"{m.shape[0]}x{m.shape[1]} matrix has non-finite entries")
+    try:
+        return np.linalg.svd(m, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"SVD of a {m.shape[0]}x{m.shape[1]} matrix failed: {exc}") from exc
 
 
-def _pivoted_qr_basis(a: np.ndarray, rel_tol: float) -> tuple[np.ndarray, int]:
-    """Orthonormal basis (columns) for the column space of ``a``.
+def _rank(sigmas: np.ndarray, rel_tol: float) -> int:
+    if sigmas.size == 0 or sigmas[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(sigmas > rel_tol * sigmas[0]))
 
-    Greedy column pivoting: each step reflects the trailing column of
-    largest norm; the sweep stops once that norm falls to ``rel_tol``
-    relative to the first pivot, which is the rank truncation.
-    """
-    a = np.array(a, dtype=np.float64)
-    m, n = a.shape
-    steps: list[tuple[int, np.ndarray, float]] = []
-    scale = None
-    for j in range(min(m, n)):
-        norms = np.sqrt((a[j:, j:] ** 2).sum(axis=0))
-        pick = int(np.argmax(norms))
-        pivot = float(norms[pick])
-        if scale is None:
-            scale = pivot
-        if pivot <= rel_tol * scale or pivot == 0.0:
-            break
-        if pick != 0:
-            a[:, [j, j + pick]] = a[:, [j + pick, j]]
-        v, beta = _householder_vector(a[j:, j].copy())
-        if beta != 0.0:
-            a[j:, j:] -= beta * np.outer(v, v @ a[j:, j:])
-        steps.append((j, v, beta))
-    rank = len(steps)
-    q = np.eye(m, rank)
-    for j, v, beta in reversed(steps):
-        if beta != 0.0:
-            q[j:, :] -= beta * np.outer(v, v @ q[j:, :])
-    return q, rank
+
+def _fix_row_signs(v: np.ndarray) -> np.ndarray:
+    """Flip rows so the first entry with |x| > 1e-12 is non-negative."""
+    big = np.abs(v) > _SIGN_TOL
+    lead = np.where(big, v, 0.0)[np.arange(v.shape[0]), big.argmax(axis=1)]
+    return np.where((lead < 0)[:, None], -v, v)
+
+
+def _check_orthonormal(vectors: np.ndarray, what: str) -> None:
+    """Rows of ``vectors`` must be orthonormal; NaN fails the check."""
+    n = vectors.shape[0]
+    gram_err = np.abs(vectors @ vectors.T - np.eye(n)).max() if n else 0.0
+    if not gram_err <= _ORTHO_TOL:
+        raise DimensionMismatch(f"{what} are not orthonormal (err {gram_err:g})")
 
 
 @dataclass(frozen=True)
@@ -101,9 +81,7 @@ class OrthoBasis:
         basis = np.array(self.basis, dtype=np.float64)
         if basis.ndim != 2 or basis.shape[1] != self.rank:
             raise DimensionMismatch("basis must be (ambient_dim, rank)")
-        gram_err = np.abs(basis.T @ basis - np.eye(self.rank)).max() if self.rank else 0.0
-        if gram_err > _ORTHO_TOL:
-            raise DimensionMismatch(f"basis columns are not orthonormal (err {gram_err:g})")
+        _check_orthonormal(basis.T, "basis columns")
         basis.flags.writeable = False
         object.__setattr__(self, "basis", basis)
 
@@ -114,9 +92,7 @@ class OrthoBasis:
 
 def orthonormal_basis(m, rel_tol: float | None = None) -> OrthoBasis:
     """Orthonormal basis Q (d x r) for the row space of ``m`` (K x d)."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimensionMismatch("expected a 2-D matrix")
+    m = _as_matrix(m)
     k, d = m.shape
     if k == 0:
         raise EmptyInput("cannot build a basis from zero rows")
@@ -124,15 +100,14 @@ def orthonormal_basis(m, rel_tol: float | None = None) -> OrthoBasis:
         raise DimensionMismatch("row dimension must be positive")
     if rel_tol is None:
         rel_tol = _default_rank_tol((k, d))
-    q, rank = _pivoted_qr_basis(m.T, rel_tol)
-    return OrthoBasis(basis=_fix_column_signs(q), rank=rank)
+    _, sigmas, vt = _svd(m)
+    rank = _rank(sigmas, rel_tol)
+    return OrthoBasis(basis=_fix_row_signs(vt[:rank]).T, rank=rank)
 
 
 def project_out(x, basis: OrthoBasis) -> np.ndarray:
     """Residual of every row of ``x`` against the basis: x - (x Q) Q^T."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise DimensionMismatch("expected a 2-D matrix")
+    x = _as_matrix(x)
     if x.shape[1] != basis.ambient_dim:
         raise DimensionMismatch(
             f"rows have dim {x.shape[1]} but basis lives in dim {basis.ambient_dim}"
@@ -141,38 +116,6 @@ def project_out(x, basis: OrthoBasis) -> np.ndarray:
         return x.copy()
     q = basis.basis
     return x - (x @ q) @ q.T
-
-
-def _jacobi_right_vectors(a: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided Jacobi: returns (singular values desc, right vectors as columns)."""
-    w = np.array(a, dtype=np.float64)
-    n = w.shape[1]
-    v = np.eye(n)
-    for _ in range(max_sweeps):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                wp = w[:, p]
-                wq = w[:, q]
-                app = float(wp @ wp)
-                aqq = float(wq @ wq)
-                apq = float(wp @ wq)
-                if app == 0.0 or aqq == 0.0:
-                    continue
-                if abs(apq) <= 1e-15 * math.sqrt(app * aqq):
-                    continue
-                zeta = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                w[:, p], w[:, q] = c * wp - s * wq, s * wp + c * wq
-                v[:, p], v[:, q] = c * v[:, p] - s * v[:, q], s * v[:, p] + c * v[:, q]
-                rotated = True
-        if not rotated:
-            break
-    sigmas = np.sqrt((w * w).sum(axis=0))
-    order = np.argsort(-sigmas, kind="stable")
-    return sigmas[order], v[:, order]
 
 
 @dataclass(frozen=True)
@@ -186,18 +129,15 @@ class PrincipalSubspace:
         rows = np.array(self.rows, dtype=np.float64)
         if rows.ndim != 2:
             raise DimensionMismatch("rows must be a (p, d) matrix")
-        sig = tuple(float(s) for s in self.singular_values)
-        if len(sig) != rows.shape[0]:
+        sig = np.asarray(self.singular_values, dtype=np.float64).reshape(-1)
+        if sig.size != rows.shape[0]:
             raise DimensionMismatch("one singular value per subspace row")
-        if any(s < 0 for s in sig) or any(a < b for a, b in zip(sig, sig[1:])):
+        if not (np.all(sig >= 0) and np.all(sig[:-1] >= sig[1:])):
             raise ValueError("singular values must be non-negative and non-increasing")
-        p = rows.shape[0]
-        gram_err = np.abs(rows @ rows.T - np.eye(p)).max() if p else 0.0
-        if gram_err > _ORTHO_TOL:
-            raise DimensionMismatch(f"subspace rows are not orthonormal (err {gram_err:g})")
+        _check_orthonormal(rows, "subspace rows")
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "singular_values", sig)
+        object.__setattr__(self, "singular_values", tuple(sig.tolist()))
 
     @property
     def subspace_rank(self) -> int:
@@ -215,41 +155,28 @@ def principal_subspace(r_mat, max_rank: int, rank_tol: float | None = None) -> P
     """
     if max_rank < 1:
         raise ValueError("max_rank must be at least 1")
-    r_mat = np.asarray(r_mat, dtype=np.float64)
-    if r_mat.ndim != 2:
-        raise DimensionMismatch("expected a 2-D matrix")
+    r_mat = _as_matrix(r_mat)
     n, d = r_mat.shape
     if n == 0 or d == 0:
-        return PrincipalSubspace(rows=np.zeros((0, d)), singular_values=())
-    sigmas, vectors = _jacobi_right_vectors(r_mat)
-    s_max = float(sigmas[0])
-    if s_max == 0.0:
         return PrincipalSubspace(rows=np.zeros((0, d)), singular_values=())
     tol = _default_rank_tol((n, d)) if rank_tol is None else float(rank_tol)
     if tol < 0:
         raise ValueError("rank_tol must be non-negative")
-    rank = int(np.count_nonzero(sigmas > tol * s_max))
-    p = min(max_rank, rank)
-    rows = _fix_column_signs(vectors[:, :p]).T
-    return PrincipalSubspace(rows=rows, singular_values=tuple(float(s) for s in sigmas[:p]))
+    _, sigmas, vt = _svd(r_mat)
+    p = min(max_rank, _rank(sigmas, tol))
+    return PrincipalSubspace(rows=_fix_row_signs(vt[:p]), singular_values=tuple(sigmas[:p].tolist()))
 
 
 def numeric_rank(m, tol: float | None = None) -> int:
     """Count of singular values above ``tol * sigma_max``; 0 for zero input."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimensionMismatch("expected a 2-D matrix")
+    m = _as_matrix(m)
     if m.size == 0:
         return 0
     if tol is None:
         tol = _default_rank_tol(m.shape)
     if tol < 0:
         raise ValueError("tol must be non-negative")
-    sigmas, _ = _jacobi_right_vectors(m)
-    s_max = float(sigmas[0])
-    if s_max == 0.0:
-        return 0
-    return int(np.count_nonzero(sigmas > tol * s_max))
+    return _rank(_svd(m, compute_uv=False), tol)
 
 
 def top_k_indices(scores, k: int, eligible) -> tuple[int, ...]:

@@ -1,10 +1,12 @@
-"""Independent reference routes for the hand-rolled numeric kernels.
+"""Reference routes for the library's numeric kernels.
 
-Every function here deliberately takes a different algorithmic path from
-the library (LAPACK SVD / eigh / lstsq, two-pass stable sorts, raw tensor
-reductions), so agreement between the two routes actually means something.
-Tests compare against these instead of re-deriving values from the
-implementation under test.
+Most functions here take a different algorithmic path from the library
+(Gram-matrix eigh, lstsq, two-pass stable sorts, raw tensor reductions),
+so agreement between the two routes actually means something. The
+exceptions are ``svd_rank`` and ``rowspace_basis``: they use the same
+LAPACK SVD as the library, so ``test_linalg`` also checks rank against
+matrices built with a known rank. Tests compare against these instead of
+re-deriving values from the implementation under test.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ def gram_right_vectors(m) -> tuple[np.ndarray, np.ndarray]:
     """Brute-force SVD pieces from the Gram matrix m^T m.
 
     Returns (singular values descending, right singular vectors as
-    columns). Eigendecomposition route, entirely disjoint from the
-    library's one-sided Jacobi sweep.
+    columns). Eigendecomposition route, disjoint from the library's
+    LAPACK SVD.
     """
     m = np.asarray(m, dtype=np.float64)
     evals, evecs = np.linalg.eigh(m.T @ m)

@@ -197,3 +197,35 @@ def test_ratio_table_prints_reference_rows(capsys):
     assert "GSM8K" in out and "524" in out and "18.3" in out
     assert "MedQA" in out and "888" in out and "10.8" in out
     assert "ARC-E" in out and "496" in out and "19.4" in out
+
+
+def test_simulate_nan_fixture_exits_3(tmp_path, capsys):
+    spec = EpisodeSpec(
+        seed=2, num_layers=1, num_kv_heads=1, kv_group_size=1,
+        key_dim=4, value_dim=12, prompt_lens=(40, 30, 36), gen_len=4,
+    )
+    fixture = tmp_path / "nan.json"
+    save_episode_fixture(fixture, [generate_episode(spec, i) for i in (1, 2, 3)])
+    doc = json.loads(fixture.read_text())
+    doc["rounds"][0]["cache"]["values"][0][0][10][3] = float("nan")
+    fixture.write_text(json.dumps(doc))
+    text = textwrap.dedent(
+        """\
+        chain:
+          num_agents: 3
+          latent_steps: 4
+          compression:
+            budget_k: 8
+            sink_size: 2
+        episodes:
+          - fixture: nan.json
+        methods: [h2o_obf_headwise]
+        """
+    )
+    out = tmp_path / "runs"
+    code = main(["simulate", "--config", str(write_config(tmp_path, text)), "--out", str(out)])
+    assert code == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "non-finite" in err
+    assert err.count("\n") == 1

@@ -1,8 +1,9 @@
-"""QR row-space bases, Jacobi singular directions, rank and top-k.
+"""Row-space bases, singular directions, rank and top-k.
 
-The implementation never calls numpy.linalg; these tests cross-check it
-against the LAPACK-backed routes in ``oracles`` on seeded random inputs,
-plus a handful of hand-evaluated fixtures.
+The implementation takes all three from one thin LAPACK SVD; these tests
+cross-check it against the routes in ``oracles`` (Gram-matrix eigh, lstsq,
+two-pass sorts) and against matrices built with a known rank and spectrum,
+on seeded random inputs, plus a handful of hand-evaluated fixtures.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from kvrelay.errors import DimensionMismatch, EmptyInput
+from kvrelay.errors import DimensionMismatch, EmptyInput, KvRelayError, NumericalFailure
 from kvrelay.linalg import (
     OrthoBasis,
     PrincipalSubspace,
@@ -216,3 +217,71 @@ def test_top_k_matches_sort_oracle(seed):
     scores = {p: float(rng.integers(0, 5)) / 4.0 for p in eligible}
     k = int(rng.integers(0, n + 3))
     assert top_k_indices(scores, k, eligible) == oracles.topk(scores, k, eligible)
+
+
+def with_spectrum(rng, rows, cols, sigmas):
+    """U diag(sigmas) V^T with random orthonormal U (rows x r) and V (cols x r)."""
+    r = len(sigmas)
+    u, _ = np.linalg.qr(rng.standard_normal((rows, r)))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, r)))
+    return (u * np.asarray(sigmas, dtype=np.float64)) @ v.T
+
+
+@given(seed=seeds)
+@settings(max_examples=100, deadline=None)
+def test_known_rank_is_recovered_by_every_kernel(seed):
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(2, 25))
+    cols = int(rng.integers(2, 17))
+    r = int(rng.integers(1, min(rows, cols) + 1))
+    # r well-separated singular values spanning six decades, the rest exactly zero
+    sigmas = 10.0 ** -np.linspace(0.0, 6.0, r) * 10.0 ** rng.integers(-4, 5)
+    m = with_spectrum(rng, rows, cols, sigmas)
+    assert orthonormal_basis(m).rank == r
+    assert numeric_rank(m) == r
+    assert principal_subspace(m, max_rank=cols).subspace_rank == r
+
+
+@pytest.mark.parametrize("shape", [(300, 16), (1000, 64)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tall_residual_matches_gram_oracle(shape, seed):
+    rng = np.random.default_rng(seed)
+    rows, cols = shape
+    m = with_spectrum(rng, rows, cols, np.linspace(10.0, 1.0, cols))
+    sigmas, vectors = oracles.gram_right_vectors(m)
+    for max_rank in (4, cols):
+        sub = principal_subspace(m, max_rank=max_rank)
+        assert sub.subspace_rank == max_rank
+        assert np.allclose(sub.singular_values, sigmas[:max_rank], rtol=1e-10, atol=0.0)
+        expected = np.array([oracles.fix_sign(vectors[:, i]) for i in range(max_rank)])
+        assert np.allclose(sub.rows, expected, atol=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kernels_reject_non_finite_input(bad):
+    m = np.arange(12.0).reshape(4, 3)
+    m[2, 1] = bad
+    with pytest.raises(NumericalFailure):
+        orthonormal_basis(m)
+    with pytest.raises(NumericalFailure):
+        principal_subspace(m, max_rank=2)
+    with pytest.raises(NumericalFailure):
+        numeric_rank(m)
+    assert issubclass(NumericalFailure, KvRelayError)
+
+
+def test_kernels_wrap_svd_failure(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    for kernel in (orthonormal_basis, numeric_rank, lambda m: principal_subspace(m, 2)):
+        with pytest.raises(NumericalFailure, match="did not converge"):
+            kernel(np.eye(3))
+
+
+def test_orthonormality_checks_reject_nan():
+    with pytest.raises(DimensionMismatch):
+        OrthoBasis(basis=np.array([[np.nan], [0.0]]), rank=1)
+    with pytest.raises(DimensionMismatch):
+        PrincipalSubspace(rows=np.array([[np.nan, 0.0]]), singular_values=(1.0,))
