@@ -198,7 +198,9 @@ def load_run_config(
     chain = _build_chain(doc, seed)
     episodes = _build_episodes(doc, chain, path.parent)
 
-    methods = list(method_overrides) or list(doc.get("methods", ["h2o_obf_global"]))
+    methods = list(method_overrides) or doc.get("methods", ["h2o_obf_global"])
+    if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
+        raise ConfigError(f"methods must be a list of method names, got {methods!r}")
     unknown = sorted(set(methods) - set(METHOD_TABLE))
     if unknown:
         raise ConfigError(f"unknown methods {unknown} (allowed: {sorted(METHOD_TABLE)})")
@@ -206,7 +208,9 @@ def load_run_config(
         raise ConfigError("methods must not repeat")
 
     out_dir = Path(out) if out is not None else Path(doc.get("out", "runs"))
-    verbosity = int(doc.get("verbosity", 0))
+    verbosity = doc.get("verbosity", 0)
+    if isinstance(verbosity, bool) or not isinstance(verbosity, int):
+        raise ConfigError(f"verbosity must be an integer, got {verbosity!r}")
     return RunConfig(
         chain=chain,
         episodes=episodes,
@@ -264,10 +268,13 @@ def cmd_simulate(
 
     tasks = [(m, ep) for m in cfg.methods for ep in cfg.episodes]
     results: dict[tuple[str, int], tuple[RelayMessage, RelayReport]] = {}
+    sources = {}
     try:
         for method, episode in tasks:
+            if episode.index not in sources:  # parse each fixture once
+                sources[episode.index] = episode.source()
             results[(method, episode.index)] = run_chain(
-                episode.source(), _method_chain(cfg.chain, method)
+                sources[episode.index], _method_chain(cfg.chain, method)
             )
     except KvRelayError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

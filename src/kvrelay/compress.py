@@ -31,12 +31,9 @@ from .linalg import OrthoBasis, PrincipalSubspace, orthonormal_basis, principal_
 from .scoring import (
     GLOBAL,
     GRANULARITIES,
-    HEADWISE,
-    LAYERWISE,
     AttentionRecord,
     MassTable,
     aggregate_global,
-    aggregate_layerwise,
     attention_mass_headwise,
     demand_sums,
 )
@@ -54,6 +51,10 @@ class CompressionConfig:
     Eviction methods take exactly one of ``budget_k`` (fixed per-round
     token budget) or ``budget_ratio`` (per-round fraction of eligible
     prompt states, k = max(1, round(ratio * eligible))).
+
+    ``granularity`` (global, layerwise or headwise) is a label carried
+    into reports. Every label ranks by total mass over layers and heads,
+    so all three keep the same tokens.
     """
 
     method: str = "h2o"
@@ -96,18 +97,10 @@ class CompressionConfig:
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Outcome of splitting the eligible prompt into kept and deleted.
-
-    ``scores`` is the ranking actually used (for layerwise/headwise tables
-    the per-unit scores are summed into one shared ranking so the kept
-    token set stays dense across units); ``unit_scores`` preserves the
-    per-unit values for analysis.
-    """
+    """Outcome of splitting the eligible prompt into kept and deleted."""
 
     keep: IndexList
     deleted: IndexList
-    scores: Mapping[int, float]
-    unit_scores: Mapping[tuple[int, ...], Mapping[int, float]]
     budget: int
 
     def __post_init__(self):
@@ -190,32 +183,16 @@ class ObfTrace:
         }
 
 
-def h2o_select(table: MassTable, eligible, k: int) -> SelectionResult:
-    """Keep the ``min(k, |eligible|)`` positions of highest mass.
+def h2o_select(table: MassTable, k: int) -> SelectionResult:
+    """Keep the ``min(k, |positions|)`` table positions of highest total mass.
 
-    Non-global tables are packed into a single shared ranking by summing
-    their unit scores before the cut.
+    One shared ranking by :func:`aggregate_global`, ties toward the smaller
+    position.
     """
-    eligible = as_index_list(eligible)
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    unit_scores = {
-        unit: {pos: float(table.masses[unit].get(pos, 0.0)) for pos in eligible}
-        for unit in table.units()
-    }
-    if table.granularity == GLOBAL:
-        ranking = unit_scores[()]
-    else:
-        ranking = {pos: 0.0 for pos in eligible}
-        for unit in sorted(unit_scores):
-            for pos, val in unit_scores[unit].items():
-                ranking[pos] += val
-    keep = top_k_indices(ranking, k, eligible)
+    keep = top_k_indices(aggregate_global(table), k, table.positions)
     keep_set = set(keep)
-    deleted = tuple(pos for pos in eligible if pos not in keep_set)
-    return SelectionResult(
-        keep=keep, deleted=deleted, scores=ranking, unit_scores=unit_scores, budget=k
-    )
+    deleted = tuple(pos for pos in table.positions if pos not in keep_set)
+    return SelectionResult(keep=keep, deleted=deleted, budget=k)
 
 
 def obf_residual(v_keep, v_del) -> tuple[OrthoBasis, np.ndarray]:
@@ -294,14 +271,15 @@ def _orthogonal_backfill(
     row_of = {pos: row for row, pos in enumerate(local.positions)}
     keep_rows = [row_of[pos] for pos in keep]
     del_rows = [row_of[pos] for pos in deleted]
+    del_cols = head_table.columns(deleted)
     demands = demand_sums(head_table, keep, deleted)
     value_dim = local.value_dim
 
     shifts: dict[tuple[int, int], np.ndarray] = {}
     units: dict[tuple[int, int], ObfUnitTrace] = {}
-    for unit in head_table.units():
+    for unit in np.ndindex(demands.shape[:2]):
         layer, head = unit
-        keep_mass, del_mass = demands[unit]
+        keep_mass, del_mass = demands[unit].tolist()
 
         def skipped(basis_rank=0, residual_norm=0.0) -> ObfUnitTrace:
             return ObfUnitTrace(
@@ -330,9 +308,7 @@ def _orthogonal_backfill(
         if subspace.subspace_rank == 0:
             units[unit] = skipped(basis.rank, residual_norm)
             continue
-        per_pos = head_table.masses[unit]
-        del_masses = np.array([per_pos.get(pos, 0.0) for pos in deleted])
-        weights = _residual_weights(del_masses, cfg.epsilon)
+        weights = _residual_weights(head_table.masses[layer, head, del_cols], cfg.epsilon)
         summary = weights @ residual
         direction = obf_project(summary, subspace)
         injection = obf_scale(direction, (keep_mass, del_mass), cfg.epsilon)
@@ -385,37 +361,28 @@ def compress(
     local cache) followed by retained prompt rows followed by all
     generation rows. Keys are bit-exact row selections of the input for
     every method; only ``h2o_obf`` modifies retained prompt values.
+    Eviction ranks by total mass whatever ``cfg.granularity`` says.
     """
     eligible = roles.prompt
     sink = roles.sink if set(roles.sink) <= set(local.positions) else ()
 
     if cfg.method == "full":
-        selection = SelectionResult(
-            keep=eligible, deleted=(), scores={}, unit_scores={}, budget=len(eligible)
-        )
+        selection = SelectionResult(keep=eligible, deleted=(), budget=len(eligible))
         return _assemble(local, sink, eligible, roles.generation), selection, ObfTrace()
 
     if cfg.method == "streaming":
-        selection = SelectionResult(
-            keep=(), deleted=eligible, scores={}, unit_scores={}, budget=0
-        )
+        selection = SelectionResult(keep=(), deleted=eligible, budget=0)
         return _assemble(local, sink, (), roles.generation), selection, ObfTrace()
 
     if attn is None:
         raise ValueError("eviction methods need an attention record")
     k = cfg.round_budget(len(eligible))
-    head_table = attention_mass_headwise(attn, roles.generation, eligible)
-    if cfg.granularity == HEADWISE:
-        table = head_table
-    elif cfg.granularity == LAYERWISE:
-        table = aggregate_layerwise(head_table)
-    else:
-        table = aggregate_global(head_table)
-    selection = h2o_select(table, eligible, k)
+    table = attention_mass_headwise(attn, roles.generation, eligible)
+    selection = h2o_select(table, k)
 
     shifts: dict[tuple[int, int], np.ndarray] | None = None
     trace = ObfTrace()
     if cfg.method == "h2o_obf":
-        shifts, trace = _orthogonal_backfill(local, selection, head_table, cfg)
+        shifts, trace = _orthogonal_backfill(local, selection, table, cfg)
     retained = _assemble(local, sink, selection.keep, roles.generation, shifts)
     return retained, selection, trace

@@ -37,10 +37,6 @@ class MissingColumn(KvRelayError):
     """A requested position has no matching attention column or row."""
 
 
-class WrongGranularity(KvRelayError):
-    """A mass table of a different granularity was expected."""
-
-
 class BudgetUnset(KvRelayError):
     """An eviction method needs exactly one of budget_k / budget_ratio."""
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PositionOverlap, ShapeMismatch, SinkTooLarge, UnknownPosition
+from .errors import NumericalFailure, PositionOverlap, ShapeMismatch, SinkTooLarge, UnknownPosition
 
 IndexList = tuple[int, ...]
 
@@ -46,6 +46,8 @@ class KvCache:
         keys: array of shape (num_layers, num_kv_heads, T, key_dim).
         values: array of shape (num_layers, num_kv_heads, T, value_dim).
         positions: strictly increasing global token indices, length T.
+
+    Non-finite keys or values raise :class:`NumericalFailure`.
     """
 
     keys: np.ndarray
@@ -67,6 +69,8 @@ class KvCache:
             raise ShapeMismatch("layer, head and dim counts must all be positive")
         if len(positions) != tokens:
             raise ShapeMismatch(f"{len(positions)} positions for {tokens} token rows")
+        if not (np.isfinite(keys).all() and np.isfinite(values).all()):
+            raise NumericalFailure("cache keys/values have non-finite entries")
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "positions", positions)

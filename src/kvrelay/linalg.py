@@ -182,11 +182,13 @@ def numeric_rank(m, tol: float | None = None) -> int:
 def top_k_indices(scores, k: int, eligible) -> tuple[int, ...]:
     """The ``min(k, |eligible|)`` highest-scoring positions, sorted ascending.
 
-    Ties are broken deterministically toward the smaller global position;
-    positions missing from ``scores`` count as 0.
+    ``scores[i]`` is the score of ``eligible[i]``. Ties are broken
+    deterministically toward the smaller global position.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    idx = as_index_list(eligible)
-    ranked = sorted(idx, key=lambda pos: (-float(scores.get(pos, 0.0)), pos))
-    return tuple(sorted(ranked[:k]))
+    idx = np.asarray(as_index_list(eligible), dtype=np.int64)
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != idx.shape:
+        raise DimensionMismatch(f"{scores.shape} scores for {idx.size} eligible positions")
+    return tuple(np.sort(idx[np.lexsort((idx, -scores))[:k]]).tolist())

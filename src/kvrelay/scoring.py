@@ -5,25 +5,25 @@ round, of the post-softmax attention it received. Masses are computed per
 (layer, kv head) first; query heads that share a kv head under grouped
 query attention are folded into it (query head h belongs to kv head
 h // kv_group_size). Layer and global aggregates are plain sums, arranged
-so that the global table is exactly the layer table summed again.
+so that the global ranking is exactly the layer aggregate summed again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .errors import MissingColumn, WrongGranularity
+from .errors import MissingColumn, NumericalFailure
 from .kv import IndexList, as_index_list
 
+# Ranking labels a run may carry. Eviction always ranks by the global
+# aggregate; a layer or head breakdown summed into one shared ranking is
+# that same total, so the labels name the same selection.
 GLOBAL = "global"
 LAYERWISE = "layerwise"
 HEADWISE = "headwise"
 GRANULARITIES = (GLOBAL, LAYERWISE, HEADWISE)
-
-_UNIT_ARITY = {GLOBAL: 0, LAYERWISE: 1, HEADWISE: 2}
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,8 @@ class AttentionRecord:
 
     Args:
         weights: (num_layers, num_query_heads, gen_steps, num_columns),
-            each row non-negative and summing to 1 within 1e-6.
+            finite, each row non-negative and summing to 1 within 1e-6
+            (a non-finite entry raises :class:`NumericalFailure`).
         gen_positions: global position of each generation row (distinct,
             in storage order).
         columns: global position of each attended column, strictly
@@ -63,12 +64,15 @@ class AttentionRecord:
         if self.kv_group_size < 1 or q_heads % self.kv_group_size != 0:
             raise ValueError("kv_group_size must evenly divide the query head count")
         if weights.size:
+            row_sums = weights.sum(axis=3)
+            # A NaN or infinite weight makes its row sum non-finite.
+            if not np.isfinite(row_sums).all():
+                raise NumericalFailure("attention weights have non-finite entries")
             if float(weights.min()) < -1e-12:
                 raise ValueError("attention weights must be non-negative")
-            if n_cols:
-                err = float(np.abs(weights.sum(axis=3) - 1.0).max())
-                if err > 1e-6:
-                    raise ValueError(f"attention rows must sum to 1 (off by {err:g})")
+            err = float(np.abs(row_sums - 1.0).max())
+            if err > 1e-6:
+                raise ValueError(f"attention rows must sum to 1 (off by {err:g})")
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "gen_positions", gen_positions)
@@ -89,38 +93,35 @@ class AttentionRecord:
 
 @dataclass(frozen=True)
 class MassTable:
-    """Attention mass per unit and position at one granularity.
+    """Attention mass per (layer, kv head) and prompt position.
 
-    Units are keyed by tuples: () for global, (layer,) for layerwise and
-    (layer, kv_head) for headwise. Every unit covers the same position set.
-    Treat instances as immutable.
+    ``masses[layer, head, i]`` is the mass that position ``positions[i]``
+    received through kv head ``head`` of layer ``layer``. The array is
+    read-only.
     """
 
-    granularity: str
-    masses: Mapping[tuple[int, ...], Mapping[int, float]]
+    positions: IndexList
+    masses: np.ndarray  # (num_layers, num_kv_heads, len(positions))
 
     def __post_init__(self):
-        if self.granularity not in GRANULARITIES:
-            raise WrongGranularity(f"unknown granularity {self.granularity!r}")
-        arity = _UNIT_ARITY[self.granularity]
-        if not self.masses:
-            raise ValueError("a mass table needs at least one unit")
-        position_sets = set()
-        for unit, per_pos in self.masses.items():
-            if len(unit) != arity:
-                raise WrongGranularity(
-                    f"unit {unit!r} does not match granularity {self.granularity!r}"
-                )
-            position_sets.add(frozenset(per_pos))
-        if len(position_sets) != 1:
-            raise ValueError("all units must cover the same position set")
+        positions = as_index_list(self.positions)
+        masses = np.array(self.masses, dtype=np.float64)
+        if masses.ndim != 3 or masses.shape[2] != len(positions) or 0 in masses.shape[:2]:
+            raise ValueError(
+                f"masses of shape {masses.shape} are not (layers >= 1, kv_heads >= 1, "
+                f"{len(positions)} positions)"
+            )
+        masses.flags.writeable = False
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "masses", masses)
 
-    def units(self) -> list[tuple[int, ...]]:
-        return sorted(self.masses)
-
-    def positions(self) -> IndexList:
-        any_unit = next(iter(self.masses.values()))
-        return as_index_list(sorted(any_unit))
+    def columns(self, positions) -> list[int]:
+        """Column index of each of ``positions``, which must all be in the table."""
+        col_of = {pos: i for i, pos in enumerate(self.positions)}
+        try:
+            return [col_of[pos] for pos in positions]
+        except KeyError as exc:
+            raise MissingColumn(f"no mass for position {exc.args[0]}") from None
 
 
 def attention_mass_headwise(attn: AttentionRecord, gen, prompt) -> MassTable:
@@ -137,62 +138,40 @@ def attention_mass_headwise(attn: AttentionRecord, gen, prompt) -> MassTable:
     missing_rows = [g for g in gen if g not in row_of]
     if missing_rows:
         raise MissingColumn(f"no attention rows for generation positions {missing_rows}")
-    rows = [row_of[g] for g in gen]
-    cols = [col_of[p] for p in prompt]
-    per_query = attn.weights[:, :, rows, :][:, :, :, cols].sum(axis=2)
-    layers, q_heads = attn.num_layers, attn.num_query_heads
-    grouped = per_query.reshape(layers, attn.num_kv_heads, attn.kv_group_size, len(cols))
-    grouped = grouped.sum(axis=2)
-    masses = {
-        (layer, head): {pos: float(grouped[layer, head, i]) for i, pos in enumerate(prompt)}
-        for layer in range(layers)
-        for head in range(attn.num_kv_heads)
-    }
-    return MassTable(granularity=HEADWISE, masses=masses)
+    rows = np.array([row_of[g] for g in gen], dtype=np.int64)
+    cols = np.array([col_of[p] for p in prompt], dtype=np.int64)
+    per_query = attn.weights[:, :, rows[:, None], cols].sum(axis=2)
+    grouped = per_query.reshape(attn.num_layers, attn.num_kv_heads, attn.kv_group_size, len(cols))
+    return MassTable(positions=prompt, masses=grouped.sum(axis=2))
 
 
-def _summed(units: list[tuple[tuple[int, ...], Mapping[int, float]]]) -> dict[int, float]:
-    first = units[0][1]
-    acc = {pos: 0.0 for pos in first}
-    for _, per_pos in units:
-        for pos, val in per_pos.items():
-            acc[pos] += val
-    return acc
+def aggregate_layerwise(table: MassTable) -> np.ndarray:
+    """(layers, positions): head masses summed within each layer."""
+    return table.masses.sum(axis=1)
 
 
-def aggregate_layerwise(table: MassTable) -> MassTable:
-    """Sum head masses within each layer."""
-    if table.granularity != HEADWISE:
-        raise WrongGranularity(f"expected a headwise table, got {table.granularity!r}")
-    by_layer: dict[tuple[int, ...], list] = {}
-    for unit in table.units():
-        by_layer.setdefault(unit[:1], []).append((unit, table.masses[unit]))
-    masses = {layer: _summed(group) for layer, group in sorted(by_layer.items())}
-    return MassTable(granularity=LAYERWISE, masses=masses)
+def aggregate_global(table: MassTable) -> np.ndarray:
+    """(positions,): masses summed over heads, then over layers.
 
-
-def aggregate_global(table: MassTable) -> MassTable:
-    """Sum masses over layers and heads.
-
-    Computed as the layer aggregate summed once more, so the composition
-    with :func:`aggregate_layerwise` is exact, not just within rounding.
+    Summed in that order, head by head and then layer by layer, so the
+    result is the layer aggregate summed once more, bit for bit.
     """
-    layered = aggregate_layerwise(table)
-    units = [(unit, layered.masses[unit]) for unit in layered.units()]
-    return MassTable(granularity=GLOBAL, masses={(): _summed(units)})
+    return aggregate_layerwise(table).sum(axis=0)
 
 
-def demand_sums(table: MassTable, keep, deleted) -> dict[tuple[int, ...], tuple[float, float]]:
-    """Per unit, the total mass of kept and of deleted positions."""
+def _sum_in_order(table: MassTable, positions: IndexList) -> np.ndarray:
+    # Reports carry these sums, so add left to right as a Python sum()
+    # would; np.sum may add a long contiguous run pairwise instead.
+    if not positions:
+        return np.zeros(table.masses.shape[:2])
+    return np.cumsum(table.masses[:, :, table.columns(positions)], axis=2)[:, :, -1]
+
+
+def demand_sums(table: MassTable, keep, deleted) -> np.ndarray:
+    """(layers, kv_heads, 2): total mass of the kept and of the deleted positions."""
     keep = as_index_list(keep)
     deleted = as_index_list(deleted)
     overlap = set(keep) & set(deleted)
     if overlap:
         raise ValueError(f"keep and deleted overlap at {sorted(overlap)}")
-    out: dict[tuple[int, ...], tuple[float, float]] = {}
-    for unit in table.units():
-        per_pos = table.masses[unit]
-        kept_mass = sum(per_pos.get(pos, 0.0) for pos in keep)
-        deleted_mass = sum(per_pos.get(pos, 0.0) for pos in deleted)
-        out[unit] = (kept_mass, deleted_mass)
-    return out
+    return np.stack([_sum_in_order(table, keep), _sum_in_order(table, deleted)], axis=2)

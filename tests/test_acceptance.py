@@ -21,7 +21,7 @@ from kvrelay.compress import CompressionConfig, compress, obf_residual
 from kvrelay.kv import decompose
 from kvrelay.linalg import principal_subspace
 from kvrelay.relay import ChainConfig, compression_ratio, effective_retention_ratio, run_chain
-from kvrelay.scoring import GLOBAL, GRANULARITIES, attention_mass_headwise
+from kvrelay.scoring import GRANULARITIES, attention_mass_headwise
 
 
 def check(num, name, ok, detail=""):
@@ -132,14 +132,13 @@ def test_criterion_04_topk_matches_sort_oracle():
         eligible = tuple(sorted(rng.choice(300, size=n, replace=False).tolist()))
         scores = {p: float(rng.integers(0, 6)) / 4.0 for p in eligible}
         k = int(rng.integers(0, n + 3))
-        table = MassTable(granularity=GLOBAL, masses={(): scores})
-        result = h2o_select(table, eligible, k)
+        table = MassTable(positions=eligible, masses=[[[scores[p] for p in eligible]]])
+        result = h2o_select(table, k)
         if result.keep != oracles.topk(scores, k, eligible):
             mismatches += 1
     # explicit tie pile-up: every score equal -> lowest positions win
-    flat = {p: 1.0 for p in range(10, 30)}
-    table = MassTable(granularity=GLOBAL, masses={(): flat})
-    tie_ok = h2o_select(table, tuple(range(10, 30)), 5).keep == (10, 11, 12, 13, 14)
+    table = MassTable(positions=tuple(range(10, 30)), masses=np.ones((1, 1, 20)))
+    tie_ok = h2o_select(table, 5).keep == (10, 11, 12, 13, 14)
     elapsed = time.perf_counter() - start
     ok = mismatches == 0 and tie_ok and elapsed < 5.0
     check(4, "top-k vs full-sort oracle", ok, f"({elapsed:.2f}s)")
@@ -369,9 +368,8 @@ def test_criterion_10_attention_mass_conservation():
             # per kv head, through the mass table (folds the query-head group)
             table = attention_mass_headwise(attn, ep.generation, ep.prompt)
             expected = spec.kv_group_size * len(ep.generation)
-            for unit in table.units():
-                total = sum(table.masses[unit].values())
-                worst = max(worst, abs(total - expected))
+            totals = table.masses.sum(axis=2)
+            worst = max(worst, float(np.abs(totals - expected).max()))
     check(10, "attention mass conservation", worst <= 1e-5, f"(worst {worst:.2e})")
 
 

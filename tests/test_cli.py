@@ -5,6 +5,7 @@ import textwrap
 
 import pytest
 
+from kvrelay import fixtures
 from kvrelay.backbone import EpisodeSpec, generate_episode
 from kvrelay.cli import ConfigError, load_run_config, main
 from kvrelay.fixtures import save_episode_fixture
@@ -229,3 +230,89 @@ def test_simulate_nan_fixture_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:") and "non-finite" in err
     assert err.count("\n") == 1
+
+
+def _nan_fixture_run(tmp_path, capsys, poison):
+    spec = EpisodeSpec(
+        seed=3, num_layers=1, num_kv_heads=1, kv_group_size=1,
+        key_dim=4, value_dim=4, prompt_lens=(12, 10, 11), gen_len=4,
+    )
+    fixture = tmp_path / "nan.json"
+    save_episode_fixture(fixture, [generate_episode(spec, i) for i in (1, 2, 3)])
+    doc = json.loads(fixture.read_text())
+    poison(doc["rounds"][1])
+    fixture.write_text(json.dumps(doc))
+    text = textwrap.dedent(
+        """\
+        chain:
+          num_agents: 3
+          latent_steps: 4
+          compression:
+            budget_k: 3
+            sink_size: 1
+        episodes:
+          - fixture: nan.json
+        methods: [h2o_global]
+        """
+    )
+    out = tmp_path / "runs"
+    code = main(["simulate", "--config", str(write_config(tmp_path, text)), "--out", str(out)])
+    assert code == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "non-finite" in err
+    assert err.count("\n") == 1
+
+
+def test_simulate_nan_cache_value_exits_3(tmp_path, capsys):
+    def poison(round_doc):
+        round_doc["cache"]["values"][0][0][2][1] = float("nan")
+
+    _nan_fixture_run(tmp_path, capsys, poison)
+
+
+def test_simulate_nan_attention_weight_exits_3(tmp_path, capsys):
+    def poison(round_doc):
+        round_doc["attention"]["weights"][0][0][1][3] = float("nan")
+
+    _nan_fixture_run(tmp_path, capsys, poison)
+
+
+def test_load_config_rejects_non_integer_verbosity(tmp_path):
+    path = write_config(tmp_path, BASE_CONFIG + "verbosity: loud\n")
+    with pytest.raises(ConfigError, match="verbosity"):
+        load_run_config(path)
+
+
+def test_load_config_rejects_methods_string(tmp_path):
+    path = write_config(tmp_path, BASE_CONFIG.replace("[full, streaming, h2o_global]", "h2o_global"))
+    with pytest.raises(ConfigError, match="methods must be a list"):
+        load_run_config(path)
+
+
+def test_simulate_parses_each_fixture_once(tmp_path, monkeypatch):
+    spec = EpisodeSpec(
+        seed=4, num_layers=1, num_kv_heads=1, kv_group_size=1,
+        key_dim=4, value_dim=4, prompt_lens=(12, 10, 11), gen_len=4,
+    )
+    save_episode_fixture(tmp_path / "ep.json", [generate_episode(spec, i) for i in (1, 2, 3)])
+    loads = []
+    real_load = fixtures.load_episode_fixture
+    monkeypatch.setattr(fixtures, "load_episode_fixture", lambda path: loads.append(path) or real_load(path))
+    text = textwrap.dedent(
+        """\
+        chain:
+          num_agents: 3
+          latent_steps: 4
+          compression:
+            budget_k: 3
+            sink_size: 1
+        episodes:
+          - fixture: ep.json
+        methods: [full, streaming, h2o_global, h2o_obf_headwise]
+        """
+    )
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
+    assert len(loads) == 1
+    assert len(list(out.glob("*__ep000.json"))) == 4

@@ -100,12 +100,13 @@ def test_round_budget_fixed_and_ratio():
 
 
 def global_table(scores):
-    return MassTable(granularity=GLOBAL, masses={(): dict(scores)})
+    positions = sorted(scores)
+    return MassTable(positions=positions, masses=[[[scores[p] for p in positions]]])
 
 
 def test_select_keeps_highest_mass_with_tie_toward_lower():
     table = global_table({4: 0.9, 5: 0.1, 6: 0.5, 7: 0.5})
-    result = h2o_select(table, (4, 5, 6, 7), 2)
+    result = h2o_select(table, 2)
     assert result.keep == (4, 6)
     assert result.deleted == (5, 7)
     assert result.budget == 2
@@ -113,31 +114,27 @@ def test_select_keeps_highest_mass_with_tie_toward_lower():
 
 def test_select_all_zero_masses_uses_position_cascade():
     table = global_table({p: 0.0 for p in range(4, 10)})
-    assert h2o_select(table, tuple(range(4, 10)), 2).keep == (4, 5)
+    assert h2o_select(table, 2).keep == (4, 5)
 
 
 def test_select_without_pressure_deletes_nothing():
     table = global_table({4: 0.9, 5: 0.1})
-    result = h2o_select(table, (4, 5), 2)
+    result = h2o_select(table, 2)
     assert result.keep == (4, 5)
     assert result.deleted == ()
 
 
 def test_select_packs_unit_rankings_by_summing():
-    table = MassTable(
-        granularity=LAYERWISE,
-        masses={(0,): {1: 0.9, 2: 0.1}, (1,): {1: 0.2, 2: 0.8}},
-    )
-    result = h2o_select(table, (1, 2), 1)
+    # two layers, one kv head each
+    table = MassTable(positions=(1, 2), masses=[[[0.9, 0.1]], [[0.2, 0.8]]])
+    result = h2o_select(table, 1)
     assert result.keep == (1,)  # 1.1 beats 0.9 on the summed ranking
-    assert result.scores == pytest.approx({1: 1.1, 2: 0.9})
-    assert result.unit_scores[(0,)] == pytest.approx({1: 0.9, 2: 0.1})
-    assert result.unit_scores[(1,)] == pytest.approx({1: 0.2, 2: 0.8})
+    assert result.deleted == (2,)
 
 
 def test_selection_result_rejects_overlap():
     with pytest.raises(ValueError):
-        SelectionResult(keep=(1,), deleted=(1, 2), scores={}, unit_scores={}, budget=1)
+        SelectionResult(keep=(1,), deleted=(1, 2), budget=1)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -146,12 +143,12 @@ def test_selection_budget_is_exact(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 25))
     eligible = tuple(sorted(rng.choice(100, size=n, replace=False).tolist()))
-    table = global_table({p: float(rng.integers(0, 4)) for p in eligible})
+    scores = {p: float(rng.integers(0, 4)) for p in eligible}
     k = int(rng.integers(0, n + 4))
-    result = h2o_select(table, eligible, k)
+    result = h2o_select(global_table(scores), k)
     assert len(result.keep) == min(k, n)
     assert tuple(sorted(result.keep + result.deleted)) == eligible
-    assert result.keep == oracles.topk(result.scores, k, eligible)
+    assert result.keep == oracles.topk(scores, k, eligible)
 
 
 # --- backfill kernels -------------------------------------------------------

@@ -131,21 +131,21 @@ def test_numeric_rank_examples():
 
 
 def test_top_k_picks_highest_scores():
-    scores = {4: 0.9, 5: 0.1, 6: 0.5, 7: 0.5}
-    assert top_k_indices(scores, 2, (4, 5, 6, 7)) == (4, 6)
+    assert top_k_indices([0.9, 0.1, 0.5, 0.5], 2, (4, 5, 6, 7)) == (4, 6)
 
 
 def test_top_k_tie_cascade_prefers_lower_positions():
-    scores = {p: 0.0 for p in range(4, 10)}
-    assert top_k_indices(scores, 2, tuple(range(4, 10))) == (4, 5)
+    assert top_k_indices(np.zeros(6), 2, tuple(range(4, 10))) == (4, 5)
 
 
 def test_top_k_edges():
-    assert top_k_indices({1: 1.0}, 0, (1,)) == ()
-    assert top_k_indices({1: 1.0, 2: 0.5}, 5, (1, 2)) == (1, 2)
-    assert top_k_indices({}, 2, (3, 8)) == (3, 8)  # missing scores count as zero
+    assert top_k_indices([1.0], 0, (1,)) == ()
+    assert top_k_indices([1.0, 0.5], 5, (1, 2)) == (1, 2)
+    assert top_k_indices([], 2, ()) == ()
     with pytest.raises(ValueError):
-        top_k_indices({}, -1, (1,))
+        top_k_indices([1.0], -1, (1,))
+    with pytest.raises(DimensionMismatch):
+        top_k_indices([1.0], 1, (3, 8))  # one score per eligible position
 
 
 @given(seed=seeds)
@@ -216,7 +216,8 @@ def test_top_k_matches_sort_oracle(seed):
     # quantized scores so ties actually happen
     scores = {p: float(rng.integers(0, 5)) / 4.0 for p in eligible}
     k = int(rng.integers(0, n + 3))
-    assert top_k_indices(scores, k, eligible) == oracles.topk(scores, k, eligible)
+    aligned = [scores[p] for p in eligible]
+    assert top_k_indices(aligned, k, eligible) == oracles.topk(scores, k, eligible)
 
 
 def with_spectrum(rng, rows, cols, sigmas):

@@ -6,6 +6,7 @@ import pytest
 from kvrelay.backbone import EpisodeSpec, episode_source
 from kvrelay.compress import CompressionConfig
 from kvrelay.errors import ChainEmpty, EmptyList, ZeroLength
+from kvrelay.kv import caches_equal
 from kvrelay.relay import (
     BENCHMARK_PROMPT_LENGTHS,
     ChainConfig,
@@ -174,6 +175,31 @@ def test_message_recursion_invariant(method, granularity):
         assert row.message_len == prev + row.kept_prompt + row.gen_len
         prev = row.message_len
     assert report.final_message_len == prev
+
+
+def test_granularity_labels_keep_and_backfill_identically():
+    # 4 layers x 4 kv heads; budget 6 < value_dim 10 keeps backfill active.
+    active = 0
+    for seed in range(20):
+        spec = small_spec(
+            seed=seed, num_layers=4, num_kv_heads=4, kv_group_size=1, value_dim=10,
+            prompt_lens=(20, 16, 18),
+        )
+        runs = []
+        for granularity in (GLOBAL, LAYERWISE, HEADWISE):
+            message, report = run_chain(
+                episode_source(spec), small_chain("h2o_obf", granularity, budget_k=6)
+            )
+            doc = report.to_dict(verbosity=2)
+            assert doc.pop("granularity") == granularity
+            runs.append((message, doc))
+        (first, first_doc), rest = runs[0], runs[1:]
+        for message, doc in rest:
+            assert message.rounds == first.rounds  # same keep sets
+            assert caches_equal(message.cache, first.cache)
+            assert doc == first_doc  # same OBF traces, vectors included
+        active += first_doc["obf"]["units"] - first_doc["obf"]["skipped"]
+    assert active > 0
 
 
 def test_generation_segments_identical_across_methods():

@@ -4,11 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from kvrelay.errors import MissingColumn, WrongGranularity
+from kvrelay.errors import MissingColumn, NumericalFailure
 from kvrelay.scoring import (
-    GLOBAL,
-    HEADWISE,
-    LAYERWISE,
     AttentionRecord,
     MassTable,
     aggregate_global,
@@ -45,23 +42,30 @@ def test_attention_record_validates_rows():
         record(np.full((1, 3, 1, 2), 0.5), gen=(9,), columns=(0, 1), group=2)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_attention_record_rejects_non_finite_weights(bad):
+    with pytest.raises(NumericalFailure, match="non-finite"):
+        record([[[[bad, 0.5]]]], gen=(9,), columns=(0, 1))
+
+
 def test_mass_sums_over_generation_rows():
     attn = record([[[[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]]]], gen=(13, 14), columns=(10, 11, 12))
     table = attention_mass_headwise(attn, (13, 14), (10, 11, 12))
-    assert table.granularity == HEADWISE
-    assert table.masses[(0, 0)] == pytest.approx({10: 0.6, 11: 0.9, 12: 0.5})
+    assert table.positions == (10, 11, 12)
+    assert table.masses.shape == (1, 1, 3)
+    assert table.masses[0, 0] == pytest.approx([0.6, 0.9, 0.5])
 
 
 def test_mass_of_single_generation_row_is_that_row():
     attn = record([[[[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]]]], gen=(13, 14), columns=(10, 11, 12))
     table = attention_mass_headwise(attn, (14,), (10, 11, 12))
-    assert table.masses[(0, 0)] == pytest.approx({10: 0.1, 11: 0.6, 12: 0.3})
+    assert table.masses[0, 0] == pytest.approx([0.1, 0.6, 0.3])
 
 
 def test_uniform_attention_mass_is_gen_count_over_columns():
     attn = record(np.full((1, 1, 40, 4), 0.25), gen=range(100, 140), columns=range(4))
     table = attention_mass_headwise(attn, tuple(range(100, 140)), tuple(range(4)))
-    assert all(v == 10.0 for v in table.masses[(0, 0)].values())
+    assert np.all(table.masses == 10.0)
 
 
 def test_query_heads_fold_into_kv_heads():
@@ -71,7 +75,8 @@ def test_query_heads_fold_into_kv_heads():
     attn = record(w, gen=(7,), columns=(0, 1), group=2)
     assert attn.num_kv_heads == 1
     table = attention_mass_headwise(attn, (7,), (0, 1))
-    assert table.masses[(0, 0)] == pytest.approx({0: 1.25, 1: 0.75})
+    assert table.masses.shape == (1, 1, 2)
+    assert table.masses[0, 0] == pytest.approx([1.25, 0.75])
 
 
 def test_mass_requires_known_columns_and_rows():
@@ -84,88 +89,96 @@ def test_mass_requires_known_columns_and_rows():
         attention_mass_headwise(attn, (), (0,))
 
 
-def _headwise(masses_by_unit):
-    return MassTable(granularity=HEADWISE, masses=masses_by_unit)
-
-
 def test_layer_aggregation_sums_heads():
-    table = _headwise(
-        {
-            (0, 0): {7: 0.5},
-            (0, 1): {7: 1.5},
-            (1, 0): {7: 1.25},
-            (1, 1): {7: 2.25},
-        }
-    )
-    layered = aggregate_layerwise(table)
-    assert layered.granularity == LAYERWISE
-    assert layered.masses[(0,)] == {7: 2.0}
-    assert layered.masses[(1,)] == {7: 3.5}
-    top = aggregate_global(table)
-    assert top.granularity == GLOBAL
-    assert top.masses[()] == {7: 5.5}
+    table = MassTable(positions=(7,), masses=[[[0.5], [1.5]], [[1.25], [2.25]]])
+    assert np.array_equal(aggregate_layerwise(table), [[2.0], [3.5]])
+    assert np.array_equal(aggregate_global(table), [5.5])
 
 
 def test_single_head_aggregation_is_identity():
-    table = _headwise({(0, 0): {3: 0.25, 4: 0.5}})
-    assert aggregate_layerwise(table).masses[(0,)] == {3: 0.25, 4: 0.5}
-    assert aggregate_global(table).masses[()] == {3: 0.25, 4: 0.5}
+    table = MassTable(positions=(3, 4), masses=[[[0.25, 0.5]]])
+    assert np.array_equal(aggregate_layerwise(table), [[0.25, 0.5]])
+    assert np.array_equal(aggregate_global(table), [0.25, 0.5])
 
 
 def test_global_is_aggregate_of_layerwise():
     rng = np.random.default_rng(11)
-    table = _headwise(
-        {
-            (layer, head): {pos: float(rng.random()) for pos in (2, 5, 6)}
-            for layer in range(3)
-            for head in range(2)
-        }
-    )
+    table = MassTable(positions=(2, 5, 6), masses=rng.random((3, 2, 3)))
     layered = aggregate_layerwise(table)
     direct = aggregate_global(table)
-    recomposed = {pos: 0.0 for pos in (2, 5, 6)}
-    for unit in layered.units():
-        for pos, val in layered.masses[unit].items():
-            recomposed[pos] += val
-    assert direct.masses[()] == recomposed
+    recomposed = np.zeros(3)
+    for layer_masses in layered:
+        recomposed = recomposed + layer_masses
+    assert np.array_equal(direct, recomposed)
 
 
-def test_aggregation_rejects_wrong_granularity():
-    layered = MassTable(granularity=LAYERWISE, masses={(0,): {1: 1.0}})
-    with pytest.raises(WrongGranularity):
-        aggregate_layerwise(layered)
-    with pytest.raises(WrongGranularity):
-        aggregate_global(layered)
+def test_global_sums_heads_before_layers():
+    # (1 + 0) + (6e-17 + 6e-17) rounds up to 1 + 2**-52; summing layers
+    # first, (1 + 6e-17) + (0 + 6e-17), would round back down to 1.
+    table = MassTable(positions=(7,), masses=[[[1.0], [0.0]], [[6e-17], [6e-17]]])
+    assert aggregate_global(table)[0] == 1.0 + 2.0**-52
 
 
 def test_mass_table_validates_units_and_positions():
-    with pytest.raises(WrongGranularity):
-        MassTable(granularity=GLOBAL, masses={(0,): {1: 1.0}})
-    with pytest.raises(WrongGranularity):
-        MassTable(granularity="tokenwise", masses={(): {1: 1.0}})
     with pytest.raises(ValueError):
-        MassTable(granularity=HEADWISE, masses={(0, 0): {1: 1.0}, (0, 1): {2: 1.0}})
+        MassTable(positions=(1,), masses=np.ones((1, 1, 2)))  # one position, two columns
     with pytest.raises(ValueError):
-        MassTable(granularity=GLOBAL, masses={})
+        MassTable(positions=(1, 2), masses=np.ones((1, 2)))  # no head axis
+    with pytest.raises(ValueError):
+        MassTable(positions=(1,), masses=np.ones((0, 1, 1)))  # no units
+    with pytest.raises(ValueError):
+        MassTable(positions=(2, 1), masses=np.ones((1, 1, 2)))  # not increasing
+
+
+def test_mass_table_is_read_only():
+    source = np.ones((1, 1, 2))
+    table = MassTable(positions=(1, 2), masses=source)
+    source[0, 0, 0] = 5.0
+    assert table.masses[0, 0, 0] == 1.0
+    with pytest.raises(ValueError):
+        table.masses[0, 0, 0] = 2.0
 
 
 def test_demand_sums_split_mass():
-    table = MassTable(granularity=GLOBAL, masses={(): {1: 0.4, 2: 0.2, 3: 0.3, 4: 0.1}})
-    assert demand_sums(table, (1, 2), (3, 4))[()] == pytest.approx((0.6, 0.4))
-    assert demand_sums(table, (1, 2, 3, 4), ())[()] == pytest.approx((1.0, 0.0))
+    table = MassTable(positions=(1, 2, 3, 4), masses=[[[0.4, 0.2, 0.3, 0.1]]])
+    assert demand_sums(table, (1, 2), (3, 4))[0, 0] == pytest.approx((0.6, 0.4))
+    assert demand_sums(table, (1, 2, 3, 4), ())[0, 0] == pytest.approx((1.0, 0.0))
 
 
 def test_demand_sums_rejects_overlap():
-    table = MassTable(granularity=GLOBAL, masses={(): {1: 0.4, 2: 0.6}})
+    table = MassTable(positions=(1, 2), masses=[[[0.4, 0.6]]])
     with pytest.raises(ValueError):
         demand_sums(table, (1, 2), (2,))
 
 
+def test_demand_sums_rejects_positions_outside_the_table():
+    table = MassTable(positions=(1, 2), masses=[[[0.4, 0.6]]])
+    with pytest.raises(MissingColumn):
+        demand_sums(table, (1,), (3,))
+
+
 def test_demand_sums_per_unit():
-    table = _headwise({(0, 0): {1: 1.0, 2: 3.0}, (0, 1): {1: 2.0, 2: 0.5}})
+    table = MassTable(positions=(1, 2), masses=[[[1.0, 3.0], [2.0, 0.5]]])
     out = demand_sums(table, (1,), (2,))
-    assert out[(0, 0)] == pytest.approx((1.0, 3.0))
-    assert out[(0, 1)] == pytest.approx((2.0, 0.5))
+    assert out.shape == (1, 2, 2)
+    assert out[0, 0] == pytest.approx((1.0, 3.0))
+    assert out[0, 1] == pytest.approx((2.0, 0.5))
+
+
+@pytest.mark.parametrize("units", [(1, 1), (2, 3)])
+def test_demand_sums_add_left_to_right(units):
+    # Reports carry these sums, so they must equal the plain sequential
+    # float sum exactly, not a pairwise reduction of it.
+    rng = np.random.default_rng(5)
+    positions = tuple(range(0, 600, 2))
+    masses = rng.random(units + (len(positions),))
+    table = MassTable(positions=positions, masses=masses)
+    keep, deleted = positions[::3], tuple(p for p in positions if p % 6)
+    out = demand_sums(table, keep, deleted)
+    for layer, head in np.ndindex(units):
+        col = dict(zip(positions, masses[layer, head]))
+        assert out[layer, head, 0] == sum(col[p] for p in keep)
+        assert out[layer, head, 1] == sum(col[p] for p in deleted)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -180,13 +193,10 @@ def test_mass_conserves_generation_count(seed):
     w = softmax_weights(rng, layers, kv_heads * group, gen, cols)
     attn = record(w, gen=range(50, 50 + gen), columns=range(cols), group=group)
     table = attention_mass_headwise(attn, tuple(range(50, 50 + gen)), tuple(range(cols)))
-    for unit in table.units():
-        assert sum(table.masses[unit].values()) == pytest.approx(group * gen, abs=1e-9)
+    assert np.allclose(table.masses.sum(axis=2), group * gen, rtol=0.0, atol=1e-9)
     # and the tensor-reduction oracle agrees entry by entry
     expected = oracles.headwise_mass(w, list(range(gen)), list(range(cols)), group)
-    for (layer, head), per_pos in table.masses.items():
-        got = np.array([per_pos[pos] for pos in sorted(per_pos)])
-        assert np.allclose(got, expected[layer, head], atol=1e-12)
+    assert np.allclose(table.masses, expected, rtol=0.0, atol=1e-12)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -200,6 +210,4 @@ def test_mass_ignores_generation_row_order(seed):
     shuffled = tuple(rng.permutation(gen_positions).tolist())
     a = attention_mass_headwise(attn, gen_positions, tuple(range(6)))
     b = attention_mass_headwise(attn, shuffled, tuple(range(6)))
-    for unit in a.units():
-        for pos in a.masses[unit]:
-            assert a.masses[unit][pos] == pytest.approx(b.masses[unit][pos], abs=1e-12)
+    assert np.abs(a.masses - b.masses).max() <= 1e-12
