@@ -4,10 +4,12 @@
                      [--seed N] [--out DIR] [--emit-fixtures]
     kvrelay ratio-table
 
-``simulate`` runs every configured method on every episode and writes one
-report per (method, episode) plus a comparison summary. Outputs are
-byte-identical for identical config and seed. Exit codes: 0 on success,
-2 on configuration or input errors, 3 on numerical failures.
+``simulate`` runs episode by episode: each episode is generated or parsed
+once, and each group of method aliases runs one chain whose report is
+relabelled per alias. It writes one report per (method, episode) plus a
+comparison summary. Outputs are byte-identical for identical config and
+seed. Exit codes: 0 on success, 2 on configuration or input errors
+(including a malformed fixture), 3 on numerical failures.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from pathlib import Path
 import yaml
 
 from . import fixtures
-from .backbone import EpisodeRound, EpisodeSpec, episode_source, generate_episode
+from .backbone import EpisodeRound, EpisodeSpec, generate_episode
 from .errors import KvRelayError
-from .kv import RelayMessage
 from .relay import BENCHMARK_PROMPT_LENGTHS, ChainConfig, RelayReport, compression_ratio, run_chain
 from .compress import CompressionConfig
 from .scoring import GLOBAL, HEADWISE, LAYERWISE
@@ -56,19 +57,23 @@ class _Episode:
     fixture: Path | None
     label: str
 
-    def source(self):
+    def rounds(self) -> tuple[EpisodeRound, ...]:
+        """Every round of the episode: generated from the spec, or parsed from the fixture.
+
+        A fixture that is not a well-formed episode document raises
+        :class:`ConfigError`; a :class:`KvRelayError` (such as a non-finite
+        value) propagates unchanged.
+        """
         if self.spec is not None:
-            return episode_source(self.spec)
-        rounds = fixtures.load_episode_fixture(self.fixture)
-
-        def from_fixture(round_i: int) -> EpisodeRound:
-            if not 1 <= round_i <= len(rounds):
-                raise KvRelayError(
-                    f"fixture {self.label} has {len(rounds)} rounds, round {round_i} requested"
-                )
-            return rounds[round_i - 1]
-
-        return from_fixture
+            return tuple(generate_episode(self.spec, i) for i in range(1, self.spec.num_rounds + 1))
+        try:
+            return fixtures.load_episode_fixture(self.fixture)
+        except KvRelayError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"fixture {self.label} is malformed ({type(exc).__name__}: {exc})"
+            ) from exc
 
 
 @dataclass
@@ -250,6 +255,32 @@ def _summary_value(value):
     return None if value is None else float(value)
 
 
+def _episode_reports(cfg: RunConfig, episode: _Episode) -> dict[str, RelayReport]:
+    """Reports of every configured method on one episode, keyed by method name.
+
+    The episode is materialised once. Aliases of one base method select the
+    same tokens, so each base method runs one chain and every alias gets that
+    report with its own granularity label.
+    """
+    rounds = episode.rounds()
+
+    def source(round_i: int) -> EpisodeRound:
+        if not 1 <= round_i <= len(rounds):
+            raise KvRelayError(
+                f"fixture {episode.label} has {len(rounds)} rounds, round {round_i} requested"
+            )
+        return rounds[round_i - 1]
+
+    by_base: dict[str, RelayReport] = {}
+    reports: dict[str, RelayReport] = {}
+    for method in cfg.methods:
+        base, granularity = METHOD_TABLE[method]
+        if base not in by_base:
+            _, by_base[base] = run_chain(source, _method_chain(cfg.chain, method))
+        reports[method] = dataclasses.replace(by_base[base], granularity=granularity)
+    return reports
+
+
 def cmd_simulate(
     config_path,
     method_overrides=(),
@@ -266,16 +297,11 @@ def cmd_simulate(
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    tasks = [(m, ep) for m in cfg.methods for ep in cfg.episodes]
-    results: dict[tuple[str, int], tuple[RelayMessage, RelayReport]] = {}
-    sources = {}
     try:
-        for method, episode in tasks:
-            if episode.index not in sources:  # parse each fixture once
-                sources[episode.index] = episode.source()
-            results[(method, episode.index)] = run_chain(
-                sources[episode.index], _method_chain(cfg.chain, method)
-            )
+        results = {episode.index: _episode_reports(cfg, episode) for episode in cfg.episodes}
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except KvRelayError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -283,7 +309,7 @@ def cmd_simulate(
     cfg.out.mkdir(parents=True, exist_ok=True)
     for method in cfg.methods:
         for episode in cfg.episodes:
-            _, report = results[(method, episode.index)]
+            report = results[episode.index][method]
             doc = report.to_dict(cfg.verbosity)
             doc["method"] = method  # full CLI name, including granularity suffix
             doc["episode"] = episode.index
@@ -301,14 +327,11 @@ def cmd_simulate(
         for episode in cfg.episodes:
             if episode.spec is None:
                 continue
-            rounds = [
-                generate_episode(episode.spec, i) for i in range(1, cfg.chain.num_agents + 1)
-            ]
-            fixtures.save_episode_fixture(fix_dir / f"ep{episode.index:03d}.json", rounds)
+            fixtures.save_episode_fixture(fix_dir / f"ep{episode.index:03d}.json", episode.rounds())
 
     summary = {"episodes": len(cfg.episodes), "seed": cfg.chain.seed, "methods": {}}
     for method in cfg.methods:
-        reports = [results[(method, ep.index)][1] for ep in cfg.episodes]
+        reports = [results[ep.index][method] for ep in cfg.episodes]
         rates = [r.obf_skip_rate for r in reports if r.obf_skip_rate is not None]
         summary["methods"][method] = {
             "rho_achieved": sum(r.rho_achieved for r in reports) / len(reports),
@@ -327,7 +350,7 @@ def cmd_simulate(
             f"{row['mean_final_message_len']:>10.1f} {skip:>9}",
             file=stdout,
         )
-    print(f"wrote {len(tasks)} report(s) to {cfg.out}", file=stdout)
+    print(f"wrote {len(cfg.methods) * len(cfg.episodes)} report(s) to {cfg.out}", file=stdout)
     return 0
 
 

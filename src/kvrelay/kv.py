@@ -24,12 +24,20 @@ IndexList = tuple[int, ...]
 
 
 def as_index_list(indices) -> IndexList:
-    """Normalize to a strictly increasing tuple of global positions."""
-    out = tuple(int(i) for i in indices)
-    for a, b in zip(out, out[1:]):
-        if b <= a:
+    """Normalize to a strictly increasing tuple of global positions.
+
+    A position outside the int64 range raises ``ValueError``.
+    """
+    try:
+        arr = np.fromiter(indices, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"index list has a position outside int64 ({exc})") from exc
+    if arr.size > 1:
+        bad = np.flatnonzero(arr[1:] <= arr[:-1])
+        if bad.size:
+            a, b = arr[bad[0]], arr[bad[0] + 1]
             raise ValueError(f"index list must be strictly increasing ({a} followed by {b})")
-    return out
+    return tuple(arr.tolist())
 
 
 def _read_only(arr) -> np.ndarray:

@@ -5,7 +5,7 @@ import textwrap
 
 import pytest
 
-from kvrelay import fixtures
+from kvrelay import cli, fixtures
 from kvrelay.backbone import EpisodeSpec, generate_episode
 from kvrelay.cli import ConfigError, load_run_config, main
 from kvrelay.fixtures import save_episode_fixture
@@ -316,3 +316,97 @@ def test_simulate_parses_each_fixture_once(tmp_path, monkeypatch):
     assert main(["simulate", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
     assert len(loads) == 1
     assert len(list(out.glob("*__ep000.json"))) == 4
+
+
+ALL_METHODS = (
+    "full", "streaming", "h2o_global", "h2o_layerwise", "h2o_headwise",
+    "h2o_obf_global", "h2o_obf_layerwise", "h2o_obf_headwise",
+)
+
+
+def _spec_and_fixture_config(tmp_path, methods=ALL_METHODS, verbosity=0):
+    """Active OBF (budget_k 3 < value_dim 6) over one spec and one fixture episode."""
+    spec = EpisodeSpec(
+        seed=5, num_layers=2, num_kv_heads=2, kv_group_size=1,
+        key_dim=4, value_dim=6, prompt_lens=(14, 12, 13), gen_len=4,
+    )
+    save_episode_fixture(tmp_path / "ep.json", [generate_episode(spec, i) for i in (1, 2, 3)])
+    text = textwrap.dedent(
+        f"""\
+        chain:
+          num_agents: 3
+          latent_steps: 4
+          seed: 2
+          compression:
+            budget_k: 3
+            sink_size: 1
+        episodes:
+          - prompt_lens: [12, 15, 11]
+            num_layers: 2
+            num_kv_heads: 2
+            kv_group_size: 1
+            key_dim: 4
+            value_dim: 6
+          - fixture: ep.json
+        methods: [{", ".join(methods)}]
+        verbosity: {verbosity}
+        """
+    )
+    return write_config(tmp_path, text)
+
+
+def test_simulate_runs_one_chain_per_base_method_and_generates_once(tmp_path, monkeypatch):
+    config = _spec_and_fixture_config(tmp_path)
+    counts = {"run_chain": 0, "generate_episode": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "run_chain", counted("run_chain", cli.run_chain))
+    monkeypatch.setattr(cli, "generate_episode", counted("generate_episode", cli.generate_episode))
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    assert counts == {"run_chain": 4 * 2, "generate_episode": 3}  # 4 base methods x 2 episodes
+    assert len(list(out.glob("*__ep*.json"))) == 8 * 2
+
+
+def test_simulate_sweep_reports_match_single_method_runs(tmp_path):
+    config = _spec_and_fixture_config(tmp_path, verbosity=2)
+    sweep = tmp_path / "sweep"
+    assert main(["simulate", "--config", str(config), "--out", str(sweep)]) == 0
+    active = json.loads((sweep / "h2o_obf_headwise__ep001.json").read_text())
+    assert any(not unit["skipped"] for r in active["obf"]["per_round"] for unit in r["units"])
+    for method in ALL_METHODS:
+        single = tmp_path / method
+        assert main(["simulate", "--config", str(config), "--out", str(single), "--method", method]) == 0
+        for index in (0, 1):
+            name = f"{method}__ep{index:03d}.json"
+            assert (sweep / name).read_bytes() == (single / name).read_bytes(), name
+
+
+def _drop_positions(doc):
+    del doc["rounds"][0]["cache"]["positions"]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda text: json.dumps(_drop_positions(json.loads(text))),
+        lambda text: "{not json",
+    ],
+    ids=["missing_positions", "not_json"],
+)
+def test_simulate_malformed_fixture_exits_2(tmp_path, capsys, corrupt):
+    config = _spec_and_fixture_config(tmp_path, methods=("h2o_global",))
+    fixture = tmp_path / "ep.json"
+    fixture.write_text(corrupt(fixture.read_text()))
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: fixture ep.json is malformed")
+    assert err.count("\n") == 1

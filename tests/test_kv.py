@@ -48,6 +48,37 @@ def test_as_index_list_rejects_non_increasing(bad):
         as_index_list(bad)
 
 
+def _index_list_loop(indices):
+    """Reference: the element-by-element check."""
+    out = tuple(int(i) for i in indices)
+    for a, b in zip(out, out[1:]):
+        if b <= a:
+            raise ValueError(f"index list must be strictly increasing ({a} followed by {b})")
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=12))
+def test_as_index_list_matches_loop_reference(values):
+    for indices in (values, sorted(set(values)), np.array(sorted(set(values)), dtype=np.int64)):
+        try:
+            expected = _index_list_loop(indices)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                as_index_list(indices)
+            assert str(err.value) == str(exc)  # names the first offending pair
+            continue
+        got = as_index_list(indices)
+        assert got == expected
+        assert all(type(i) is int for i in got)
+
+
+@pytest.mark.parametrize("big", [2**63, -(2**63) - 1, np.uint64(2**63)])
+def test_as_index_list_rejects_positions_outside_int64(big):
+    with pytest.raises(ValueError, match="outside int64"):
+        as_index_list([0, big])
+
+
 def test_cache_validates_shapes():
     with pytest.raises(ShapeMismatch):
         KvCache(keys=np.zeros((2, 2, 3)), values=np.zeros((2, 2, 3, 4)), positions=(0, 1, 2))
