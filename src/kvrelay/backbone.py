@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput
-from .kv import IndexList, KvCache, as_index_list
+from .kv import IndexList, KvCache, freeze
 from .scoring import AttentionRecord
 
 VALUE_STRUCTURES = ("gaussian", "low_rank", "planted_in_span")
@@ -98,21 +98,43 @@ def _rng(seed: int, round_i: int, stream: int) -> np.random.Generator:
 
 
 def tiny_attention_forward(keys, queries, scale: float) -> np.ndarray:
-    """Row-stochastic attention: softmax(scale * q . K^T) per query row."""
+    """Row-stochastic attention: softmax(scale * q . K^T) per query row.
+
+    Keys (P, d) and queries (G, d) give (G, P) weights. Leading axes are
+    head axes: keys (..., H_kv, P, d) and queries (..., H_q, G, d), with
+    H_q a multiple of H_kv, give (..., H_q, G, P), query head h attending
+    through key head h // (H_q // H_kv) as under grouped-query attention.
+    Each head's logits come from its own 2-D product, written straight into
+    the result; the softmax then runs in place over the whole array.
+    """
     keys = np.asarray(keys, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
-    if keys.ndim != 2 or queries.ndim != 2:
-        raise DimensionMismatch("keys and queries must be 2-D")
-    if keys.shape[1] != queries.shape[1]:
+    if keys.ndim < 2 or keys.ndim != queries.ndim:
         raise DimensionMismatch(
-            f"key dim {keys.shape[1]} does not match query dim {queries.shape[1]}"
+            "keys and queries must be 2-D, or stacks of 2-D matrices over the same head axes"
         )
-    if keys.shape[0] == 0:
+    if keys.shape[-1] != queries.shape[-1]:
+        raise DimensionMismatch(
+            f"key dim {keys.shape[-1]} does not match query dim {queries.shape[-1]}"
+        )
+    if keys.shape[-2] == 0:
         raise EmptyInput("softmax over zero keys is undefined")
-    logits = float(scale) * (queries @ keys.T)
-    logits -= logits.max(axis=1, keepdims=True)
-    weights = np.exp(logits)
-    weights /= weights.sum(axis=1, keepdims=True)
+    group = 1
+    if keys.ndim > 2:
+        kv_heads, q_heads = keys.shape[-3], queries.shape[-3]
+        if keys.shape[:-3] != queries.shape[:-3] or kv_heads == 0 or q_heads % kv_heads:
+            raise DimensionMismatch(
+                f"query heads {queries.shape[:-2]} do not group over key heads {keys.shape[:-2]}"
+            )
+        group = q_heads // kv_heads
+    weights = np.empty(queries.shape[:-1] + keys.shape[-2:-1])
+    for head in np.ndindex(queries.shape[:-2]):
+        kv_head = head[:-1] + (head[-1] // group,) if head else head
+        np.matmul(queries[head], keys[kv_head].T, out=weights[head])
+    weights *= float(scale)
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
     return weights
 
 
@@ -152,20 +174,14 @@ def generate_episode(spec: EpisodeSpec, round_i: int) -> EpisodeRound:
         (layers, spec.num_query_heads, spec.gen_len, spec.key_dim)
     )
     scale = 1.0 / math.sqrt(spec.key_dim)
-    weights = np.empty((layers, spec.num_query_heads, spec.gen_len, prompt_len))
-    for layer in range(layers):
-        for q_head in range(spec.num_query_heads):
-            kv_head = q_head // spec.kv_group_size
-            weights[layer, q_head] = tiny_attention_forward(
-                keys[layer, kv_head, :prompt_len, :], queries[layer, q_head], scale
-            )
+    weights = tiny_attention_forward(keys[:, :, :prompt_len, :], queries, scale)
     attention = AttentionRecord(
-        weights=weights,
+        weights=freeze(weights),
         gen_positions=generation,
         columns=prompt,
         kv_group_size=spec.kv_group_size,
     )
-    cache = KvCache(keys=keys, values=values, positions=as_index_list(prompt + generation))
+    cache = KvCache(keys=freeze(keys), values=freeze(values), positions=prompt + generation)
     return EpisodeRound(cache=cache, prompt=prompt, generation=generation, attention=attention)
 
 

@@ -26,7 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import BudgetUnset, DimensionMismatch, EmptyKeep
-from .kv import IndexList, KvCache, RoleMap, as_index_list, select
+from .kv import IndexList, KvCache, RoleMap, as_index_list, freeze, locate, select
 from .linalg import OrthoBasis, PrincipalSubspace, orthonormal_basis, principal_subspace, project_out, top_k_indices
 from .scoring import (
     GLOBAL,
@@ -189,10 +189,10 @@ def h2o_select(table: MassTable, k: int) -> SelectionResult:
     One shared ranking by :func:`aggregate_global`, ties toward the smaller
     position.
     """
-    keep = top_k_indices(aggregate_global(table), k, table.positions)
-    keep_set = set(keep)
-    deleted = tuple(pos for pos in table.positions if pos not in keep_set)
-    return SelectionResult(keep=keep, deleted=deleted, budget=k)
+    positions = np.asarray(table.positions, dtype=np.int64)
+    keep = top_k_indices(aggregate_global(table), k, positions)
+    _, kept = locate(keep, positions)
+    return SelectionResult(keep=keep, deleted=positions[~kept], budget=k)
 
 
 def obf_residual(v_keep, v_del) -> tuple[OrthoBasis, np.ndarray]:
@@ -346,7 +346,7 @@ def _assemble(
     kept_slice = slice(len(sink), len(sink) + len(kept))
     for (layer, head), delta in value_shift.items():
         values[layer, head, kept_slice, :] = obf_inject(values[layer, head, kept_slice, :], delta)
-    return KvCache(keys=block.keys, values=values, positions=order)
+    return KvCache(keys=block.keys, values=freeze(values), positions=order)
 
 
 def compress(

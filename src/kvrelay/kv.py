@@ -10,6 +10,15 @@ and excluded from everything.
 
 All types are frozen and hold read-only float64 arrays; every operation is
 a pure function, so instances can be shared freely across threads.
+
+Array ownership: ``KvCache`` and ``scoring.AttentionRecord`` keep a float64
+ndarray as is when it owns its buffer (``base is None``) and is already
+read-only; anything else (a writeable array, a view, another dtype or a
+nested list) is copied first. Handing over an array that way is a promise
+that nothing writes to its buffer again, so code that builds an array and
+hands it over freezes it (:func:`freeze`) and keeps no writeable view of
+it. A caller's writeable array is never shared: writing to it afterwards
+leaves the cache or record unchanged.
 """
 
 from __future__ import annotations
@@ -23,27 +32,71 @@ from .errors import NumericalFailure, PositionOverlap, ShapeMismatch, SinkTooLar
 IndexList = tuple[int, ...]
 
 
+def index_array(indices) -> np.ndarray:
+    """Strictly increasing int64 array of global positions.
+
+    A position outside the int64 range raises ``ValueError``, as does a
+    non-increasing pair (the message names the first one).
+    """
+    if isinstance(indices, np.ndarray) and indices.dtype == np.int64 and indices.ndim == 1:
+        arr = indices
+    else:
+        try:
+            arr = np.fromiter(indices, dtype=np.int64)
+        except OverflowError as exc:
+            raise ValueError(f"index list has a position outside int64 ({exc})") from exc
+    if arr.size > 1:
+        bad = arr[1:] <= arr[:-1]
+        if bad.any():
+            first = int(bad.argmax())
+            a, b = arr[first], arr[first + 1]
+            raise ValueError(f"index list must be strictly increasing ({a} followed by {b})")
+    return arr
+
+
 def as_index_list(indices) -> IndexList:
     """Normalize to a strictly increasing tuple of global positions.
 
     A position outside the int64 range raises ``ValueError``.
     """
-    try:
-        arr = np.fromiter(indices, dtype=np.int64)
-    except OverflowError as exc:
-        raise ValueError(f"index list has a position outside int64 ({exc})") from exc
-    if arr.size > 1:
-        bad = np.flatnonzero(arr[1:] <= arr[:-1])
-        if bad.size:
-            a, b = arr[bad[0]], arr[bad[0] + 1]
-            raise ValueError(f"index list must be strictly increasing ({a} followed by {b})")
-    return tuple(arr.tolist())
+    return tuple(index_array(indices).tolist())
 
 
-def _read_only(arr) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64)
-    out.flags.writeable = False
-    return out
+def locate(positions, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of ``targets`` sits in the strictly increasing ``positions``.
+
+    Returns ``(rows, found)``: ``found[i]`` tells whether ``targets[i]`` is
+    one of ``positions``, and if so ``rows[i]`` is its index there. Both
+    are int sequences or int64 arrays; ``targets`` may come in any order.
+    """
+    haystack = np.asarray(positions, dtype=np.int64)
+    needles = np.asarray(targets, dtype=np.int64)
+    rows = haystack.searchsorted(needles)
+    if not haystack.size:
+        return rows, np.zeros(needles.shape, dtype=bool)
+    return rows, haystack.take(rows, mode="clip") == needles
+
+
+def freeze(arr: np.ndarray) -> np.ndarray:
+    """Mark an array this package just made read-only and return it.
+
+    A frozen float64 array that owns its buffer is taken by ``KvCache`` and
+    ``AttentionRecord`` without a copy (see the module docstring).
+    """
+    arr.flags.writeable = False
+    return arr
+
+
+def read_only(arr) -> np.ndarray:
+    """``arr`` itself if it is a read-only float64 ndarray owning its buffer, else a frozen copy."""
+    if (
+        isinstance(arr, np.ndarray)
+        and arr.dtype == np.float64
+        and arr.base is None
+        and not arr.flags.writeable
+    ):
+        return arr
+    return freeze(np.array(arr, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -55,7 +108,10 @@ class KvCache:
         values: array of shape (num_layers, num_kv_heads, T, value_dim).
         positions: strictly increasing global token indices, length T.
 
-    Non-finite keys or values raise :class:`NumericalFailure`.
+    Non-finite keys or values raise :class:`NumericalFailure`. A read-only
+    float64 array that owns its buffer is kept as is; any other array is
+    copied, so writing to the caller's array later does not change the
+    cache.
     """
 
     keys: np.ndarray
@@ -63,8 +119,8 @@ class KvCache:
     positions: IndexList
 
     def __post_init__(self):
-        keys = _read_only(self.keys)
-        values = _read_only(self.values)
+        keys = read_only(self.keys)
+        values = read_only(self.values)
         positions = as_index_list(self.positions)
         if keys.ndim != 4 or values.ndim != 4:
             raise ShapeMismatch("keys/values must be (layers, heads, tokens, dim) arrays")
@@ -136,16 +192,14 @@ def select(cache: KvCache, indices) -> KvCache:
     The requested indices must be strictly increasing and present in the
     cache; rows are copied bit-for-bit.
     """
-    idx = as_index_list(indices)
-    lookup = {pos: row for row, pos in enumerate(cache.positions)}
-    try:
-        rows = [lookup[pos] for pos in idx]
-    except KeyError as exc:
-        raise UnknownPosition(f"position {exc.args[0]} is not in the cache") from None
+    idx = index_array(indices)
+    rows, found = locate(cache.positions, idx)
+    if not found.all():
+        raise UnknownPosition(f"position {idx[~found][0]} is not in the cache")
     return KvCache(
-        keys=cache.keys[:, :, rows, :],
-        values=cache.values[:, :, rows, :],
-        positions=idx,
+        keys=freeze(np.take(cache.keys, rows, axis=2)),
+        values=freeze(np.take(cache.values, rows, axis=2)),
+        positions=tuple(idx.tolist()),
     )
 
 
@@ -158,8 +212,8 @@ def concat(a: KvCache, b: KvCache) -> KvCache:
             f"left cache ends at {a.positions[-1]} but right starts at {b.positions[0]}"
         )
     return KvCache(
-        keys=np.concatenate([a.keys, b.keys], axis=2),
-        values=np.concatenate([a.values, b.values], axis=2),
+        keys=freeze(np.concatenate([a.keys, b.keys], axis=2)),
+        values=freeze(np.concatenate([a.values, b.values], axis=2)),
         positions=a.positions + b.positions,
     )
 
@@ -175,23 +229,26 @@ class RoleMap:
     padding: IndexList = ()
 
     def __post_init__(self):
-        parts = {
-            "sink": as_index_list(self.sink),
-            "history": as_index_list(self.history),
-            "prompt": as_index_list(self.prompt),
-            "generation": as_index_list(self.generation),
-            "padding": as_index_list(self.padding),
-        }
-        for name, part in parts.items():
-            object.__setattr__(self, name, part)
-        seen: dict[int, str] = {}
-        for name, part in parts.items():
-            for pos in part:
-                if pos in seen:
-                    raise PositionOverlap(
-                        f"position {pos} assigned to both {seen[pos]} and {name}"
-                    )
-                seen[pos] = name
+        names = ("sink", "history", "prompt", "generation", "padding")
+        parts = [index_array(getattr(self, name)) for name in names]
+        for later in range(1, len(parts)):
+            # The earlier roles are disjoint, so at most one holds each position.
+            hits = []
+            for earlier in range(later):
+                a, b = parts[earlier], parts[later]
+                if not (a.size and b.size and a[0] <= b[-1] and b[0] <= a[-1]):
+                    continue  # empty, or increasing runs whose spans do not meet
+                _, found = locate(a, b)
+                if found.any():
+                    hits.append((int(found.argmax()), earlier))
+            if hits:
+                first, earlier = min(hits)
+                raise PositionOverlap(
+                    f"position {parts[later][first]} assigned to both "
+                    f"{names[earlier]} and {names[later]}"
+                )
+        for name, part in zip(names, parts):
+            object.__setattr__(self, name, tuple(part.tolist()))
 
     def all_positions(self) -> IndexList:
         return as_index_list(
@@ -264,35 +321,36 @@ def decompose(
         raise ValueError("rounds are numbered from 1")
     if sink_size < 0:
         raise ValueError("sink_size must be non-negative")
-    local_prompt = as_index_list(local_prompt)
-    local_generation = as_index_list(local_generation)
-    padding = as_index_list(padding)
-    pad_set = set(padding)
+    local_prompt = index_array(local_prompt)
+    local_generation = index_array(local_generation)
+    padding = index_array(padding)
 
-    inherited: IndexList = message.cache.positions if message is not None else ()
-    inherited_set = set(inherited)
-    for pos in local_prompt + local_generation:
-        if pos in inherited_set:
-            raise PositionOverlap(f"local position {pos} already exists in the message")
+    inherited = np.asarray(message.cache.positions if message is not None else (), dtype=np.int64)
+    local = np.concatenate([local_prompt, local_generation])
+    _, clash = locate(inherited, local)
+    if clash.any():
+        pos = local[np.argmax(clash)]
+        raise PositionOverlap(f"local position {pos} already exists in the message")
 
+    _, is_pad = locate(padding, local_prompt)
+    non_pad = local_prompt[~is_pad]
     if round_i == 1:
-        if inherited:
+        if inherited.size:
             raise ValueError("round 1 cannot carry an inherited message")
-        non_pad = tuple(p for p in local_prompt if p not in pad_set)
-        if sink_size > len(non_pad):
+        if sink_size > non_pad.size:
             raise SinkTooLarge(
-                f"sink of {sink_size} exceeds the {len(non_pad)} usable prompt positions"
+                f"sink of {sink_size} exceeds the {non_pad.size} usable prompt positions"
             )
         sink = non_pad[:sink_size]
         prompt = non_pad[sink_size:]
-        history: IndexList = ()
+        history = non_pad[:0]
     else:
         if message is None:
             raise ValueError("rounds after the first need the inherited message")
         sink = message.sink
-        sink_set = set(sink)
-        history = tuple(p for p in inherited if p not in sink_set)
-        prompt = tuple(p for p in local_prompt if p not in pad_set)
+        _, in_sink = locate(sink, inherited)
+        history = inherited[~in_sink]
+        prompt = non_pad
 
     return RoleMap(
         sink=sink,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingColumn, NumericalFailure
-from .kv import IndexList, as_index_list
+from .kv import IndexList, as_index_list, index_array, locate, read_only
 
 # Ranking labels a run may carry. Eviction always ranks by the global
 # aggregate; a layer or head breakdown summed into one shared ranking is
@@ -39,6 +39,10 @@ class AttentionRecord:
         columns: global position of each attended column, strictly
             increasing.
         kv_group_size: query heads per kv head.
+
+    A read-only float64 ``weights`` array that owns its buffer is kept as
+    is; any other array is copied, so writing to the caller's array later
+    does not change the record. Every check runs either way.
     """
 
     weights: np.ndarray
@@ -47,7 +51,7 @@ class AttentionRecord:
     kv_group_size: int
 
     def __post_init__(self):
-        weights = np.array(self.weights, dtype=np.float64)
+        weights = read_only(self.weights)
         if weights.ndim != 4:
             raise ValueError("weights must be (layers, query_heads, gen_steps, columns)")
         gen_positions = tuple(int(p) for p in self.gen_positions)
@@ -73,7 +77,6 @@ class AttentionRecord:
             err = float(np.abs(row_sums - 1.0).max())
             if err > 1e-6:
                 raise ValueError(f"attention rows must sum to 1 (off by {err:g})")
-        weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "gen_positions", gen_positions)
         object.__setattr__(self, "columns", columns)
@@ -124,25 +127,49 @@ class MassTable:
             raise MissingColumn(f"no mass for position {exc.args[0]}") from None
 
 
+def _as_run(indices: np.ndarray):
+    """A slice if the distinct ``indices`` are one ascending run of consecutive integers."""
+    if (
+        indices.size
+        and indices[-1] - indices[0] == indices.size - 1
+        and (indices[1:] > indices[:-1]).all()
+    ):
+        return slice(int(indices[0]), int(indices[-1]) + 1)
+    return indices
+
+
 def attention_mass_headwise(attn: AttentionRecord, gen, prompt) -> MassTable:
-    """Per-(layer, kv head) mass each prompt position collected over ``gen``."""
+    """Per-(layer, kv head) mass each prompt position collected over ``gen``.
+
+    ``gen`` must be distinct generation positions of ``attn``, in any
+    order; ``prompt`` strictly increasing columns of it.
+    """
     gen = tuple(int(p) for p in gen)
-    prompt = as_index_list(prompt)
+    prompt = index_array(prompt)
     if not gen:
         raise ValueError("generation set must be non-empty")
-    col_of = {pos: i for i, pos in enumerate(attn.columns)}
-    missing = [p for p in prompt if p not in col_of]
-    if missing:
-        raise MissingColumn(f"no attention columns for positions {missing}")
+    if len(set(gen)) != len(gen):
+        raise ValueError("generation positions must be distinct")
+    cols, found = locate(attn.columns, prompt)
+    if not found.all():
+        raise MissingColumn(f"no attention columns for positions {prompt[~found].tolist()}")
     row_of = {pos: i for i, pos in enumerate(attn.gen_positions)}
     missing_rows = [g for g in gen if g not in row_of]
     if missing_rows:
         raise MissingColumn(f"no attention rows for generation positions {missing_rows}")
     rows = np.array([row_of[g] for g in gen], dtype=np.int64)
-    cols = np.array([col_of[p] for p in prompt], dtype=np.int64)
-    per_query = attn.weights[:, :, rows[:, None], cols].sum(axis=2)
-    grouped = per_query.reshape(attn.num_layers, attn.num_kv_heads, attn.kv_group_size, len(cols))
-    return MassTable(positions=prompt, masses=grouped.sum(axis=2))
+    if cols.size == 1:
+        # One column: gather, then sum. When that leaves a single output,
+        # numpy adds its rows pairwise instead of one by one, so summing
+        # whole rows first could round a one-column table differently.
+        per_query = attn.weights[:, :, rows[:, None], cols].sum(axis=2)
+    else:
+        # numpy adds the rows one by one for each column whether or not the
+        # columns are picked first, so summing whole rows and then picking
+        # gives the same bits without a (layers, heads, rows, columns) copy.
+        per_query = attn.weights[:, :, _as_run(rows), :].sum(axis=2)[:, :, _as_run(cols)]
+    grouped = per_query.reshape(attn.num_layers, attn.num_kv_heads, attn.kv_group_size, cols.size)
+    return MassTable(positions=tuple(prompt.tolist()), masses=grouped.sum(axis=2))
 
 
 def aggregate_layerwise(table: MassTable) -> np.ndarray:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from kvrelay import backbone
 from kvrelay.backbone import (
     EpisodeSpec,
     episode_source,
@@ -191,3 +192,99 @@ def test_generated_attention_rows_normalize(seed, round_i):
     ep = generate_episode(spec, round_i)
     sums = ep.attention.weights.sum(axis=3)
     assert np.abs(sums - 1.0).max() <= 1e-12
+
+
+# --- one softmax pass per round ---------------------------------------------
+
+
+def _reference_round(spec, round_i):
+    """The generator as one 2-D softmax per (layer, query head): draws, keys,
+    values and weights, built without the library's stacked softmax."""
+
+    def draws(stream, shape):
+        bits = np.random.Philox(key=spec.seed, counter=[stream, round_i, 0, 0])
+        return np.random.Generator(bits).standard_normal(shape)
+
+    prompt_len = spec.prompt_lens[round_i - 1]
+    tokens = prompt_len + spec.gen_len
+    layers, heads = spec.num_layers, spec.num_kv_heads
+    keys = draws(0, (layers, heads, tokens, spec.key_dim))
+    if spec.value_structure == "gaussian":
+        values = draws(1, (layers, heads, tokens, spec.value_dim))
+    else:
+        rank = min(spec.value_rank, spec.value_dim, tokens)
+        coeff = draws(1, (layers, heads, tokens, rank))
+        basis = draws(2, (layers, heads, rank, spec.value_dim))
+        values = np.einsum("lhtr,lhrd->lhtd", coeff, basis)
+    queries = draws(3, (layers, spec.num_query_heads, spec.gen_len, spec.key_dim))
+    scale = 1.0 / np.sqrt(spec.key_dim)
+    weights = np.empty((layers, spec.num_query_heads, spec.gen_len, prompt_len))
+    for layer in range(layers):
+        for q_head in range(spec.num_query_heads):
+            k = keys[layer, q_head // spec.kv_group_size, :prompt_len, :]
+            logits = float(scale) * (queries[layer, q_head] @ k.T)
+            logits -= logits.max(axis=1, keepdims=True)
+            w = np.exp(logits)
+            w /= w.sum(axis=1, keepdims=True)
+            weights[layer, q_head] = w
+    return keys, values, weights
+
+
+@pytest.mark.parametrize("key_dim", [7, 8])
+@pytest.mark.parametrize("group", [3, 4])
+@pytest.mark.parametrize("structure", ["gaussian", "low_rank", "planted_in_span"])
+@pytest.mark.parametrize("prompt_lens", [(1, 5), (11, 1)])
+def test_generation_matches_per_head_softmax_bit_for_bit(key_dim, group, structure, prompt_lens):
+    spec = small_spec(
+        seed=2**63 + key_dim * group,
+        kv_group_size=group,
+        key_dim=key_dim,
+        value_structure=structure,
+        value_rank=3,
+        prompt_lens=prompt_lens,
+        gen_len=9,
+    )
+    for round_i in (1, 2):
+        ep = generate_episode(spec, round_i)
+        keys, values, weights = _reference_round(spec, round_i)
+        assert np.array_equal(ep.cache.keys, keys)
+        assert np.array_equal(ep.cache.values, values)
+        assert np.array_equal(ep.attention.weights, weights)
+
+
+def test_generated_arrays_are_frozen_and_not_copied(monkeypatch):
+    made = []
+
+    def forward(*args):
+        made.append(tiny_attention_forward(*args))
+        return made[-1]
+
+    monkeypatch.setattr(backbone, "tiny_attention_forward", forward)
+    ep = generate_episode(small_spec(), 1)
+    assert len(made) == 1 and ep.attention.weights is made[0]
+    for arr in (ep.cache.keys, ep.cache.values, ep.attention.weights):
+        assert arr.base is None
+        assert not arr.flags.writeable
+
+
+def test_forward_stacked_heads_equal_per_head_calls():
+    rng = np.random.default_rng(3)
+    keys = rng.standard_normal((2, 2, 9, 7))
+    queries = rng.standard_normal((2, 6, 4, 7))
+    weights = tiny_attention_forward(keys, queries, 0.3)
+    assert weights.shape == (2, 6, 4, 9)
+    for layer in range(2):
+        for head in range(6):
+            one = tiny_attention_forward(keys[layer, head // 3], queries[layer, head], 0.3)
+            assert np.array_equal(weights[layer, head], one)
+
+
+def test_forward_validates_head_axes():
+    with pytest.raises(DimensionMismatch):
+        tiny_attention_forward(np.ones((2, 3, 4)), np.ones((3, 4)), 1.0)  # ndim differs
+    with pytest.raises(DimensionMismatch):
+        tiny_attention_forward(np.ones((2, 3, 4)), np.ones((3, 2, 4)), 1.0)  # 3 heads over 2
+    with pytest.raises(DimensionMismatch):
+        tiny_attention_forward(np.ones((2, 1, 3, 4)), np.ones((1, 2, 2, 4)), 1.0)  # layers differ
+    with pytest.raises(EmptyInput):
+        tiny_attention_forward(np.ones((2, 0, 4)), np.ones((2, 2, 4)), 1.0)

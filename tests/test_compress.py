@@ -151,6 +151,20 @@ def test_selection_budget_is_exact(seed):
     assert result.keep == oracles.topk(scores, k, eligible)
 
 
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_select_deleted_set_matches_set_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    positions = tuple(sorted(rng.choice(500, size=n, replace=False).tolist()))
+    masses = rng.integers(0, 3, size=(int(rng.integers(1, 3)), 2, n)).astype(float)
+    table = MassTable(positions=positions, masses=masses)
+    result = h2o_select(table, int(rng.integers(0, n + 3)))
+    keep_set = set(result.keep)
+    assert result.deleted == tuple(pos for pos in table.positions if pos not in keep_set)
+    assert all(type(pos) is int for pos in result.deleted)
+
+
 # --- backfill kernels -------------------------------------------------------
 
 

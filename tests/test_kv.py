@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvrelay.errors import PositionOverlap, ShapeMismatch, SinkTooLarge, UnknownPosition
+from kvrelay.errors import NumericalFailure, PositionOverlap, ShapeMismatch, SinkTooLarge, UnknownPosition
 from kvrelay.kv import (
     KvCache,
     RelayMessage,
@@ -321,3 +321,171 @@ def test_decompose_partitions_first_round(base, prompt_len, gen_len, sink_size, 
     assert roles.all_positions() == tuple(sorted(prompt + gen))
     assert set(roles.sink).isdisjoint(roles.prompt)
     assert set(roles.padding) == set(padding)
+
+
+# --- array lookups against the dict and set loops they replace --------------
+
+ROLES = ("sink", "history", "prompt", "generation", "padding")
+
+
+def _select_loop(cache, indices):
+    """Reference: a position -> row dict and one fancy-index gather."""
+    idx = as_index_list(indices)
+    lookup = {pos: row for row, pos in enumerate(cache.positions)}
+    try:
+        rows = [lookup[pos] for pos in idx]
+    except KeyError as exc:
+        raise UnknownPosition(f"position {exc.args[0]} is not in the cache") from None
+    return KvCache(keys=cache.keys[:, :, rows, :], values=cache.values[:, :, rows, :], positions=idx)
+
+
+def _role_map_loop(**given):
+    """Reference: the role split checked position by position through one dict."""
+    parts = {name: as_index_list(given.get(name, ())) for name in ROLES}
+    seen = {}
+    for name, part in parts.items():
+        for pos in part:
+            if pos in seen:
+                raise PositionOverlap(f"position {pos} assigned to both {seen[pos]} and {name}")
+            seen[pos] = name
+    return parts
+
+
+def _decompose_loop(message, round_i, local_prompt, local_generation, sink_size, padding=()):
+    """Reference: the role assignment with sets and per-position loops."""
+    if round_i < 1:
+        raise ValueError("rounds are numbered from 1")
+    if sink_size < 0:
+        raise ValueError("sink_size must be non-negative")
+    local_prompt = as_index_list(local_prompt)
+    local_generation = as_index_list(local_generation)
+    padding = as_index_list(padding)
+    pad_set = set(padding)
+    inherited = message.cache.positions if message is not None else ()
+    inherited_set = set(inherited)
+    for pos in local_prompt + local_generation:
+        if pos in inherited_set:
+            raise PositionOverlap(f"local position {pos} already exists in the message")
+    if round_i == 1:
+        if inherited:
+            raise ValueError("round 1 cannot carry an inherited message")
+        non_pad = tuple(p for p in local_prompt if p not in pad_set)
+        if sink_size > len(non_pad):
+            raise SinkTooLarge(f"sink of {sink_size} exceeds the {len(non_pad)} usable prompt positions")
+        sink, prompt, history = non_pad[:sink_size], non_pad[sink_size:], ()
+    else:
+        if message is None:
+            raise ValueError("rounds after the first need the inherited message")
+        sink = message.sink
+        history = tuple(p for p in inherited if p not in set(sink))
+        prompt = tuple(p for p in local_prompt if p not in pad_set)
+    return _role_map_loop(
+        sink=sink, history=history, prompt=prompt, generation=local_generation, padding=padding
+    )
+
+
+def _same_outcome(reference, call):
+    """Run both; they must raise the same error with the same message, or both return."""
+    try:
+        expected = reference()
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as err:
+            call()
+        assert type(err.value) is type(exc) and str(err.value) == str(exc)
+        return None, None
+    return expected, call()
+
+
+# Small position lists, mostly (not always) strictly increasing.
+raw_lists = st.lists(st.integers(0, 30), max_size=8)
+increasing_lists = raw_lists.map(lambda xs: tuple(sorted(set(xs))))
+index_lists = st.one_of(increasing_lists, increasing_lists, increasing_lists, raw_lists)
+
+
+@given(positions=positions_lists, indices=index_lists)
+@settings(max_examples=200, deadline=None)
+def test_select_matches_dict_loop(positions, indices):
+    cache = make_cache(positions, layers=1, heads=2)
+    expected, got = _same_outcome(lambda: _select_loop(cache, indices), lambda: select(cache, indices))
+    if expected is not None:
+        assert caches_equal(got, expected)
+
+
+@given(
+    parts=st.fixed_dictionaries({name: increasing_lists for name in ROLES}),
+    unsorted_role=st.sampled_from(ROLES + (None,) * 5),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_role_map_matches_dict_loop(parts, unsorted_role, data):
+    if unsorted_role is not None:
+        parts[unsorted_role] = data.draw(raw_lists)
+    expected, got = _same_outcome(lambda: _role_map_loop(**parts), lambda: RoleMap(**parts))
+    if expected is not None:
+        assert {name: getattr(got, name) for name in ROLES} == expected
+
+
+@given(
+    inherited=st.lists(st.integers(0, 40), max_size=10, unique=True).map(sorted),
+    sink_len=st.integers(0, 4),
+    round_i=st.integers(1, 3),
+    with_message=st.booleans(),
+    prompt=increasing_lists.map(lambda xs: tuple(x + 10 for x in xs)),
+    generation=increasing_lists.map(lambda xs: tuple(x + 10 for x in xs)),
+    padding=increasing_lists.map(lambda xs: tuple(x + 10 for x in xs)),
+    sink_size=st.integers(0, 6),
+)
+@settings(max_examples=400, deadline=None)
+def test_decompose_matches_set_loop(
+    inherited, sink_len, round_i, with_message, prompt, generation, padding, sink_size
+):
+    message = None
+    if with_message:
+        sink = tuple(inherited[:sink_len])
+        rest = tuple(inherited[len(sink):])
+        record = RoundRecord(round_index=1, kept_prompt=(), generation=rest, prompt_len=0)
+        message = RelayMessage(cache=make_cache(inherited, layers=1, heads=1), sink=sink, rounds=(record,))
+    args = (message, round_i, prompt, generation, sink_size, padding)
+    expected, got = _same_outcome(lambda: _decompose_loop(*args), lambda: decompose(*args))
+    if expected is not None:
+        assert {name: getattr(got, name) for name in ROLES} == expected
+
+
+# --- array ownership --------------------------------------------------------
+
+
+def test_cache_copies_a_writeable_array():
+    keys, values = np.zeros((1, 1, 2, 3)), np.ones((1, 1, 2, 2))
+    cache = KvCache(keys=keys, values=values, positions=(0, 1))
+    keys[0, 0, 0, 0] = 5.0
+    values[0, 0, 0, 0] = 5.0
+    assert cache.keys[0, 0, 0, 0] == 0.0 and cache.values[0, 0, 0, 0] == 1.0
+    assert not np.shares_memory(cache.keys, keys)
+
+
+def test_cache_shares_a_read_only_owning_array_and_copies_a_read_only_view():
+    keys = np.zeros((1, 1, 2, 3))
+    keys.flags.writeable = False
+    base = np.ones((1, 1, 4, 2))
+    view = base[:, :, :2, :]
+    view.flags.writeable = False
+    cache = KvCache(keys=keys, values=view, positions=(0, 1))
+    assert np.shares_memory(cache.keys, keys)
+    assert not np.shares_memory(cache.values, base)
+
+
+def test_cache_checks_a_shared_array():
+    keys = np.zeros((1, 1, 2, 3))
+    keys[0, 0, 1, 2] = np.inf
+    keys.flags.writeable = False
+    with pytest.raises(NumericalFailure):
+        KvCache(keys=keys, values=np.zeros((1, 1, 2, 2)), positions=(0, 1))
+    with pytest.raises(ShapeMismatch):
+        KvCache(keys=keys, values=np.zeros((1, 1, 2, 2)), positions=(0,))
+
+
+def test_select_and_concat_hand_over_frozen_arrays():
+    cache = make_cache((3, 5, 8))
+    for out in (select(cache, (3, 8)), concat(select(cache, (3,)), select(cache, (5, 8)))):
+        for arr in (out.keys, out.values):
+            assert arr.base is None and not arr.flags.writeable

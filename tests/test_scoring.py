@@ -211,3 +211,95 @@ def test_mass_ignores_generation_row_order(seed):
     a = attention_mass_headwise(attn, gen_positions, tuple(range(6)))
     b = attention_mass_headwise(attn, shuffled, tuple(range(6)))
     assert np.abs(a.masses - b.masses).max() <= 1e-12
+
+
+def test_mass_rejects_repeated_generation_positions():
+    attn = record([[[[0.5, 0.5], [0.25, 0.75]]]], gen=(10, 11), columns=(0, 1))
+    with pytest.raises(ValueError, match="distinct"):
+        attention_mass_headwise(attn, (10, 10), (0, 1))
+
+
+def _mass_two_step(attn, gen, prompt):
+    """Reference: dict lookups, then one (layers, heads, rows, columns) gather, then the sums."""
+    col_of = {pos: i for i, pos in enumerate(attn.columns)}
+    row_of = {pos: i for i, pos in enumerate(attn.gen_positions)}
+    rows = np.array([row_of[g] for g in gen], dtype=np.int64)
+    cols = np.array([col_of[p] for p in prompt], dtype=np.int64)
+    per_query = attn.weights[:, :, rows[:, None], cols].sum(axis=2)
+    grouped = per_query.reshape(attn.num_layers, attn.num_kv_heads, attn.kv_group_size, len(cols))
+    return grouped.sum(axis=2)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows_kind=st.sampled_from(["all", "shuffled", "subset"]),
+    cols_kind=st.sampled_from(["all", "gaps", "offset", "one"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_mass_matches_two_step_gather_bit_for_bit(seed, rows_kind, cols_kind):
+    rng = np.random.default_rng(seed)
+    layers, group, kv_heads = (int(x) for x in rng.integers(1, 3, size=3))
+    gen, cols = int(rng.integers(1, 40)), int(rng.integers(1, 60))
+    w = softmax_weights(rng, layers, kv_heads * group, gen, cols)
+    gen_positions = tuple(range(500, 500 + gen))
+    columns = tuple(range(7, 7 + 3 * cols, 3))
+    attn = record(w, gen=gen_positions, columns=columns, group=group)
+    if rows_kind == "all":
+        rows = gen_positions
+    elif rows_kind == "shuffled":
+        rows = tuple(rng.permutation(gen_positions).tolist())
+    else:
+        rows = tuple(rng.choice(gen_positions, int(rng.integers(1, gen + 1)), replace=False).tolist())
+    if cols_kind == "all":
+        prompt = columns
+    elif cols_kind == "gaps":
+        prompt = tuple(sorted(rng.choice(columns, int(rng.integers(1, cols + 1)), replace=False).tolist()))
+    elif cols_kind == "offset":
+        prompt = columns[int(rng.integers(0, cols)):]
+    else:
+        prompt = (columns[int(rng.integers(0, cols))],)
+    table = attention_mass_headwise(attn, rows, prompt)
+    assert table.positions == prompt
+    assert np.array_equal(table.masses, _mass_two_step(attn, rows, prompt))
+
+
+def test_mass_of_one_column_matches_two_step_gather_for_a_single_unit():
+    # One layer, one query head, one column, many rows: the shape at which
+    # numpy's reduction order depends on what is summed.
+    rng = np.random.default_rng(4)
+    w = softmax_weights(rng, 1, 1, 40, 30)
+    attn = record(w, gen=range(100, 140), columns=range(30))
+    for col in range(30):
+        table = attention_mass_headwise(attn, tuple(range(100, 140)), (col,))
+        assert np.array_equal(table.masses, _mass_two_step(attn, range(100, 140), (col,)))
+
+
+def test_record_copies_a_writeable_array():
+    source = np.full((1, 1, 1, 2), 0.5)
+    attn = record(source, gen=(9,), columns=(0, 1))
+    source[0, 0, 0, 0] = 7.0
+    assert attn.weights[0, 0, 0, 0] == 0.5
+    assert not np.shares_memory(attn.weights, source)
+    assert not attn.weights.flags.writeable
+
+
+def test_record_shares_a_read_only_owning_array_and_copies_a_read_only_view():
+    owned = np.full((1, 1, 1, 2), 0.5)
+    owned.flags.writeable = False
+    assert record(owned, gen=(9,), columns=(0, 1)).weights is owned
+    base = np.full((1, 1, 2, 2), 0.5)
+    view = base[:, :, :1, :]
+    view.flags.writeable = False
+    attn = record(view, gen=(9,), columns=(0, 1))
+    assert not np.shares_memory(attn.weights, base)
+
+
+def test_record_checks_a_shared_array():
+    bad = np.full((1, 1, 1, 2), 0.25)  # rows sum to 0.5
+    bad.flags.writeable = False
+    with pytest.raises(ValueError, match="sum to 1"):
+        record(bad, gen=(9,), columns=(0, 1))
+    nan = np.array([[[[np.nan, 0.5]]]])
+    nan.flags.writeable = False
+    with pytest.raises(NumericalFailure):
+        record(nan, gen=(9,), columns=(0, 1))
