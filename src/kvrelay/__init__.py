@@ -45,7 +45,6 @@ from .kv import (
 from .linalg import (
     OrthoBasis,
     PrincipalSubspace,
-    numeric_rank,
     orthonormal_basis,
     principal_subspace,
     project_out,
@@ -113,7 +112,6 @@ __all__ = [
     "errors",
     "generate_episode",
     "h2o_select",
-    "numeric_rank",
     "obf_inject",
     "obf_project",
     "obf_residual",

@@ -251,10 +251,6 @@ def _config_echo(chain: ChainConfig, episode: _Episode) -> dict:
     return echo
 
 
-def _summary_value(value):
-    return None if value is None else float(value)
-
-
 def _episode_reports(cfg: RunConfig, episode: _Episode) -> dict[str, RelayReport]:
     """Reports of every configured method on one episode, keyed by method name.
 
@@ -337,7 +333,7 @@ def cmd_simulate(
             "rho_achieved": sum(r.rho_achieved for r in reports) / len(reports),
             "r_eff": sum(r.r_eff for r in reports) / len(reports),
             "mean_final_message_len": sum(r.final_message_len for r in reports) / len(reports),
-            "obf_skip_rate": _summary_value(sum(rates) / len(rates) if rates else None),
+            "obf_skip_rate": sum(rates) / len(rates) if rates else None,
         }
     fixtures.dump_json(cfg.out / "summary.json", summary)
 

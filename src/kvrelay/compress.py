@@ -7,15 +7,17 @@ Four methods share one entry point:
   h2o         keep the top-k prompt states by attention mass
   h2o_obf     h2o plus orthogonal-backfill value compensation
 
-Orthogonal backfill runs per (layer, kv head) on the value states of the
-current prompt: project the deleted rows out of the span of the retained
-rows, keep the leading principal directions of that residual, form an
-attention-weighted residual summary, project it onto those directions,
-rescale by the deleted-to-retained demand ratio, and add the resulting
-vector to every retained prompt value row. Keys are never modified, and
-the whole step is skipped for a unit when there is nothing deleted, the
-residual has no principal direction, or its norm is negligible
-(<= 1e-10 * (1 + ||v_del||_F)).
+Every method first assembles the block it relays (sink, kept prompt rows,
+generation rows). Orthogonal backfill then edits the kept slice of that
+block, per (layer, kv head): project the deleted rows out of the span of
+the retained rows, keep the leading principal directions of that
+residual, form an attention-weighted residual summary, project it onto
+those directions, rescale by the deleted-to-retained demand ratio, and add
+the resulting vector to every retained prompt value row. Keys are never
+modified, and the whole step is skipped for a unit when there is nothing
+deleted, the residual has no principal direction, or its norm is
+negligible (<= 1e-10 * (1 + ||v_del||_F)); a skipped unit's rows keep
+their exact bits.
 """
 
 from __future__ import annotations
@@ -171,12 +173,6 @@ class ObfTrace:
     def skipped_count(self) -> int:
         return sum(1 for unit in self.units.values() if unit.skipped)
 
-    @property
-    def skip_rate(self) -> float | None:
-        if not self.units:
-            return None
-        return self.skipped_count / self.total
-
     def to_dict(self, include_vectors: bool = False) -> dict:
         return {
             "units": [self.units[key].to_dict(include_vectors) for key in sorted(self.units)],
@@ -261,21 +257,22 @@ def obf_inject(v_keep, delta) -> np.ndarray:
 
 def _orthogonal_backfill(
     local: KvCache,
+    block: KvCache,
+    kept_slice: slice,
     selection: SelectionResult,
-    head_table: MassTable,
+    table: MassTable,
     cfg: CompressionConfig,
-) -> tuple[dict[tuple[int, int], np.ndarray], ObfTrace]:
+) -> tuple[KvCache, ObfTrace]:
+    """Backfill the kept rows ``block.values[:, :, kept_slice]`` of an assembled block."""
     keep, deleted = selection.keep, selection.deleted
     if deleted and not keep:
         raise EmptyKeep("budget left no retained prompt rows to backfill into")
-    row_of = {pos: row for row, pos in enumerate(local.positions)}
-    keep_rows = [row_of[pos] for pos in keep]
-    del_rows = [row_of[pos] for pos in deleted]
-    del_cols = head_table.columns(deleted)
-    demands = demand_sums(head_table, keep, deleted)
+    demands = demand_sums(table, keep, deleted)
+    deleted_values = select(local, deleted).values if deleted else None
+    del_cols = table.columns(deleted)
     value_dim = local.value_dim
 
-    shifts: dict[tuple[int, int], np.ndarray] = {}
+    values: np.ndarray | None = None
     units: dict[tuple[int, int], ObfUnitTrace] = {}
     for unit in np.ndindex(demands.shape[:2]):
         layer, head = unit
@@ -297,8 +294,8 @@ def _orthogonal_backfill(
         if not deleted:
             units[unit] = skipped()
             continue
-        v_keep = local.values[layer, head, keep_rows, :]
-        v_del = local.values[layer, head, del_rows, :]
+        v_keep = block.values[layer, head, kept_slice]
+        v_del = deleted_values[layer, head]
         basis, residual = obf_residual(v_keep, v_del)
         residual_norm = float(np.linalg.norm(residual))
         if residual_norm <= RESIDUAL_NEGLIGIBLE * (1.0 + float(np.linalg.norm(v_del))):
@@ -308,11 +305,13 @@ def _orthogonal_backfill(
         if subspace.subspace_rank == 0:
             units[unit] = skipped(basis.rank, residual_norm)
             continue
-        weights = _residual_weights(head_table.masses[layer, head, del_cols], cfg.epsilon)
-        summary = weights @ residual
+        masses = table.masses[layer, head, del_cols]
+        summary = obf_summary(residual, masses, cfg.epsilon)
         direction = obf_project(summary, subspace)
         injection = obf_scale(direction, (keep_mass, del_mass), cfg.epsilon)
-        shifts[unit] = injection
+        if values is None:
+            values = np.array(block.values)
+        values[layer, head, kept_slice] = obf_inject(v_keep, injection)
         units[unit] = ObfUnitTrace(
             layer=layer,
             head=head,
@@ -324,29 +323,13 @@ def _orthogonal_backfill(
             injection=injection,
             skipped=False,
             zero_keep_demand=keep_mass == 0.0,
-            weights=tuple(float(w) for w in weights),
+            weights=tuple(_residual_weights(masses, cfg.epsilon).tolist()),
             summary=summary,
             direction=direction,
         )
-    return shifts, ObfTrace(units=units)
-
-
-def _assemble(
-    local: KvCache,
-    sink: IndexList,
-    kept: IndexList,
-    generation: IndexList,
-    value_shift: dict[tuple[int, int], np.ndarray] | None = None,
-) -> KvCache:
-    order = as_index_list(sink + kept + generation)
-    block = select(local, order)
-    if not value_shift:
-        return block
-    values = np.array(block.values)
-    kept_slice = slice(len(sink), len(sink) + len(kept))
-    for (layer, head), delta in value_shift.items():
-        values[layer, head, kept_slice, :] = obf_inject(values[layer, head, kept_slice, :], delta)
-    return KvCache(keys=block.keys, values=freeze(values), positions=order)
+    if values is not None:
+        block = KvCache(keys=block.keys, values=freeze(values), positions=block.positions)
+    return block, ObfTrace(units=units)
 
 
 def compress(
@@ -368,11 +351,11 @@ def compress(
 
     if cfg.method == "full":
         selection = SelectionResult(keep=eligible, deleted=(), budget=len(eligible))
-        return _assemble(local, sink, eligible, roles.generation), selection, ObfTrace()
+        return select(local, sink + eligible + roles.generation), selection, ObfTrace()
 
     if cfg.method == "streaming":
         selection = SelectionResult(keep=(), deleted=eligible, budget=0)
-        return _assemble(local, sink, (), roles.generation), selection, ObfTrace()
+        return select(local, sink + roles.generation), selection, ObfTrace()
 
     if attn is None:
         raise ValueError("eviction methods need an attention record")
@@ -380,9 +363,9 @@ def compress(
     table = attention_mass_headwise(attn, roles.generation, eligible)
     selection = h2o_select(table, k)
 
-    shifts: dict[tuple[int, int], np.ndarray] | None = None
-    trace = ObfTrace()
-    if cfg.method == "h2o_obf":
-        shifts, trace = _orthogonal_backfill(local, selection, table, cfg)
-    retained = _assemble(local, sink, selection.keep, roles.generation, shifts)
+    retained = select(local, sink + selection.keep + roles.generation)
+    if cfg.method == "h2o":
+        return retained, selection, ObfTrace()
+    kept_slice = slice(len(sink), len(sink) + len(selection.keep))
+    retained, trace = _orthogonal_backfill(local, retained, kept_slice, selection, table, cfg)
     return retained, selection, trace

@@ -81,10 +81,13 @@ def episode_round_to_dict(ep: EpisodeRound) -> dict:
 
 
 def episode_round_from_dict(doc: dict) -> EpisodeRound:
+    prompt = tuple(doc["prompt"])
+    if not prompt:
+        raise ValueError("round has an empty prompt")
     return EpisodeRound(
         cache=kv_cache_from_dict(doc["cache"]),
         attention=attention_from_dict(doc["attention"]),
-        prompt=tuple(doc["prompt"]),
+        prompt=prompt,
         generation=tuple(doc["generation"]),
         padding=tuple(doc.get("padding", ())),
     )

@@ -139,14 +139,6 @@ class KvCache:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "positions", positions)
 
-    @classmethod
-    def empty(cls, num_layers: int, num_kv_heads: int, key_dim: int, value_dim: int) -> KvCache:
-        return cls(
-            keys=np.zeros((num_layers, num_kv_heads, 0, key_dim)),
-            values=np.zeros((num_layers, num_kv_heads, 0, value_dim)),
-            positions=(),
-        )
-
     @property
     def num_layers(self) -> int:
         return self.keys.shape[0]
@@ -166,11 +158,6 @@ class KvCache:
     @property
     def value_dim(self) -> int:
         return self.values.shape[3]
-
-    @property
-    def state_width(self) -> int:
-        """Flattened per-token footprint: layers * heads * (key_dim + value_dim)."""
-        return self.num_layers * self.num_kv_heads * (self.key_dim + self.value_dim)
 
     def layout(self) -> tuple[int, int, int, int]:
         return (self.num_layers, self.num_kv_heads, self.key_dim, self.value_dim)
@@ -249,11 +236,6 @@ class RoleMap:
                 )
         for name, part in zip(names, parts):
             object.__setattr__(self, name, tuple(part.tolist()))
-
-    def all_positions(self) -> IndexList:
-        return as_index_list(
-            sorted(self.sink + self.history + self.prompt + self.generation + self.padding)
-        )
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Dense linear-algebra kernels for selection and backfill.
 
-All float64, all deterministic. Orthonormal bases, singular values, right
-singular vectors and numeric rank all come from one LAPACK SVD
+All float64, all deterministic. Orthonormal bases and their rank, singular
+values and right singular vectors all come from one LAPACK SVD
 (``np.linalg.svd(full_matrices=False)``). Shared conventions:
 
   * basis vectors are sign-fixed so their first entry above 1e-12 in
@@ -39,12 +39,12 @@ def _as_matrix(m) -> np.ndarray:
     return m
 
 
-def _svd(m: np.ndarray, compute_uv: bool = True):
-    """Thin LAPACK SVD of a finite matrix: (U, sigmas descending, V^T) or sigmas."""
+def _svd(m: np.ndarray):
+    """Thin LAPACK SVD of a finite matrix: (U, sigmas descending, V^T)."""
     if not np.isfinite(m).all():
         raise NumericalFailure(f"{m.shape[0]}x{m.shape[1]} matrix has non-finite entries")
     try:
-        return np.linalg.svd(m, full_matrices=False, compute_uv=compute_uv)
+        return np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD of a {m.shape[0]}x{m.shape[1]} matrix failed: {exc}") from exc
 
@@ -165,18 +165,6 @@ def principal_subspace(r_mat, max_rank: int, rank_tol: float | None = None) -> P
     _, sigmas, vt = _svd(r_mat)
     p = min(max_rank, _rank(sigmas, tol))
     return PrincipalSubspace(rows=_fix_row_signs(vt[:p]), singular_values=tuple(sigmas[:p].tolist()))
-
-
-def numeric_rank(m, tol: float | None = None) -> int:
-    """Count of singular values above ``tol * sigma_max``; 0 for zero input."""
-    m = _as_matrix(m)
-    if m.size == 0:
-        return 0
-    if tol is None:
-        tol = _default_rank_tol(m.shape)
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
-    return _rank(_svd(m, compute_uv=False), tol)
 
 
 def top_k_indices(scores, k: int, eligible) -> tuple[int, ...]:

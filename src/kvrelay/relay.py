@@ -143,16 +143,19 @@ class RelayReport:
         return rows
 
 
-def effective_retention_ratio(prompt_lengths, k: int) -> float:
-    """Mean over rounds of min(1, k / prompt_length)."""
+def effective_retention_ratio(prompt_lengths, budgets) -> float:
+    """Mean over rounds of min(1, budget / prompt_length), one budget per round."""
     lengths = [int(n) for n in prompt_lengths]
+    budgets = [int(k) for k in budgets]
     if not lengths:
         raise EmptyList("need at least one prompt length")
+    if len(budgets) != len(lengths):
+        raise ValueError(f"{len(budgets)} budgets for {len(lengths)} prompt lengths")
     if any(n < 1 for n in lengths):
         raise ValueError("prompt lengths must be positive")
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    return sum(min(1.0, k / n) for n in lengths) / len(lengths)
+    if any(k < 0 for k in budgets):
+        raise ValueError("budgets must be non-negative")
+    return sum(min(1.0, k / n) for k, n in zip(budgets, lengths)) / len(lengths)
 
 
 def compression_ratio(total_prompt_len: int, k: int, rounds: int) -> float:
@@ -172,8 +175,6 @@ def run_chain(
     source: Callable[[int], EpisodeRound], chain: ChainConfig
 ) -> tuple[RelayMessage, RelayReport]:
     """Run every round through compression and return message plus report."""
-    if chain.num_agents < 1:
-        raise ChainEmpty("a chain needs at least one agent round")
     cfg = chain.compression
     message: RelayMessage | None = None
     rows: list[RoundReportRow] = []
@@ -221,12 +222,8 @@ def run_chain(
     relayed = sum(row.kept_prompt for row in rows)
     if cfg.method == "full":
         r_eff = 1.0
-    elif cfg.method == "streaming":
-        r_eff = 0.0
     else:
-        r_eff = sum(
-            min(1.0, budget / row.prompt_len) for budget, row in zip(budgets, rows)
-        ) / len(rows)
+        r_eff = effective_retention_ratio([row.prompt_len for row in rows], budgets)
     report = RelayReport(
         method=cfg.method,
         granularity=cfg.granularity,

@@ -72,7 +72,7 @@ class AttentionRecord:
             # A NaN or infinite weight makes its row sum non-finite.
             if not np.isfinite(row_sums).all():
                 raise NumericalFailure("attention weights have non-finite entries")
-            if float(weights.min()) < -1e-12:
+            if float(weights.min()) < 0.0:
                 raise ValueError("attention weights must be non-negative")
             err = float(np.abs(row_sums - 1.0).max())
             if err > 1e-6:

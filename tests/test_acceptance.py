@@ -310,10 +310,10 @@ def test_criterion_07_message_recursion_and_single_sink():
 
 
 def test_criterion_08_retention_ratio_contract():
-    exact = effective_retention_ratio([16, 64], 32) == 0.75
-    saturated = effective_retention_ratio([16], 32) == 1.0
-    saturated_multi = effective_retention_ratio([8, 4, 2], 32) == 1.0
-    zero = effective_retention_ratio([16, 64], 0) == 0.0
+    exact = effective_retention_ratio([16, 64], [32, 32]) == 0.75
+    saturated = effective_retention_ratio([16], [32]) == 1.0
+    saturated_multi = effective_retention_ratio([8, 4, 2], [32, 32, 32]) == 1.0
+    zero = effective_retention_ratio([16, 64], [0, 0]) == 0.0
     check(8, "effective retention ratio", exact and saturated and saturated_multi and zero)
 
 

@@ -14,7 +14,7 @@ from kvrelay.backbone import (
 from kvrelay.compress import obf_residual
 from kvrelay.errors import DimensionMismatch, EmptyInput
 from kvrelay.kv import caches_equal
-from kvrelay.linalg import numeric_rank
+from kvrelay.linalg import orthonormal_basis
 
 
 def test_spec_defaults():
@@ -158,7 +158,7 @@ def test_gaussian_values_fill_the_value_space():
     ep = generate_episode(small_spec(value_dim=6, prompt_lens=(12,)), 1)
     for layer in range(2):
         for head in range(2):
-            assert numeric_rank(ep.cache.values[layer, head]) == 6
+            assert orthonormal_basis(ep.cache.values[layer, head]).rank == 6
 
 
 def test_low_rank_values_have_bounded_rank():
@@ -166,7 +166,7 @@ def test_low_rank_values_have_bounded_rank():
     ep = generate_episode(spec, 1)
     for layer in range(spec.num_layers):
         for head in range(spec.num_kv_heads):
-            assert numeric_rank(ep.cache.values[layer, head]) <= 2
+            assert orthonormal_basis(ep.cache.values[layer, head]).rank <= 2
             assert oracles.svd_rank(ep.cache.values[layer, head]) <= 2
 
 

@@ -392,13 +392,25 @@ def _drop_positions(doc):
     return doc
 
 
+def _empty_prompt(doc):
+    doc["rounds"][1]["prompt"] = []
+    return doc
+
+
+def _negative_weight(doc):
+    doc["rounds"][0]["attention"]["weights"][0][0][0][3] = -1e-13
+    return doc
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
         lambda text: json.dumps(_drop_positions(json.loads(text))),
         lambda text: "{not json",
+        lambda text: json.dumps(_empty_prompt(json.loads(text))),
+        lambda text: json.dumps(_negative_weight(json.loads(text))),
     ],
-    ids=["missing_positions", "not_json"],
+    ids=["missing_positions", "not_json", "empty_prompt", "negative_weight"],
 )
 def test_simulate_malformed_fixture_exits_2(tmp_path, capsys, corrupt):
     config = _spec_and_fixture_config(tmp_path, methods=("h2o_global",))
@@ -410,3 +422,42 @@ def test_simulate_malformed_fixture_exits_2(tmp_path, capsys, corrupt):
     err = capsys.readouterr().err
     assert err.startswith("error: fixture ep.json is malformed")
     assert err.count("\n") == 1
+
+
+def test_simulate_prompt_position_missing_from_cache_exits_3(tmp_path, capsys):
+    spec = EpisodeSpec(
+        seed=5, num_layers=2, num_kv_heads=2, kv_group_size=1,
+        key_dim=4, value_dim=6, prompt_lens=(14, 12, 13), gen_len=4,
+    )
+    fixture = tmp_path / "ep.json"
+    save_episode_fixture(fixture, [generate_episode(spec, i) for i in (1, 2, 3)])
+    doc = json.loads(fixture.read_text())
+    cache = doc["rounds"][0]["cache"]
+    row = cache["positions"].index(5)
+    del cache["positions"][row]
+    for name in ("keys", "values"):
+        for layer in cache[name]:
+            for head in layer:
+                del head[row]
+    fixture.write_text(json.dumps(doc))
+    text = textwrap.dedent(
+        """\
+        chain:
+          num_agents: 3
+          latent_steps: 4
+          compression:
+            budget_k: 4
+            sink_size: 1
+        episodes:
+          - fixture: ep.json
+        methods: [h2o_global, h2o_obf_global]
+        """
+    )
+    config = write_config(tmp_path, text)
+    # plain h2o deletes position 5 and never reads its row
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "h2o"), "--method", "h2o_global"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", str(config), "--out", str(out), "--method", "h2o_obf_global"]) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == "numerical failure: position 5 is not in the cache\n"

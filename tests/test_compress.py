@@ -21,9 +21,9 @@ from kvrelay.compress import (
     obf_summary,
 )
 from kvrelay.errors import BudgetUnset, DimensionMismatch, EmptyKeep
-from kvrelay.kv import RoleMap, decompose, select
+from kvrelay.kv import RoleMap, as_index_list, decompose, select
 from kvrelay.linalg import principal_subspace
-from kvrelay.scoring import GLOBAL, HEADWISE, LAYERWISE, MassTable
+from kvrelay.scoring import GLOBAL, HEADWISE, LAYERWISE, MassTable, attention_mass_headwise, demand_sums
 
 
 def one_round(sink_size=0, **spec_overrides):
@@ -312,8 +312,7 @@ def test_trace_skip_statistics():
     trace = ObfTrace(units={(0, 0): unit(0, True), (0, 1): unit(1, False)})
     assert trace.total == 2
     assert trace.skipped_count == 1
-    assert trace.skip_rate == 0.5
-    assert ObfTrace().skip_rate is None
+    assert ObfTrace().total == ObfTrace().skipped_count == 0
     doc = trace.to_dict()
     assert [entry["head"] for entry in doc["units"]] == [0, 1]
     assert "injection" not in doc["units"][0]
@@ -417,7 +416,7 @@ def test_backfill_without_deletion_matches_plain_h2o_bitwise():
     )
     assert np.array_equal(plain.values, backed.values)
     assert np.array_equal(plain.keys, backed.keys)
-    assert trace.skip_rate == 1.0
+    assert trace.skipped_count == trace.total
     assert all(unit.del_mass == 0.0 for unit in trace.units.values())
 
 
@@ -425,7 +424,7 @@ def test_backfill_skips_when_deleted_values_in_retained_span():
     ep, roles = one_round(value_structure="planted_in_span", value_rank=2, prompt_lens=(8,))
     cfg = CompressionConfig(method="h2o_obf", budget_k=4, sink_size=0)
     _, _, trace = compress(ep.cache, roles, ep.attention, cfg)
-    assert trace.skip_rate == 1.0
+    assert trace.skipped_count == trace.total
     for unit in trace.units.values():
         assert unit.residual_norm <= 1e-8
 
@@ -468,3 +467,132 @@ def test_backfill_injection_is_uniform_across_kept_rows(seed):
     # adding the traced injection to the original rows reproduces the output
     # bit for bit, so the shift really is one shared vector
     assert np.array_equal(got, original + unit.injection)
+
+
+# --- reference: backfill by per-position row gathers ------------------------
+
+
+def reference_h2o_obf(local, roles, attn, cfg):
+    """h2o_obf built the long way: gather rows through a position dict, collect
+    one injection per active unit, then shift the kept slice of a fresh block.
+
+    Returns (positions, keys, values, units) with each unit's trace fields in
+    a dict.
+    """
+    eligible = roles.prompt
+    sink = roles.sink if set(roles.sink) <= set(local.positions) else ()
+    table = attention_mass_headwise(attn, roles.generation, eligible)
+    selection = h2o_select(table, cfg.round_budget(len(eligible)))
+    keep, deleted = selection.keep, selection.deleted
+    row_of = {pos: row for row, pos in enumerate(local.positions)}
+    keep_rows = [row_of[pos] for pos in keep]
+    del_rows = [row_of[pos] for pos in deleted]
+    del_cols = table.columns(deleted)
+    demands = demand_sums(table, keep, deleted)
+    shifts = {}
+    units = {}
+    for unit in np.ndindex(demands.shape[:2]):
+        layer, head = unit
+        keep_mass, del_mass = demands[unit].tolist()
+        fields = units[unit] = dict(
+            basis_rank=0, residual_norm=0.0, subspace_rank=0, keep_mass=keep_mass,
+            del_mass=del_mass, injection=np.zeros(local.value_dim), skipped=True,
+            zero_keep_demand=False, weights=None, summary=None, direction=None,
+        )
+        if not deleted:
+            continue
+        v_keep = local.values[layer, head, keep_rows, :]
+        v_del = local.values[layer, head, del_rows, :]
+        basis, residual = obf_residual(v_keep, v_del)
+        fields.update(basis_rank=basis.rank, residual_norm=float(np.linalg.norm(residual)))
+        if fields["residual_norm"] <= 1e-10 * (1.0 + float(np.linalg.norm(v_del))):
+            continue
+        subspace = principal_subspace(residual, cfg.pca_rank)
+        if subspace.subspace_rank == 0:
+            continue
+        masses = table.masses[layer, head, del_cols]
+        weights = masses / (masses.sum() + cfg.epsilon)
+        summary = weights @ residual
+        direction = obf_project(summary, subspace)
+        injection = obf_scale(direction, (keep_mass, del_mass), cfg.epsilon)
+        shifts[unit] = injection
+        fields.update(
+            subspace_rank=subspace.subspace_rank, injection=injection, skipped=False,
+            zero_keep_demand=keep_mass == 0.0, weights=tuple(float(w) for w in weights),
+            summary=summary, direction=direction,
+        )
+    order = as_index_list(sink + keep + roles.generation)
+    block = select(local, order)
+    values = np.array(block.values)
+    kept_slice = slice(len(sink), len(sink) + len(keep))
+    for (layer, head), delta in shifts.items():
+        values[layer, head, kept_slice, :] = obf_inject(values[layer, head, kept_slice, :], delta)
+    return order, block.keys, values, units
+
+
+BACKFILL_CASES = {
+    "round1_sink": dict(),
+    "round2_no_sink": dict(round_i=2),
+    "budget_ratio": dict(budget=dict(budget_k=None, budget_ratio=0.3)),
+    "low_rank": dict(spec=dict(value_structure="low_rank", value_rank=3)),
+    "planted_in_span": dict(spec=dict(value_structure="planted_in_span", value_rank=2)),
+    "one_deleted_row": dict(one_deleted=True),
+    "pca_rank_1": dict(pca_rank=1),
+}
+
+
+def same_vector(a, b):
+    return a is None and b is None or a is not None and b is not None and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("case", sorted(BACKFILL_CASES))
+@given(seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=25, deadline=None)
+def test_backfill_matches_row_gather_reference(case, seed):
+    opts = BACKFILL_CASES[case]
+    rng = np.random.default_rng(seed)
+    value_dim = int(rng.integers(2, 10))
+    spec = EpisodeSpec(
+        seed=seed,
+        num_layers=int(rng.integers(1, 3)),
+        num_kv_heads=int(rng.integers(1, 3)),
+        kv_group_size=int(rng.integers(1, 3)),
+        key_dim=4,
+        value_dim=value_dim,
+        prompt_lens=tuple(int(n) for n in rng.integers(6, 17, size=2)),
+        gen_len=int(rng.integers(1, 5)),
+        **opts.get("spec", {}),
+    )
+    round_i = opts.get("round_i", 1)
+    ep = generate_episode(spec, round_i)
+    sink_size = 2
+    if round_i == 1:
+        roles = decompose(None, 1, ep.prompt, ep.generation, sink_size)
+    else:
+        # the round-1 sink lives in the message, not in this round's cache
+        roles = RoleMap(sink=(0, 1), history=(), prompt=ep.prompt, generation=ep.generation)
+    eligible = len(roles.prompt)
+    if opts.get("one_deleted"):
+        budget = dict(budget_k=eligible - 1)
+    else:
+        budget = opts.get("budget", dict(budget_k=int(rng.integers(1, value_dim + 1))))
+    cfg = CompressionConfig(
+        method="h2o_obf", sink_size=sink_size, pca_rank=opts.get("pca_rank", 8), **budget
+    )
+
+    retained, selection, trace = compress(ep.cache, roles, ep.attention, cfg)
+    positions, keys, values, units = reference_h2o_obf(ep.cache, roles, ep.attention, cfg)
+
+    if opts.get("one_deleted"):
+        assert len(selection.deleted) == 1
+    assert retained.positions == positions
+    assert np.array_equal(retained.keys, keys)
+    assert np.array_equal(retained.values, values)
+    assert sorted(trace.units) == sorted(units)
+    for key, unit in trace.units.items():
+        expected = units[key]
+        for name in ("basis_rank", "residual_norm", "subspace_rank", "keep_mass", "del_mass",
+                     "skipped", "zero_keep_demand", "weights"):
+            assert getattr(unit, name) == expected[name], (key, name)
+        for name in ("injection", "summary", "direction"):
+            assert same_vector(getattr(unit, name), expected[name]), (key, name)

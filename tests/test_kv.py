@@ -98,15 +98,26 @@ def test_cache_arrays_are_read_only():
         cache.values[0, 0, 0, 0] = 99.0
 
 
-def test_cache_layout_and_state_width():
+def empty_cache(layers, heads, key_dim, value_dim):
+    return KvCache(
+        keys=np.zeros((layers, heads, 0, key_dim)),
+        values=np.zeros((layers, heads, 0, value_dim)),
+        positions=(),
+    )
+
+
+def role_positions(roles):
+    return tuple(sorted(roles.sink + roles.history + roles.prompt + roles.generation + roles.padding))
+
+
+def test_cache_layout():
     cache = make_cache((5, 6, 7), layers=2, heads=3, key_dim=4, value_dim=5)
     assert cache.layout() == (2, 3, 4, 5)
     assert cache.num_tokens == 3
-    assert cache.state_width == 2 * 3 * (4 + 5)
 
 
 def test_empty_cache():
-    cache = KvCache.empty(2, 2, 3, 4)
+    cache = empty_cache(2, 2, 3, 4)
     assert cache.num_tokens == 0
     assert cache.positions == ()
     assert cache.layout() == (2, 2, 3, 4)
@@ -155,7 +166,7 @@ def test_concat_rejects_overlap_and_layout_mismatch():
 
 def test_concat_with_empty():
     a = make_cache((3, 4))
-    empty = KvCache.empty(2, 2, 3, 2)
+    empty = empty_cache(2, 2, 3, 2)
     assert caches_equal(concat(empty, a), a)
     assert caches_equal(concat(a, empty), a)
 
@@ -176,7 +187,7 @@ def test_role_map_rejects_shared_positions():
 
 def test_role_map_all_positions():
     roles = RoleMap(sink=(0,), history=(4,), prompt=(1, 2), generation=(7,), padding=(3,))
-    assert roles.all_positions() == (0, 1, 2, 3, 4, 7)
+    assert role_positions(roles) == (0, 1, 2, 3, 4, 7)
 
 
 def test_round_record_validation():
@@ -318,7 +329,7 @@ def test_decompose_partitions_first_round(base, prompt_len, gen_len, sink_size, 
     assert len(roles.sink) == sink_size
     assert roles.history == ()
     # the roles cover exactly the visible positions, with no double booking
-    assert roles.all_positions() == tuple(sorted(prompt + gen))
+    assert role_positions(roles) == tuple(sorted(prompt + gen))
     assert set(roles.sink).isdisjoint(roles.prompt)
     assert set(roles.padding) == set(padding)
 

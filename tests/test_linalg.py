@@ -16,7 +16,6 @@ from kvrelay.errors import DimensionMismatch, EmptyInput, KvRelayError, Numerica
 from kvrelay.linalg import (
     OrthoBasis,
     PrincipalSubspace,
-    numeric_rank,
     orthonormal_basis,
     principal_subspace,
     project_out,
@@ -124,10 +123,10 @@ def test_principal_subspace_type_rejects_increasing_sigmas():
 
 
 def test_numeric_rank_examples():
-    assert numeric_rank(np.eye(3)) == 3
-    assert numeric_rank([[1.0, 2.0], [2.0, 4.0]]) == 1
-    assert numeric_rank(np.zeros((2, 3))) == 0
-    assert numeric_rank(np.ones((4, 4))) == 1
+    assert orthonormal_basis(np.eye(3)).rank == 3
+    assert orthonormal_basis([[1.0, 2.0], [2.0, 4.0]]).rank == 1
+    assert orthonormal_basis(np.zeros((2, 3))).rank == 0
+    assert orthonormal_basis(np.ones((4, 4))).rank == 1
 
 
 def test_top_k_picks_highest_scores():
@@ -167,7 +166,6 @@ def test_basis_rank_matches_svd_oracle(seed):
     rng = np.random.default_rng(seed)
     m = random_matrix(rng)
     assert orthonormal_basis(m).rank == oracles.svd_rank(m)
-    assert numeric_rank(m) == oracles.svd_rank(m)
 
 
 @given(seed=seeds)
@@ -239,7 +237,6 @@ def test_known_rank_is_recovered_by_every_kernel(seed):
     sigmas = 10.0 ** -np.linspace(0.0, 6.0, r) * 10.0 ** rng.integers(-4, 5)
     m = with_spectrum(rng, rows, cols, sigmas)
     assert orthonormal_basis(m).rank == r
-    assert numeric_rank(m) == r
     assert principal_subspace(m, max_rank=cols).subspace_rank == r
 
 
@@ -266,8 +263,6 @@ def test_kernels_reject_non_finite_input(bad):
         orthonormal_basis(m)
     with pytest.raises(NumericalFailure):
         principal_subspace(m, max_rank=2)
-    with pytest.raises(NumericalFailure):
-        numeric_rank(m)
     assert issubclass(NumericalFailure, KvRelayError)
 
 
@@ -276,7 +271,7 @@ def test_kernels_wrap_svd_failure(monkeypatch):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", no_convergence)
-    for kernel in (orthonormal_basis, numeric_rank, lambda m: principal_subspace(m, 2)):
+    for kernel in (orthonormal_basis, lambda m: principal_subspace(m, 2)):
         with pytest.raises(NumericalFailure, match="did not converge"):
             kernel(np.eye(3))
 

@@ -64,19 +64,21 @@ def test_chain_config_validation():
 
 
 def test_retention_ratio_examples():
-    assert effective_retention_ratio([16, 64], 32) == 0.75
-    assert effective_retention_ratio([16], 32) == 1.0
-    assert effective_retention_ratio([8, 4], 32) == 1.0
-    assert effective_retention_ratio([16, 64], 0) == 0.0
+    assert effective_retention_ratio([16, 64], [32, 32]) == 0.75
+    assert effective_retention_ratio([16], [32]) == 1.0
+    assert effective_retention_ratio([8, 4], [32, 32]) == 1.0
+    assert effective_retention_ratio([16, 64], [0, 0]) == 0.0
 
 
 def test_retention_ratio_validation():
     with pytest.raises(EmptyList):
-        effective_retention_ratio([], 32)
+        effective_retention_ratio([], [])
     with pytest.raises(ValueError):
-        effective_retention_ratio([0], 32)
+        effective_retention_ratio([0], [32])
     with pytest.raises(ValueError):
-        effective_retention_ratio([16], -1)
+        effective_retention_ratio([16], [-1])
+    with pytest.raises(ValueError):
+        effective_retention_ratio([16, 64], [32])
 
 
 def test_compression_ratio_reference_points():
