@@ -4,12 +4,18 @@
                      [--seed N] [--out DIR] [--emit-fixtures]
     kvrelay ratio-table
 
+The config keys are the dataclass fields: ``chain`` takes those of
+``ChainConfig``, ``chain.compression`` those of ``CompressionConfig`` but
+``method`` and ``granularity`` (set by the method names), and an episode
+entry those of ``EpisodeSpec`` or a ``fixture`` path.
+
 ``simulate`` runs episode by episode: each episode is generated or parsed
 once, and each group of method aliases runs one chain whose report is
 relabelled per alias. It writes one report per (method, episode) plus a
 comparison summary. Outputs are byte-identical for identical config and
 seed. Exit codes: 0 on success, 2 on configuration or input errors
-(including a malformed fixture), 3 on numerical failures.
+(including a malformed fixture or one with fewer rounds than agents), 3 on
+numerical failures.
 """
 
 from __future__ import annotations
@@ -85,23 +91,15 @@ class RunConfig:
     methods: list[str]
     out: Path
     verbosity: int = 0
-    emit_fixtures: bool = False
 
 
-_SPEC_KEYS = {
-    "seed",
-    "num_layers",
-    "num_kv_heads",
-    "kv_group_size",
-    "key_dim",
-    "value_dim",
-    "prompt_lens",
-    "gen_len",
-    "value_structure",
-    "value_rank",
-}
-_COMPRESSION_KEYS = {"budget_k", "budget_ratio", "pca_rank", "epsilon", "sink_size"}
-_CHAIN_KEYS = {"num_agents", "latent_steps", "seed", "compression"}
+def _field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+_SPEC_KEYS = _field_names(EpisodeSpec)
+_COMPRESSION_KEYS = _field_names(CompressionConfig) - {"method", "granularity"}
+_CHAIN_KEYS = _field_names(ChainConfig)
 _TOP_KEYS = {"chain", "episodes", "methods", "out", "verbosity"}
 
 
@@ -128,10 +126,11 @@ def _build_chain(doc: dict, seed_override: int | None) -> ChainConfig:
         comp_doc = dict(comp_doc, budget_k=None)
     try:
         compression = CompressionConfig(**comp_doc)
-        seed = int(chain_doc.get("seed", 0)) if seed_override is None else seed_override
+        defaults = ChainConfig()
+        seed = int(chain_doc.get("seed", defaults.seed)) if seed_override is None else seed_override
         return ChainConfig(
-            num_agents=int(chain_doc.get("num_agents", 3)),
-            latent_steps=int(chain_doc.get("latent_steps", 40)),
+            num_agents=int(chain_doc.get("num_agents", defaults.num_agents)),
+            latent_steps=int(chain_doc.get("latent_steps", defaults.latent_steps)),
             compression=compression,
             seed=seed,
         )
@@ -182,13 +181,7 @@ def _build_episodes(doc: dict, chain: ChainConfig, config_dir: Path) -> list[_Ep
     return episodes
 
 
-def load_run_config(
-    config_path,
-    method_overrides=(),
-    seed: int | None = None,
-    out=None,
-    emit_fixtures: bool = False,
-) -> RunConfig:
+def load_run_config(config_path, method_overrides=(), seed: int | None = None, out=None) -> RunConfig:
     """Parse and validate a simulate configuration file."""
     path = Path(config_path)
     if not path.is_file():
@@ -222,7 +215,6 @@ def load_run_config(
         methods=methods,
         out=out_dir,
         verbosity=verbosity,
-        emit_fixtures=emit_fixtures,
     )
 
 
@@ -233,21 +225,11 @@ def _method_chain(chain: ChainConfig, method_name: str) -> ChainConfig:
 
 
 def _config_echo(chain: ChainConfig, episode: _Episode) -> dict:
-    comp = chain.compression
-    echo = {
-        "num_agents": chain.num_agents,
-        "latent_steps": chain.latent_steps,
-        "seed": chain.seed,
-        "budget_k": comp.budget_k,
-        "budget_ratio": comp.budget_ratio,
-        "pca_rank": comp.pca_rank,
-        "epsilon": comp.epsilon,
-        "sink_size": comp.sink_size,
-        "episode": episode.label,
-    }
+    echo = {key: getattr(chain, key) for key in _CHAIN_KEYS - {"compression"}}
+    echo.update((key, getattr(chain.compression, key)) for key in _COMPRESSION_KEYS)
+    echo["episode"] = episode.label
     if episode.spec is not None:
         echo["episode_spec"] = dataclasses.asdict(episode.spec)
-        echo["episode_spec"]["prompt_lens"] = list(episode.spec.prompt_lens)
     return echo
 
 
@@ -256,15 +238,16 @@ def _episode_reports(cfg: RunConfig, episode: _Episode) -> dict[str, RelayReport
 
     The episode is materialised once. Aliases of one base method select the
     same tokens, so each base method runs one chain and every alias gets that
-    report with its own granularity label.
+    report with its own granularity label. A fixture with fewer rounds than
+    the chain has agents raises :class:`ConfigError` before any chain runs.
     """
     rounds = episode.rounds()
+    if len(rounds) < cfg.chain.num_agents:
+        raise ConfigError(
+            f"fixture {episode.label} has {len(rounds)} rounds for {cfg.chain.num_agents} agents"
+        )
 
     def source(round_i: int) -> EpisodeRound:
-        if not 1 <= round_i <= len(rounds):
-            raise KvRelayError(
-                f"fixture {episode.label} has {len(rounds)} rounds, round {round_i} requested"
-            )
         return rounds[round_i - 1]
 
     by_base: dict[str, RelayReport] = {}
@@ -288,7 +271,7 @@ def cmd_simulate(
     """Run the configured sweep; returns a process exit code."""
     stdout = stdout if stdout is not None else sys.stdout
     try:
-        cfg = load_run_config(config_path, method_overrides, seed, out, emit_fixtures)
+        cfg = load_run_config(config_path, method_overrides, seed, out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -317,7 +300,7 @@ def cmd_simulate(
                     "\n".join(lines) + "\n"
                 )
 
-    if cfg.emit_fixtures:
+    if emit_fixtures:
         fix_dir = cfg.out / "fixtures"
         fix_dir.mkdir(parents=True, exist_ok=True)
         for episode in cfg.episodes:

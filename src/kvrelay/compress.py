@@ -267,9 +267,10 @@ def _orthogonal_backfill(
     keep, deleted = selection.keep, selection.deleted
     if deleted and not keep:
         raise EmptyKeep("budget left no retained prompt rows to backfill into")
-    demands = demand_sums(table, keep, deleted)
+    _, kept = locate(keep, table.positions)
+    demands = demand_sums(table, kept)
+    del_masses = table.masses[:, :, ~kept]
     deleted_values = select(local, deleted).values if deleted else None
-    del_cols = table.columns(deleted)
     value_dim = local.value_dim
 
     values: np.ndarray | None = None
@@ -305,7 +306,7 @@ def _orthogonal_backfill(
         if subspace.subspace_rank == 0:
             units[unit] = skipped(basis.rank, residual_norm)
             continue
-        masses = table.masses[layer, head, del_cols]
+        masses = del_masses[layer, head]
         summary = obf_summary(residual, masses, cfg.epsilon)
         direction = obf_project(summary, subspace)
         injection = obf_scale(direction, (keep_mass, del_mass), cfg.epsilon)

@@ -36,10 +36,20 @@ def kv_cache_to_dict(cache: KvCache) -> dict:
     }
 
 
+def _positions(values, what: str, increasing: bool = False) -> tuple[int, ...]:
+    """A position list read from a document: integers only, optionally strictly increasing."""
+    positions = tuple(values)
+    if not all(type(p) is int for p in positions):
+        raise ValueError(f"{what} must list integer positions")
+    if increasing and any(a >= b for a, b in zip(positions, positions[1:])):
+        raise ValueError(f"{what} must be strictly increasing")
+    return positions
+
+
 def kv_cache_from_dict(doc: dict) -> KvCache:
     keys = np.asarray(doc["keys"], dtype=np.float64)
     values = np.asarray(doc["values"], dtype=np.float64)
-    cache = KvCache(keys=keys, values=values, positions=tuple(doc["positions"]))
+    cache = KvCache(keys=keys, values=values, positions=_positions(doc["positions"], "cache positions"))
     declared = (doc["num_layers"], doc["num_kv_heads"], doc["key_dim"], doc["value_dim"])
     if cache.layout() != tuple(declared):
         raise ValueError(f"declared layout {declared} does not match arrays {cache.layout()}")
@@ -60,8 +70,8 @@ def attention_to_dict(attn: AttentionRecord) -> dict:
 def attention_from_dict(doc: dict) -> AttentionRecord:
     attn = AttentionRecord(
         weights=np.asarray(doc["weights"], dtype=np.float64),
-        gen_positions=tuple(doc["generation_positions"]),
-        columns=tuple(doc["columns"]),
+        gen_positions=_positions(doc["generation_positions"], "attention generation_positions"),
+        columns=_positions(doc["columns"], "attention columns"),
         kv_group_size=int(doc["kv_group_size"]),
     )
     declared = (doc["num_layers"], doc["num_query_heads"])
@@ -81,15 +91,15 @@ def episode_round_to_dict(ep: EpisodeRound) -> dict:
 
 
 def episode_round_from_dict(doc: dict) -> EpisodeRound:
-    prompt = tuple(doc["prompt"])
+    prompt = _positions(doc["prompt"], "prompt", increasing=True)
     if not prompt:
         raise ValueError("round has an empty prompt")
     return EpisodeRound(
         cache=kv_cache_from_dict(doc["cache"]),
         attention=attention_from_dict(doc["attention"]),
         prompt=prompt,
-        generation=tuple(doc["generation"]),
-        padding=tuple(doc.get("padding", ())),
+        generation=_positions(doc["generation"], "generation", increasing=True),
+        padding=_positions(doc.get("padding", ()), "padding", increasing=True),
     )
 
 

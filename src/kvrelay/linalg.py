@@ -7,7 +7,7 @@ values and right singular vectors all come from one LAPACK SVD
   * basis vectors are sign-fixed so their first entry above 1e-12 in
     magnitude is non-negative;
   * numeric rank counts singular values above ``tol * sigma_max`` with
-    ``tol = max(rows, cols) * machine_eps`` by default;
+    the fixed ``tol = max(rows, cols) * machine_eps``;
   * non-finite input raises :class:`NumericalFailure`, as does an SVD
     that does not converge;
   * top-k breaks score ties toward the smaller global position and
@@ -28,10 +28,6 @@ _SIGN_TOL = 1e-12
 _ORTHO_TOL = 1e-10
 
 
-def _default_rank_tol(shape: tuple[int, int]) -> float:
-    return max(shape) * _EPS
-
-
 def _as_matrix(m) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -49,10 +45,11 @@ def _svd(m: np.ndarray):
         raise NumericalFailure(f"SVD of a {m.shape[0]}x{m.shape[1]} matrix failed: {exc}") from exc
 
 
-def _rank(sigmas: np.ndarray, rel_tol: float) -> int:
+def _rank(sigmas: np.ndarray, shape: tuple[int, int]) -> int:
+    """Singular values above ``max(shape) * eps * sigma_max``."""
     if sigmas.size == 0 or sigmas[0] == 0.0:
         return 0
-    return int(np.count_nonzero(sigmas > rel_tol * sigmas[0]))
+    return int(np.count_nonzero(sigmas > max(shape) * _EPS * sigmas[0]))
 
 
 def _fix_row_signs(v: np.ndarray) -> np.ndarray:
@@ -90,7 +87,7 @@ class OrthoBasis:
         return self.basis.shape[0]
 
 
-def orthonormal_basis(m, rel_tol: float | None = None) -> OrthoBasis:
+def orthonormal_basis(m) -> OrthoBasis:
     """Orthonormal basis Q (d x r) for the row space of ``m`` (K x d)."""
     m = _as_matrix(m)
     k, d = m.shape
@@ -98,10 +95,8 @@ def orthonormal_basis(m, rel_tol: float | None = None) -> OrthoBasis:
         raise EmptyInput("cannot build a basis from zero rows")
     if d == 0:
         raise DimensionMismatch("row dimension must be positive")
-    if rel_tol is None:
-        rel_tol = _default_rank_tol((k, d))
     _, sigmas, vt = _svd(m)
-    rank = _rank(sigmas, rel_tol)
+    rank = _rank(sigmas, m.shape)
     return OrthoBasis(basis=_fix_row_signs(vt[:rank]).T, rank=rank)
 
 
@@ -148,7 +143,7 @@ class PrincipalSubspace:
         return self.rows.shape[1]
 
 
-def principal_subspace(r_mat, max_rank: int, rank_tol: float | None = None) -> PrincipalSubspace:
+def principal_subspace(r_mat, max_rank: int) -> PrincipalSubspace:
     """Top ``min(max_rank, numeric rank)`` right singular directions of ``r_mat``.
 
     Zero or empty input yields an empty subspace rather than an error.
@@ -159,11 +154,8 @@ def principal_subspace(r_mat, max_rank: int, rank_tol: float | None = None) -> P
     n, d = r_mat.shape
     if n == 0 or d == 0:
         return PrincipalSubspace(rows=np.zeros((0, d)), singular_values=())
-    tol = _default_rank_tol((n, d)) if rank_tol is None else float(rank_tol)
-    if tol < 0:
-        raise ValueError("rank_tol must be non-negative")
     _, sigmas, vt = _svd(r_mat)
-    p = min(max_rank, _rank(sigmas, tol))
+    p = min(max_rank, _rank(sigmas, r_mat.shape))
     return PrincipalSubspace(rows=_fix_row_signs(vt[:p]), singular_values=tuple(sigmas[:p].tolist()))
 
 

@@ -9,7 +9,7 @@ appended to the inherited message, so the message length satisfies
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from .backbone import EpisodeRound
@@ -92,16 +92,7 @@ class RelayReport:
         out = {
             "method": self.method,
             "granularity": self.granularity,
-            "rounds": [
-                {
-                    "round": row.round,
-                    "prompt_len": row.prompt_len,
-                    "kept_prompt": row.kept_prompt,
-                    "gen_len": row.gen_len,
-                    "message_len": row.message_len,
-                }
-                for row in self.rounds
-            ],
+            "rounds": [asdict(row) for row in self.rounds],
             "totals": {
                 "sink_len": self.sink_len,
                 "total_prompt_len": self.total_prompt_len,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingColumn, NumericalFailure
+from .errors import DimensionMismatch, MissingColumn, NumericalFailure
 from .kv import IndexList, as_index_list, index_array, locate, read_only
 
 # Ranking labels a run may carry. Eviction always ranks by the global
@@ -118,14 +118,6 @@ class MassTable:
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "masses", masses)
 
-    def columns(self, positions) -> list[int]:
-        """Column index of each of ``positions``, which must all be in the table."""
-        col_of = {pos: i for i, pos in enumerate(self.positions)}
-        try:
-            return [col_of[pos] for pos in positions]
-        except KeyError as exc:
-            raise MissingColumn(f"no mass for position {exc.args[0]}") from None
-
 
 def _as_run(indices: np.ndarray):
     """A slice if the distinct ``indices`` are one ascending run of consecutive integers."""
@@ -186,19 +178,26 @@ def aggregate_global(table: MassTable) -> np.ndarray:
     return aggregate_layerwise(table).sum(axis=0)
 
 
-def _sum_in_order(table: MassTable, positions: IndexList) -> np.ndarray:
+def _sum_in_order(masses: np.ndarray) -> np.ndarray:
     # Reports carry these sums, so add left to right as a Python sum()
     # would; np.sum may add a long contiguous run pairwise instead.
-    if not positions:
-        return np.zeros(table.masses.shape[:2])
-    return np.cumsum(table.masses[:, :, table.columns(positions)], axis=2)[:, :, -1]
+    if not masses.shape[2]:
+        return np.zeros(masses.shape[:2])
+    return np.cumsum(masses, axis=2)[:, :, -1]
 
 
-def demand_sums(table: MassTable, keep, deleted) -> np.ndarray:
-    """(layers, kv_heads, 2): total mass of the kept and of the deleted positions."""
-    keep = as_index_list(keep)
-    deleted = as_index_list(deleted)
-    overlap = set(keep) & set(deleted)
-    if overlap:
-        raise ValueError(f"keep and deleted overlap at {sorted(overlap)}")
-    return np.stack([_sum_in_order(table, keep), _sum_in_order(table, deleted)], axis=2)
+def demand_sums(table: MassTable, kept) -> np.ndarray:
+    """(layers, kv_heads, 2): total mass of the kept positions and of the rest.
+
+    ``kept`` is a boolean mask over ``table.positions``; anything else
+    raises :class:`DimensionMismatch`. Each total adds its positions in
+    table order.
+    """
+    kept = np.asarray(kept)
+    if kept.dtype != np.bool_ or kept.shape != (len(table.positions),):
+        raise DimensionMismatch(
+            f"need a boolean mask over {len(table.positions)} positions, "
+            f"got {kept.dtype} of shape {kept.shape}"
+        )
+    masses = table.masses
+    return np.stack([_sum_in_order(masses[:, :, kept]), _sum_in_order(masses[:, :, ~kept])], axis=2)

@@ -1,13 +1,16 @@
 """Config parsing, simulate sweeps, exit codes and output determinism."""
 
+import dataclasses
 import json
 import textwrap
 
 import pytest
+import yaml
 
 from kvrelay import cli, fixtures
 from kvrelay.backbone import EpisodeSpec, generate_episode
 from kvrelay.cli import ConfigError, load_run_config, main
+from kvrelay.compress import CompressionConfig
 from kvrelay.fixtures import save_episode_fixture
 
 BASE_CONFIG = textwrap.dedent(
@@ -122,7 +125,7 @@ def test_simulate_conflicting_budgets_exit_2(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
-def test_simulate_short_fixture_exits_3(tmp_path, capsys):
+def test_simulate_short_fixture_exits_2(tmp_path, capsys):
     spec = EpisodeSpec(
         seed=1, num_layers=1, num_kv_heads=1, kv_group_size=1,
         key_dim=4, value_dim=4, prompt_lens=(8,), gen_len=4,
@@ -143,9 +146,9 @@ def test_simulate_short_fixture_exits_3(tmp_path, capsys):
     )
     out = tmp_path / "runs"
     code = main(["simulate", "--config", str(write_config(tmp_path, text)), "--out", str(out)])
-    assert code == 3
+    assert code == 2
     assert not out.exists()  # no partial outputs
-    assert "numerical failure" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: fixture short.json has 1 rounds for 3 agents\n"
 
 
 def test_simulate_from_emitted_fixture_matches_spec_run(tmp_path):
@@ -402,6 +405,24 @@ def _negative_weight(doc):
     return doc
 
 
+def _swapped_prompt(doc):
+    prompt = doc["rounds"][0]["prompt"]
+    prompt[2], prompt[3] = prompt[3], prompt[2]
+    return doc
+
+
+def _fractional_generation(doc):
+    round_doc = doc["rounds"][0]
+    round_doc["generation"] = [p + 0.5 for p in round_doc["generation"]]
+    return doc
+
+
+def _fractional_cache_positions(doc):
+    cache = doc["rounds"][0]["cache"]
+    cache["positions"] = [p + 0.25 for p in cache["positions"]]
+    return doc
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -409,8 +430,14 @@ def _negative_weight(doc):
         lambda text: "{not json",
         lambda text: json.dumps(_empty_prompt(json.loads(text))),
         lambda text: json.dumps(_negative_weight(json.loads(text))),
+        lambda text: json.dumps(_swapped_prompt(json.loads(text))),
+        lambda text: json.dumps(_fractional_generation(json.loads(text))),
+        lambda text: json.dumps(_fractional_cache_positions(json.loads(text))),
     ],
-    ids=["missing_positions", "not_json", "empty_prompt", "negative_weight"],
+    ids=[
+        "missing_positions", "not_json", "empty_prompt", "negative_weight",
+        "swapped_prompt", "fractional_generation", "fractional_cache_positions",
+    ],
 )
 def test_simulate_malformed_fixture_exits_2(tmp_path, capsys, corrupt):
     config = _spec_and_fixture_config(tmp_path, methods=("h2o_global",))
@@ -461,3 +488,58 @@ def test_simulate_prompt_position_missing_from_cache_exits_3(tmp_path, capsys):
     assert main(["simulate", "--config", str(config), "--out", str(out), "--method", "h2o_obf_global"]) == 3
     assert not out.exists()
     assert capsys.readouterr().err == "numerical failure: position 5 is not in the cache\n"
+
+
+def test_config_accepts_and_echoes_every_dataclass_field(tmp_path):
+    episode = dict(
+        seed=11, num_layers=1, num_kv_heads=1, kv_group_size=2, key_dim=3, value_dim=5,
+        prompt_lens=[9, 8, 10], gen_len=4, value_structure="low_rank", value_rank=2,
+    )
+    compression = dict(budget_k=None, budget_ratio=0.5, pca_rank=2, epsilon=1e-9, sink_size=1)
+    assert set(episode) == {f.name for f in dataclasses.fields(EpisodeSpec)}
+    assert set(compression) == {f.name for f in dataclasses.fields(CompressionConfig)} - {
+        "method", "granularity",
+    }
+    doc = {
+        "chain": {"num_agents": 3, "latent_steps": 4, "seed": 5, "compression": compression},
+        "episodes": [episode],
+        "methods": ["h2o_obf_global"],
+    }
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", str(write_config(tmp_path, yaml.safe_dump(doc))), "--out", str(out)]) == 0
+    echo = json.loads((out / "h2o_obf_global__ep000.json").read_text())["config"]
+    assert echo == dict(
+        num_agents=3, latent_steps=4, seed=5, **compression, episode="spec0", episode_spec=episode
+    )
+
+
+@pytest.mark.parametrize(
+    "where, edit, message",
+    [
+        (
+            "episode 0",
+            lambda doc: doc["episodes"][0].update(plot=True),
+            "unknown keys ['plot'] in episode 0 (allowed: ['gen_len', 'key_dim', 'kv_group_size', "
+            "'num_kv_heads', 'num_layers', 'prompt_lens', 'seed', 'value_dim', 'value_rank', "
+            "'value_structure'])",
+        ),
+        (
+            "chain.compression",
+            lambda doc: doc["chain"]["compression"].update(method="h2o"),
+            "unknown keys ['method'] in chain.compression (allowed: ['budget_k', 'budget_ratio', "
+            "'epsilon', 'pca_rank', 'sink_size'])",
+        ),
+        (
+            "chain",
+            lambda doc: doc["chain"].update(rounds=3),
+            "unknown keys ['rounds'] in chain (allowed: ['compression', 'latent_steps', "
+            "'num_agents', 'seed'])",
+        ),
+    ],
+)
+def test_config_unknown_key_messages(tmp_path, where, edit, message):
+    doc = yaml.safe_load(BASE_CONFIG)
+    edit(doc)
+    with pytest.raises(ConfigError) as info:
+        load_run_config(write_config(tmp_path, yaml.safe_dump(doc)))
+    assert str(info.value) == message

@@ -487,8 +487,9 @@ def reference_h2o_obf(local, roles, attn, cfg):
     row_of = {pos: row for row, pos in enumerate(local.positions)}
     keep_rows = [row_of[pos] for pos in keep]
     del_rows = [row_of[pos] for pos in deleted]
-    del_cols = table.columns(deleted)
-    demands = demand_sums(table, keep, deleted)
+    col_of = {pos: col for col, pos in enumerate(table.positions)}
+    del_cols = [col_of[pos] for pos in deleted]
+    demands = demand_sums(table, np.isin(table.positions, keep))
     shifts = {}
     units = {}
     for unit in np.ndindex(demands.shape[:2]):
