@@ -268,8 +268,7 @@ def _orthogonal_backfill(
     if deleted and not keep:
         raise EmptyKeep("budget left no retained prompt rows to backfill into")
     _, kept = locate(keep, table.positions)
-    demands = demand_sums(table, kept)
-    del_masses = table.masses[:, :, ~kept]
+    demands, del_masses = demand_sums(table, kept)
     deleted_values = select(local, deleted).values if deleted else None
     value_dim = local.value_dim
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import EpisodeRound
-from .kv import KvCache
+from .kv import KvCache, as_index_list
 from .scoring import AttentionRecord
 
 
@@ -36,13 +36,11 @@ def kv_cache_to_dict(cache: KvCache) -> dict:
     }
 
 
-def _positions(values, what: str, increasing: bool = False) -> tuple[int, ...]:
-    """A position list read from a document: integers only, optionally strictly increasing."""
+def _positions(values, what: str) -> tuple[int, ...]:
+    """A position list read from a document: integers only."""
     positions = tuple(values)
     if not all(type(p) is int for p in positions):
         raise ValueError(f"{what} must list integer positions")
-    if increasing and any(a >= b for a, b in zip(positions, positions[1:])):
-        raise ValueError(f"{what} must be strictly increasing")
     return positions
 
 
@@ -91,15 +89,15 @@ def episode_round_to_dict(ep: EpisodeRound) -> dict:
 
 
 def episode_round_from_dict(doc: dict) -> EpisodeRound:
-    prompt = _positions(doc["prompt"], "prompt", increasing=True)
+    prompt = as_index_list(_positions(doc["prompt"], "prompt"))
     if not prompt:
         raise ValueError("round has an empty prompt")
     return EpisodeRound(
         cache=kv_cache_from_dict(doc["cache"]),
         attention=attention_from_dict(doc["attention"]),
         prompt=prompt,
-        generation=_positions(doc["generation"], "generation", increasing=True),
-        padding=_positions(doc.get("padding", ()), "padding", increasing=True),
+        generation=as_index_list(_positions(doc["generation"], "generation")),
+        padding=as_index_list(_positions(doc.get("padding", ()), "padding")),
     )
 
 

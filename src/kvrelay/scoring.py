@@ -186,12 +186,13 @@ def _sum_in_order(masses: np.ndarray) -> np.ndarray:
     return np.cumsum(masses, axis=2)[:, :, -1]
 
 
-def demand_sums(table: MassTable, kept) -> np.ndarray:
-    """(layers, kv_heads, 2): total mass of the kept positions and of the rest.
+def demand_sums(table: MassTable, kept) -> tuple[np.ndarray, np.ndarray]:
+    """Split ``table`` by a mask: per-unit totals and the masses of the rest.
 
     ``kept`` is a boolean mask over ``table.positions``; anything else
-    raises :class:`DimensionMismatch`. Each total adds its positions in
-    table order.
+    raises :class:`DimensionMismatch`. Returns the (layers, kv_heads, 2)
+    total mass of the kept positions and of the rest, each added in table
+    order, and the (layers, kv_heads, |rest|) masses of the rest.
     """
     kept = np.asarray(kept)
     if kept.dtype != np.bool_ or kept.shape != (len(table.positions),):
@@ -199,5 +200,5 @@ def demand_sums(table: MassTable, kept) -> np.ndarray:
             f"need a boolean mask over {len(table.positions)} positions, "
             f"got {kept.dtype} of shape {kept.shape}"
         )
-    masses = table.masses
-    return np.stack([_sum_in_order(masses[:, :, kept]), _sum_in_order(masses[:, :, ~kept])], axis=2)
+    rest = table.masses[:, :, ~kept]
+    return np.stack([_sum_in_order(table.masses[:, :, kept]), _sum_in_order(rest)], axis=2), rest

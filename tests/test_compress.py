@@ -489,7 +489,7 @@ def reference_h2o_obf(local, roles, attn, cfg):
     del_rows = [row_of[pos] for pos in deleted]
     col_of = {pos: col for col, pos in enumerate(table.positions)}
     del_cols = [col_of[pos] for pos in deleted]
-    demands = demand_sums(table, np.isin(table.positions, keep))
+    demands, _ = demand_sums(table, np.isin(table.positions, keep))
     shifts = {}
     units = {}
     for unit in np.ndindex(demands.shape[:2]):

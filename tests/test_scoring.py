@@ -141,8 +141,12 @@ def test_mass_table_is_read_only():
 
 def test_demand_sums_split_mass():
     table = MassTable(positions=(1, 2, 3, 4), masses=[[[0.4, 0.2, 0.3, 0.1]]])
-    assert demand_sums(table, np.array([True, True, False, False]))[0, 0] == pytest.approx((0.6, 0.4))
-    assert demand_sums(table, np.ones(4, dtype=bool))[0, 0] == pytest.approx((1.0, 0.0))
+    sums, rest = demand_sums(table, np.array([True, True, False, False]))
+    assert sums[0, 0] == pytest.approx((0.6, 0.4))
+    assert rest.tolist() == [[[0.3, 0.1]]]
+    sums, rest = demand_sums(table, np.ones(4, dtype=bool))
+    assert sums[0, 0] == pytest.approx((1.0, 0.0))
+    assert rest.shape == (1, 1, 0)
 
 
 def test_demand_sums_rejects_a_non_boolean_mask():
@@ -159,51 +163,34 @@ def test_demand_sums_rejects_a_mask_of_the_wrong_length():
 
 def test_demand_sums_per_unit():
     table = MassTable(positions=(1, 2), masses=[[[1.0, 3.0], [2.0, 0.5]]])
-    out = demand_sums(table, np.array([True, False]))
-    assert out.shape == (1, 2, 2)
-    assert out[0, 0] == pytest.approx((1.0, 3.0))
-    assert out[0, 1] == pytest.approx((2.0, 0.5))
+    sums, _ = demand_sums(table, np.array([True, False]))
+    assert sums.shape == (1, 2, 2)
+    assert sums[0, 0] == pytest.approx((1.0, 3.0))
+    assert sums[0, 1] == pytest.approx((2.0, 0.5))
 
 
 @pytest.mark.parametrize("units", [(1, 1), (2, 3)])
-def test_demand_sums_add_left_to_right(units):
-    # Reports carry these sums, so they must equal the plain sequential
-    # float sum exactly, not a pairwise reduction of it.
-    rng = np.random.default_rng(5)
-    positions = tuple(range(0, 600, 2))
-    masses = rng.random(units + (len(positions),))
-    table = MassTable(positions=positions, masses=masses)
-    kept = np.array([p % 6 == 0 for p in positions])
-    out = demand_sums(table, kept)
-    for layer, head in np.ndindex(units):
-        col = dict(zip(positions, masses[layer, head]))
-        assert out[layer, head, 0] == sum(col[p] for p in positions if p % 6 == 0)
-        assert out[layer, head, 1] == sum(col[p] for p in positions if p % 6)
-
-
-@given(
-    units=st.tuples(st.integers(1, 3), st.integers(1, 3)),
-    kept=st.lists(st.booleans(), min_size=1, max_size=40),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(units=(2, 1), kept=[False, False, False], seed=1)  # empty keep
-@example(units=(1, 2), kept=[True, True, True], seed=2)  # nothing deleted
-@settings(max_examples=80, deadline=None)
-def test_demand_sums_mask_matches_column_lookup(units, kept, seed):
-    # The keep/delete split once went through a position -> column dict and
-    # a left-to-right sum per side; the mask form must give the same bits,
-    # down to an all-kept or all-deleted split.
+@given(kept=st.lists(st.booleans(), min_size=1, max_size=40), seed=st.integers(0, 2**32 - 1))
+@example(kept=[i % 3 == 0 for i in range(300)], seed=5)  # long runs
+@example(kept=[False, False, False], seed=1)  # empty keep
+@example(kept=[True, True, True], seed=2)  # nothing deleted
+@settings(max_examples=40, deadline=None)
+def test_demand_sums_add_left_to_right(units, kept, seed):
+    # Reports carry these sums, so each must equal the plain sequential
+    # float sum over a position -> column lookup exactly, not a pairwise
+    # reduction of it, down to an all-kept or all-deleted split.
     rng = np.random.default_rng(seed)
     positions = tuple(np.cumsum(rng.integers(1, 5, size=len(kept))).tolist())
     table = MassTable(positions=positions, masses=rng.random(units + (len(kept),)))
     keep = [p for p, k in zip(positions, kept) if k]
     deleted = [p for p, k in zip(positions, kept) if not k]
-    out = demand_sums(table, np.array(kept))
+    sums, rest = demand_sums(table, np.array(kept))
     col_of = {pos: col for col, pos in enumerate(positions)}
     for layer, head in np.ndindex(units):
         row = table.masses[layer, head]
-        assert out[layer, head, 0] == sum(row[col_of[p]] for p in keep)
-        assert out[layer, head, 1] == sum(row[col_of[p]] for p in deleted)
+        assert sums[layer, head, 0] == sum(row[col_of[p]] for p in keep)
+        assert sums[layer, head, 1] == sum(row[col_of[p]] for p in deleted)
+        assert rest[layer, head].tolist() == [row[col_of[p]] for p in deleted]
 
 
 @given(seed=st.integers(0, 2**32 - 1))
