@@ -27,8 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput
-from .kv import IndexList, KvCache, freeze
+from .errors import DimensionMismatch, EmptyInput, RoundMismatch
+from .kv import IndexList, KvCache, freeze, locate
 from .scoring import AttentionRecord
 
 VALUE_STRUCTURES = ("gaussian", "low_rank", "planted_in_span")
@@ -84,13 +84,35 @@ class EpisodeSpec:
 
 @dataclass(frozen=True)
 class EpisodeRound:
-    """One agent round as the backbone hands it to the relay."""
+    """One agent round as the backbone hands it to the relay.
+
+    The attention columns must equal ``prompt`` and its rows
+    ``generation``, so both are strictly increasing tuples; prompt and
+    generation must be disjoint cache positions. Any other round raises
+    :class:`RoundMismatch`.
+    """
 
     cache: KvCache
     prompt: IndexList
     generation: IndexList
     attention: AttentionRecord
     padding: IndexList = ()
+
+    def __post_init__(self):
+        if self.attention.columns != self.prompt:
+            raise RoundMismatch("attention columns are not the prompt positions")
+        if self.attention.gen_positions != self.generation:
+            raise RoundMismatch("attention rows are not the generation positions")
+        local = self.prompt + self.generation
+        if self.cache.positions == local:
+            return  # a generated round: its cache holds exactly these positions
+        _, shared = locate(self.prompt, self.generation)
+        if shared.any():
+            first = self.generation[int(shared.argmax())]
+            raise RoundMismatch(f"position {first} is both a prompt and a generation position")
+        _, cached = locate(self.cache.positions, local)
+        if not cached.all():
+            raise RoundMismatch(f"position {local[int(cached.argmin())]} is not in the cache")
 
 
 def _rng(seed: int, round_i: int, stream: int) -> np.random.Generator:

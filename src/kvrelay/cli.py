@@ -13,9 +13,13 @@ entry those of ``EpisodeSpec`` or a ``fixture`` path.
 once, and each group of method aliases runs one chain whose report is
 relabelled per alias. It writes one report per (method, episode) plus a
 comparison summary. Outputs are byte-identical for identical config and
-seed. Exit codes: 0 on success, 2 on configuration or input errors
-(including a malformed fixture or one with fewer rounds than agents), 3 on
-numerical failures.
+seed. Exit codes follow the error type: 0 on success, 3 on
+:class:`NumericalFailure` (non-finite input, or an SVD that did not
+converge), 2 on every other error. A fixture that does not load as an
+episode (including one whose generation positions are not strictly
+increasing), one with fewer rounds than agents, and a chain that rejects an
+episode (such as a sink longer than the first prompt) all exit 2 with one
+``error:`` line.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import yaml
 
 from . import fixtures
 from .backbone import EpisodeRound, EpisodeSpec, generate_episode
-from .errors import KvRelayError
+from .errors import KvRelayError, NumericalFailure
 from .relay import BENCHMARK_PROMPT_LENGTHS, ChainConfig, RelayReport, compression_ratio, run_chain
 from .compress import CompressionConfig
 from .scoring import GLOBAL, HEADWISE, LAYERWISE
@@ -67,14 +71,14 @@ class _Episode:
         """Every round of the episode: generated from the spec, or parsed from the fixture.
 
         A fixture that is not a well-formed episode document raises
-        :class:`ConfigError`; a :class:`KvRelayError` (such as a non-finite
+        :class:`ConfigError`; a :class:`NumericalFailure` (a non-finite
         value) propagates unchanged.
         """
         if self.spec is not None:
             return tuple(generate_episode(self.spec, i) for i in range(1, self.spec.num_rounds + 1))
         try:
             return fixtures.load_episode_fixture(self.fixture)
-        except KvRelayError:
+        except NumericalFailure:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(
@@ -239,7 +243,9 @@ def _episode_reports(cfg: RunConfig, episode: _Episode) -> dict[str, RelayReport
     The episode is materialised once. Aliases of one base method select the
     same tokens, so each base method runs one chain and every alias gets that
     report with its own granularity label. A fixture with fewer rounds than
-    the chain has agents raises :class:`ConfigError` before any chain runs.
+    the chain has agents raises :class:`ConfigError` before any chain runs,
+    as does a chain that rejects the episode with any error but
+    :class:`NumericalFailure`.
     """
     rounds = episode.rounds()
     if len(rounds) < cfg.chain.num_agents:
@@ -255,7 +261,14 @@ def _episode_reports(cfg: RunConfig, episode: _Episode) -> dict[str, RelayReport
     for method in cfg.methods:
         base, granularity = METHOD_TABLE[method]
         if base not in by_base:
-            _, by_base[base] = run_chain(source, _method_chain(cfg.chain, method))
+            try:
+                _, by_base[base] = run_chain(source, _method_chain(cfg.chain, method))
+            except NumericalFailure:
+                raise
+            except KvRelayError as exc:
+                raise ConfigError(
+                    f"episode {episode.label} cannot run {method} ({type(exc).__name__}: {exc})"
+                ) from exc
         reports[method] = dataclasses.replace(by_base[base], granularity=granularity)
     return reports
 
@@ -281,7 +294,7 @@ def cmd_simulate(
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except KvRelayError as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

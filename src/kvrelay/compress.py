@@ -15,9 +15,10 @@ residual, form an attention-weighted residual summary, project it onto
 those directions, rescale by the deleted-to-retained demand ratio, and add
 the resulting vector to every retained prompt value row. Keys are never
 modified, and the whole step is skipped for a unit when there is nothing
-deleted, the residual has no principal direction, or its norm is
-negligible (<= 1e-10 * (1 + ||v_del||_F)); a skipped unit's rows keep
-their exact bits.
+deleted or the residual norm is negligible (<= 1e-10 * (1 + ||v_del||_F));
+a skipped unit's rows keep their exact bits. Any larger residual has a
+nonzero largest singular value, which the rank tolerance always counts, so
+it has at least one principal direction.
 """
 
 from __future__ import annotations
@@ -302,9 +303,6 @@ def _orthogonal_backfill(
             units[unit] = skipped(basis.rank, residual_norm)
             continue
         subspace = principal_subspace(residual, cfg.pca_rank)
-        if subspace.subspace_rank == 0:
-            units[unit] = skipped(basis.rank, residual_norm)
-            continue
         masses = del_masses[layer, head]
         summary = obf_summary(residual, masses, cfg.epsilon)
         direction = obf_project(summary, subspace)

@@ -37,6 +37,10 @@ class MissingColumn(KvRelayError):
     """A requested position has no matching attention column or row."""
 
 
+class RoundMismatch(KvRelayError):
+    """An episode round's prompt, generation, cache and attention labels disagree."""
+
+
 class BudgetUnset(KvRelayError):
     """An eviction method needs exactly one of budget_k / budget_ratio."""
 

@@ -47,7 +47,7 @@ def index_array(indices) -> np.ndarray:
             raise ValueError(f"index list has a position outside int64 ({exc})") from exc
     if arr.size > 1:
         bad = arr[1:] <= arr[:-1]
-        if bad.any():
+        if np.count_nonzero(bad):  # cheaper than bad.any() on short arrays
             first = int(bad.argmax())
             a, b = arr[first], arr[first + 1]
             raise ValueError(f"index list must be strictly increasing ({a} followed by {b})")
@@ -218,22 +218,22 @@ class RoleMap:
     def __post_init__(self):
         names = ("sink", "history", "prompt", "generation", "padding")
         parts = [index_array(getattr(self, name)) for name in names]
-        for later in range(1, len(parts)):
-            # The earlier roles are disjoint, so at most one holds each position.
-            hits = []
-            for earlier in range(later):
-                a, b = parts[earlier], parts[later]
-                if not (a.size and b.size and a[0] <= b[-1] and b[0] <= a[-1]):
-                    continue  # empty, or increasing runs whose spans do not meet
-                _, found = locate(a, b)
-                if found.any():
-                    hits.append((int(found.argmax()), earlier))
-            if hits:
-                first, earlier = min(hits)
-                raise PositionOverlap(
-                    f"position {parts[later][first]} assigned to both "
-                    f"{names[earlier]} and {names[later]}"
-                )
+        # Each role is strictly increasing, so a position two roles share
+        # is an adjacent equal pair once all five are sorted together.
+        flat = np.concatenate(parts)
+        ranked = np.sort(flat, kind="stable")
+        same = ranked[1:] == ranked[:-1]
+        if np.count_nonzero(same):
+            # The stable order keeps equal positions in role order. Report
+            # the clash of the earliest later role, at its smallest position.
+            role = np.repeat(np.arange(len(names)), [part.size for part in parts])
+            role = role[flat.argsort(kind="stable")]
+            clashes = np.flatnonzero(same)
+            first = clashes[role[clashes + 1].argmin()]
+            raise PositionOverlap(
+                f"position {ranked[first]} assigned to both "
+                f"{names[role[first]]} and {names[role[first + 1]]}"
+            )
         for name, part in zip(names, parts):
             object.__setattr__(self, name, tuple(part.tolist()))
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, NumericalFailure
-from .kv import as_index_list
+from .kv import index_array
 
 _EPS = float(np.finfo(np.float64).eps)
 _SIGN_TOL = 1e-12
@@ -167,7 +167,7 @@ def top_k_indices(scores, k: int, eligible) -> tuple[int, ...]:
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    idx = np.asarray(as_index_list(eligible), dtype=np.int64)
+    idx = index_array(eligible)
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != idx.shape:
         raise DimensionMismatch(f"{scores.shape} scores for {idx.size} eligible positions")

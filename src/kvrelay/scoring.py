@@ -34,8 +34,8 @@ class AttentionRecord:
         weights: (num_layers, num_query_heads, gen_steps, num_columns),
             finite, each row non-negative and summing to 1 within 1e-6
             (a non-finite entry raises :class:`NumericalFailure`).
-        gen_positions: global position of each generation row (distinct,
-            in storage order).
+        gen_positions: global position of each generation row, strictly
+            increasing.
         columns: global position of each attended column, strictly
             increasing.
         kv_group_size: query heads per kv head.
@@ -46,7 +46,7 @@ class AttentionRecord:
     """
 
     weights: np.ndarray
-    gen_positions: tuple[int, ...]
+    gen_positions: IndexList
     columns: IndexList
     kv_group_size: int
 
@@ -54,9 +54,7 @@ class AttentionRecord:
         weights = read_only(self.weights)
         if weights.ndim != 4:
             raise ValueError("weights must be (layers, query_heads, gen_steps, columns)")
-        gen_positions = tuple(int(p) for p in self.gen_positions)
-        if len(set(gen_positions)) != len(gen_positions):
-            raise ValueError("generation positions must be distinct")
+        gen_positions = as_index_list(self.gen_positions)
         columns = as_index_list(self.columns)
         layers, q_heads, gen_steps, n_cols = weights.shape
         if layers < 1 or q_heads < 1:
@@ -120,12 +118,8 @@ class MassTable:
 
 
 def _as_run(indices: np.ndarray):
-    """A slice if the distinct ``indices`` are one ascending run of consecutive integers."""
-    if (
-        indices.size
-        and indices[-1] - indices[0] == indices.size - 1
-        and (indices[1:] > indices[:-1]).all()
-    ):
+    """A slice if the strictly increasing ``indices`` are one run of consecutive integers."""
+    if indices.size and indices[-1] - indices[0] == indices.size - 1:
         return slice(int(indices[0]), int(indices[-1]) + 1)
     return indices
 
@@ -133,23 +127,20 @@ def _as_run(indices: np.ndarray):
 def attention_mass_headwise(attn: AttentionRecord, gen, prompt) -> MassTable:
     """Per-(layer, kv head) mass each prompt position collected over ``gen``.
 
-    ``gen`` must be distinct generation positions of ``attn``, in any
-    order; ``prompt`` strictly increasing columns of it.
+    ``gen`` must be strictly increasing generation positions of ``attn``
+    and ``prompt`` strictly increasing columns of it; both are found with
+    :func:`kv.locate`, columns first.
     """
-    gen = tuple(int(p) for p in gen)
     prompt = index_array(prompt)
-    if not gen:
+    gen = index_array(gen)
+    if not gen.size:
         raise ValueError("generation set must be non-empty")
-    if len(set(gen)) != len(gen):
-        raise ValueError("generation positions must be distinct")
     cols, found = locate(attn.columns, prompt)
     if not found.all():
         raise MissingColumn(f"no attention columns for positions {prompt[~found].tolist()}")
-    row_of = {pos: i for i, pos in enumerate(attn.gen_positions)}
-    missing_rows = [g for g in gen if g not in row_of]
-    if missing_rows:
-        raise MissingColumn(f"no attention rows for generation positions {missing_rows}")
-    rows = np.array([row_of[g] for g in gen], dtype=np.int64)
+    rows, found = locate(attn.gen_positions, gen)
+    if not found.all():
+        raise MissingColumn(f"no attention rows for generation positions {gen[~found].tolist()}")
     if cols.size == 1:
         # One column: gather, then sum. When that leaves a single output,
         # numpy adds its rows pairwise instead of one by one, so summing

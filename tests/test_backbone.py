@@ -6,15 +6,17 @@ from hypothesis import strategies as st
 import oracles
 from kvrelay import backbone
 from kvrelay.backbone import (
+    EpisodeRound,
     EpisodeSpec,
     episode_source,
     generate_episode,
     tiny_attention_forward,
 )
 from kvrelay.compress import obf_residual
-from kvrelay.errors import DimensionMismatch, EmptyInput
-from kvrelay.kv import caches_equal
+from kvrelay.errors import DimensionMismatch, EmptyInput, RoundMismatch
+from kvrelay.kv import KvCache, caches_equal, select
 from kvrelay.linalg import orthonormal_basis
+from kvrelay.scoring import AttentionRecord
 
 
 def test_spec_defaults():
@@ -288,3 +290,34 @@ def test_forward_validates_head_axes():
         tiny_attention_forward(np.ones((2, 1, 3, 4)), np.ones((1, 2, 2, 4)), 1.0)  # layers differ
     with pytest.raises(EmptyInput):
         tiny_attention_forward(np.ones((2, 0, 4)), np.ones((2, 2, 4)), 1.0)
+
+
+def test_episode_round_checks_its_labels():
+    ep = generate_episode(small_spec(), 1)
+    prompt, generation = ep.prompt, ep.generation
+
+    def rebuilt(**fields):
+        return EpisodeRound(**{"cache": ep.cache, "prompt": prompt, "generation": generation,
+                               "attention": ep.attention, **fields})
+
+    # a cache may hold positions beyond the prompt and generation
+    wider = KvCache(
+        keys=np.concatenate([ep.cache.keys, ep.cache.keys[:, :, :1]], axis=2),
+        values=np.concatenate([ep.cache.values, ep.cache.values[:, :, :1]], axis=2),
+        positions=ep.cache.positions + (99,),
+    )
+    assert rebuilt(cache=wider).cache is wider
+    with pytest.raises(RoundMismatch, match="columns"):
+        rebuilt(prompt=prompt[1:])
+    with pytest.raises(RoundMismatch, match="rows"):
+        rebuilt(generation=generation[:-1])
+    with pytest.raises(RoundMismatch, match=f"position {prompt[3]} is not in the cache"):
+        rebuilt(cache=select(ep.cache, prompt[:3] + prompt[4:] + generation))
+    overlap = AttentionRecord(
+        weights=ep.attention.weights,
+        gen_positions=(prompt[-1],) + generation[1:],
+        columns=prompt,
+        kv_group_size=ep.attention.kv_group_size,
+    )
+    with pytest.raises(RoundMismatch, match=f"position {prompt[-1]} is both"):
+        rebuilt(generation=overlap.gen_positions, attention=overlap)

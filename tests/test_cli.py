@@ -1,11 +1,17 @@
 """Config parsing, simulate sweeps, exit codes and output determinism."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import tempfile
 import textwrap
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kvrelay import cli, fixtures
 from kvrelay.backbone import EpisodeSpec, generate_episode
@@ -423,6 +429,34 @@ def _fractional_cache_positions(doc):
     return doc
 
 
+def _short_cache_positions(doc):
+    del doc["rounds"][0]["cache"]["positions"][-1]
+    return doc
+
+
+def _prompt_reused_as_generation(doc):
+    round_doc = doc["rounds"][1]
+    round_doc["generation"][0] = round_doc["attention"]["generation_positions"][0] = round_doc["prompt"][-1]
+    return doc
+
+
+def _shifted_columns(doc):
+    attention = doc["rounds"][0]["attention"]
+    attention["columns"] = [p + 1 for p in attention["columns"]]
+    return doc
+
+
+def _unsorted_generation_positions(doc):
+    rows = doc["rounds"][2]["attention"]["generation_positions"]
+    rows[0], rows[1] = rows[1], rows[0]
+    return doc
+
+
+def _fractional_group_size(doc):
+    doc["rounds"][1]["attention"]["kv_group_size"] = 1.9
+    return doc
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -433,14 +467,23 @@ def _fractional_cache_positions(doc):
         lambda text: json.dumps(_swapped_prompt(json.loads(text))),
         lambda text: json.dumps(_fractional_generation(json.loads(text))),
         lambda text: json.dumps(_fractional_cache_positions(json.loads(text))),
+        lambda text: json.dumps(_short_cache_positions(json.loads(text))),
+        lambda text: json.dumps(_prompt_reused_as_generation(json.loads(text))),
+        lambda text: json.dumps(_shifted_columns(json.loads(text))),
+        lambda text: json.dumps(_unsorted_generation_positions(json.loads(text))),
+        lambda text: json.dumps(_fractional_group_size(json.loads(text))),
     ],
     ids=[
         "missing_positions", "not_json", "empty_prompt", "negative_weight",
         "swapped_prompt", "fractional_generation", "fractional_cache_positions",
+        "short_cache_positions", "prompt_reused_as_generation", "shifted_columns",
+        "unsorted_generation_positions", "fractional_group_size",
     ],
 )
 def test_simulate_malformed_fixture_exits_2(tmp_path, capsys, corrupt):
-    config = _spec_and_fixture_config(tmp_path, methods=("h2o_global",))
+    # full never reads the attention record, h2o does; the fixture is
+    # rejected when it loads, before either runs
+    config = _spec_and_fixture_config(tmp_path, methods=("full", "h2o_global"))
     fixture = tmp_path / "ep.json"
     fixture.write_text(corrupt(fixture.read_text()))
     out = tmp_path / "runs"
@@ -451,7 +494,7 @@ def test_simulate_malformed_fixture_exits_2(tmp_path, capsys, corrupt):
     assert err.count("\n") == 1
 
 
-def test_simulate_prompt_position_missing_from_cache_exits_3(tmp_path, capsys):
+def test_simulate_prompt_position_missing_from_cache_exits_2(tmp_path, capsys):
     spec = EpisodeSpec(
         seed=5, num_layers=2, num_kv_heads=2, kv_group_size=1,
         key_dim=4, value_dim=6, prompt_lens=(14, 12, 13), gen_len=4,
@@ -481,13 +524,44 @@ def test_simulate_prompt_position_missing_from_cache_exits_3(tmp_path, capsys):
         """
     )
     config = write_config(tmp_path, text)
-    # plain h2o deletes position 5 and never reads its row
-    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "h2o"), "--method", "h2o_global"]) == 0
-    capsys.readouterr()
+    # plain h2o would delete position 5 without reading its row; the round
+    # is rejected when it loads, before any method runs
+    for method in ("h2o_global", "h2o_obf_global"):
+        out = tmp_path / method
+        assert main(["simulate", "--config", str(config), "--out", str(out), "--method", method]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: fixture ep.json is malformed (RoundMismatch: position 5 is not in the cache)\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "edit, method, message",
+    [
+        (
+            lambda doc: doc["chain"]["compression"].update(sink_size=6),
+            "h2o_global",
+            "error: episode spec0 cannot run h2o_global "
+            "(SinkTooLarge: sink of 6 exceeds the 5 usable prompt positions)\n",
+        ),
+        (
+            lambda doc: doc["chain"]["compression"].update(budget_k=0),
+            "h2o_obf_global",
+            "error: episode spec0 cannot run h2o_obf_global "
+            "(EmptyKeep: budget left no retained prompt rows to backfill into)\n",
+        ),
+    ],
+    ids=["sink_too_large", "empty_keep"],
+)
+def test_simulate_chain_rejecting_the_episode_exits_2(tmp_path, capsys, edit, method, message):
+    doc = yaml.safe_load(BASE_CONFIG)
+    doc["episodes"][0]["prompt_lens"] = [5, 9, 11]
+    edit(doc)
     out = tmp_path / "runs"
-    assert main(["simulate", "--config", str(config), "--out", str(out), "--method", "h2o_obf_global"]) == 3
+    config = write_config(tmp_path, yaml.safe_dump(doc))
+    assert main(["simulate", "--config", str(config), "--out", str(out), "--method", method]) == 2
     assert not out.exists()
-    assert capsys.readouterr().err == "numerical failure: position 5 is not in the cache\n"
+    assert capsys.readouterr().err == message
 
 
 def test_config_accepts_and_echoes_every_dataclass_field(tmp_path):
@@ -543,3 +617,125 @@ def test_config_unknown_key_messages(tmp_path, where, edit, message):
     with pytest.raises(ConfigError) as info:
         load_run_config(write_config(tmp_path, yaml.safe_dump(doc)))
     assert str(info.value) == message
+
+
+# --- exit-code contract over random fixture corruptions ----------------------
+
+_POSITION_LISTS = (
+    ("cache", "positions"), ("prompt",), ("generation",),
+    ("attention", "columns"), ("attention", "generation_positions"),
+)
+_REQUIRED_KEYS = (
+    ("cache",), ("attention",), ("prompt",), ("generation",),
+    ("cache", "num_layers"), ("cache", "num_kv_heads"), ("cache", "key_dim"), ("cache", "value_dim"),
+    ("cache", "positions"), ("cache", "keys"), ("cache", "values"),
+    ("attention", "num_layers"), ("attention", "num_query_heads"), ("attention", "kv_group_size"),
+    ("attention", "generation_positions"), ("attention", "columns"), ("attention", "weights"),
+)
+
+
+def _parent(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc, path[-1]
+
+
+def _random_drop_key(round_doc, data):
+    parent, key = _parent(round_doc, data.draw(st.sampled_from(_REQUIRED_KEYS)))
+    del parent[key]
+    return 2
+
+
+def _random_fractional_position(round_doc, data):
+    parent, key = _parent(round_doc, data.draw(st.sampled_from(_POSITION_LISTS)))
+    i = data.draw(st.integers(0, len(parent[key]) - 1))
+    parent[key][i] += 0.5
+    return 2
+
+
+def _random_swap_adjacent(round_doc, data):
+    parent, key = _parent(round_doc, data.draw(st.sampled_from(_POSITION_LISTS)))
+    positions = parent[key]
+    i = data.draw(st.integers(0, len(positions) - 2))
+    positions[i], positions[i + 1] = positions[i + 1], positions[i]
+    return 2
+
+
+def _random_remove_cache_position(round_doc, data):
+    cache = round_doc["cache"]
+    row = data.draw(st.integers(0, len(cache["positions"]) - 1))
+    del cache["positions"][row]
+    for name in ("keys", "values"):
+        for layer in cache[name]:
+            for head in layer:
+                del head[row]
+    return 2
+
+
+def _random_reuse_prompt_position(round_doc, data):
+    # the last prompt position keeps the generation list strictly increasing
+    round_doc["generation"][0] = round_doc["attention"]["generation_positions"][0] = round_doc["prompt"][-1]
+    return 2
+
+
+def _random_non_integer_group_size(round_doc, data):
+    round_doc["attention"]["kv_group_size"] = data.draw(st.sampled_from([1.0, 1.9, "1", None, True]))
+    return 2
+
+
+def _random_negative_weight(round_doc, data):
+    weights = round_doc["attention"]["weights"]
+    row = weights[data.draw(st.integers(0, len(weights) - 1))][0][0]
+    row[data.draw(st.integers(0, len(row) - 1))] = -data.draw(st.sampled_from([1e-13, 0.5]))
+    return 2
+
+
+def _random_non_finite(round_doc, data):
+    bad = data.draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    if data.draw(st.booleans()):
+        round_doc["cache"]["values"][0][1][data.draw(st.integers(0, 15))][2] = bad
+    else:
+        round_doc["attention"]["weights"][1][0][data.draw(st.integers(0, 3))][5] = bad
+    return 3
+
+
+@given(
+    corrupt=st.sampled_from([
+        _random_drop_key, _random_fractional_position, _random_swap_adjacent, _random_remove_cache_position,
+        _random_reuse_prompt_position, _random_non_integer_group_size, _random_negative_weight, _random_non_finite,
+    ]),
+    round_i=st.integers(0, 2),
+    method=st.sampled_from(ALL_METHODS),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_simulate_corrupt_fixture_exit_code_follows_the_error(corrupt, round_i, method, data):
+    spec = EpisodeSpec(
+        seed=5, num_layers=2, num_kv_heads=2, kv_group_size=1,
+        key_dim=4, value_dim=6, prompt_lens=(14, 12, 13), gen_len=4,
+    )
+    doc = {"rounds": [fixtures.episode_round_to_dict(generate_episode(spec, i)) for i in (1, 2, 3)]}
+    code = corrupt(doc["rounds"][round_i], data)
+    config = textwrap.dedent(
+        """\
+        chain:
+          num_agents: 3
+          latent_steps: 4
+          compression:
+            budget_k: 3
+            sink_size: 1
+        episodes:
+          - fixture: ep.json
+        """
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "ep.json").write_text(json.dumps(doc))
+        (root / "run.yaml").write_text(config)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            got = main(["simulate", "--config", str(root / "run.yaml"), "--out", str(root / "runs"), "--method", method])
+        assert got == code, err.getvalue()
+        assert not (root / "runs").exists()
+        prefix = "numerical failure: " if code == 3 else "error: fixture ep.json is malformed"
+        assert err.getvalue().startswith(prefix) and err.getvalue().count("\n") == 1, err.getvalue()

@@ -85,6 +85,8 @@ def test_mass_requires_known_columns_and_rows():
         attention_mass_headwise(attn, (5,), (0, 3))
     with pytest.raises(MissingColumn):
         attention_mass_headwise(attn, (6,), (0,))
+    with pytest.raises(MissingColumn, match="columns"):  # columns are checked before rows
+        attention_mass_headwise(attn, (6,), (0, 3))
     with pytest.raises(ValueError):
         attention_mass_headwise(attn, (), (0,))
 
@@ -211,23 +213,9 @@ def test_mass_conserves_generation_count(seed):
     assert np.allclose(table.masses, expected, rtol=0.0, atol=1e-12)
 
 
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_mass_ignores_generation_row_order(seed):
-    rng = np.random.default_rng(seed)
-    gen = int(rng.integers(2, 8))
-    w = softmax_weights(rng, 1, 2, gen, 6)
-    gen_positions = tuple(range(30, 30 + gen))
-    attn = record(w, gen=gen_positions, columns=range(6), group=1)
-    shuffled = tuple(rng.permutation(gen_positions).tolist())
-    a = attention_mass_headwise(attn, gen_positions, tuple(range(6)))
-    b = attention_mass_headwise(attn, shuffled, tuple(range(6)))
-    assert np.abs(a.masses - b.masses).max() <= 1e-12
-
-
 def test_mass_rejects_repeated_generation_positions():
     attn = record([[[[0.5, 0.5], [0.25, 0.75]]]], gen=(10, 11), columns=(0, 1))
-    with pytest.raises(ValueError, match="distinct"):
+    with pytest.raises(ValueError, match="strictly increasing"):
         attention_mass_headwise(attn, (10, 10), (0, 1))
 
 
@@ -244,7 +232,7 @@ def _mass_two_step(attn, gen, prompt):
 
 @given(
     seed=st.integers(0, 2**32 - 1),
-    rows_kind=st.sampled_from(["all", "shuffled", "subset"]),
+    rows_kind=st.sampled_from(["all", "subset"]),
     cols_kind=st.sampled_from(["all", "gaps", "offset", "one"]),
 )
 @settings(max_examples=150, deadline=None)
@@ -258,10 +246,8 @@ def test_mass_matches_two_step_gather_bit_for_bit(seed, rows_kind, cols_kind):
     attn = record(w, gen=gen_positions, columns=columns, group=group)
     if rows_kind == "all":
         rows = gen_positions
-    elif rows_kind == "shuffled":
-        rows = tuple(rng.permutation(gen_positions).tolist())
     else:
-        rows = tuple(rng.choice(gen_positions, int(rng.integers(1, gen + 1)), replace=False).tolist())
+        rows = tuple(sorted(rng.choice(gen_positions, int(rng.integers(1, gen + 1)), replace=False).tolist()))
     if cols_kind == "all":
         prompt = columns
     elif cols_kind == "gaps":
