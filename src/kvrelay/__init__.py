@@ -31,15 +31,14 @@ from .compress import (
     obf_summary,
 )
 from .kv import (
-    IndexList,
     KvCache,
     RelayMessage,
     RoleMap,
     RoundRecord,
-    as_index_list,
     caches_equal,
     concat,
     decompose,
+    index_array,
     select,
 )
 from .linalg import (
@@ -83,7 +82,6 @@ __all__ = [
     "EpisodeSpec",
     "GLOBAL",
     "HEADWISE",
-    "IndexList",
     "KvCache",
     "LAYERWISE",
     "MassTable",
@@ -99,7 +97,6 @@ __all__ = [
     "SelectionResult",
     "aggregate_global",
     "aggregate_layerwise",
-    "as_index_list",
     "attention_mass_headwise",
     "caches_equal",
     "compress",
@@ -112,6 +109,7 @@ __all__ = [
     "errors",
     "generate_episode",
     "h2o_select",
+    "index_array",
     "obf_inject",
     "obf_project",
     "obf_residual",

@@ -27,8 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, RoundMismatch
-from .kv import IndexList, KvCache, freeze, locate
+from .errors import DimensionMismatch, EmptyInput, RoundMismatch, require_int
+from .kv import KvCache, freeze, index_array, locate
 from .scoring import AttentionRecord
 
 VALUE_STRUCTURES = ("gaussian", "low_rank", "planted_in_span")
@@ -41,7 +41,7 @@ _STREAM_QUERIES = 3
 
 @dataclass(frozen=True)
 class EpisodeSpec:
-    """Shape, seed and structure of one synthetic multi-round episode."""
+    """Shape, seed and structure of one synthetic multi-round episode; integer fields take ``int`` only."""
 
     seed: int = 0
     num_layers: int = 2
@@ -55,10 +55,15 @@ class EpisodeSpec:
     value_rank: int = 4
 
     def __post_init__(self):
-        object.__setattr__(self, "prompt_lens", tuple(int(n) for n in self.prompt_lens))
+        object.__setattr__(self, "prompt_lens", tuple(self.prompt_lens))
+        layout = ("num_layers", "num_kv_heads", "kv_group_size", "key_dim", "value_dim")
+        for name in ("seed", "gen_len", "value_rank") + layout:
+            require_int(getattr(self, name), name)
+        for n in self.prompt_lens:
+            require_int(n, "each prompt_lens entry")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit word")
-        for name in ("num_layers", "num_kv_heads", "kv_group_size", "key_dim", "value_dim"):
+        for name in layout:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if not self.prompt_lens or any(n < 1 for n in self.prompt_lens):
@@ -87,28 +92,30 @@ class EpisodeRound:
     """One agent round as the backbone hands it to the relay.
 
     The attention columns must equal ``prompt`` and its rows
-    ``generation``, so both are strictly increasing tuples; prompt and
-    generation must be disjoint cache positions. Any other round raises
-    :class:`RoundMismatch`.
+    ``generation``; prompt and generation must be disjoint cache positions.
+    Any other round raises :class:`RoundMismatch`.
     """
 
     cache: KvCache
-    prompt: IndexList
-    generation: IndexList
+    prompt: np.ndarray
+    generation: np.ndarray
     attention: AttentionRecord
-    padding: IndexList = ()
+    padding: np.ndarray = ()
 
     def __post_init__(self):
-        if self.attention.columns != self.prompt:
+        for name in ("prompt", "generation", "padding"):
+            object.__setattr__(self, name, index_array(getattr(self, name)))
+        prompt, generation = self.prompt, self.generation
+        if not np.array_equal(self.attention.columns, prompt):
             raise RoundMismatch("attention columns are not the prompt positions")
-        if self.attention.gen_positions != self.generation:
+        if not np.array_equal(self.attention.gen_positions, generation):
             raise RoundMismatch("attention rows are not the generation positions")
-        local = self.prompt + self.generation
-        if self.cache.positions == local:
+        local = np.concatenate([prompt, generation])
+        if np.array_equal(self.cache.positions, local):
             return  # a generated round: its cache holds exactly these positions
-        _, shared = locate(self.prompt, self.generation)
+        _, shared = locate(prompt, generation)
         if shared.any():
-            first = self.generation[int(shared.argmax())]
+            first = generation[int(shared.argmax())]
             raise RoundMismatch(f"position {first} is both a prompt and a generation position")
         _, cached = locate(self.cache.positions, local)
         if not cached.all():
@@ -170,9 +177,9 @@ def generate_episode(spec: EpisodeSpec, round_i: int) -> EpisodeRound:
         raise ValueError(f"round {round_i} outside 1..{spec.num_rounds}")
     prompt_len = spec.prompt_lens[round_i - 1]
     base = sum(spec.prompt_lens[: round_i - 1]) + (round_i - 1) * spec.gen_len
-    prompt = tuple(range(base, base + prompt_len))
-    generation = tuple(range(base + prompt_len, base + prompt_len + spec.gen_len))
     tokens = prompt_len + spec.gen_len
+    prompt = freeze(np.arange(base, base + prompt_len))
+    generation = freeze(np.arange(base + prompt_len, base + tokens))
     layers, heads = spec.num_layers, spec.num_kv_heads
 
     keys = _rng(spec.seed, round_i, _STREAM_KEYS).standard_normal(
@@ -203,7 +210,8 @@ def generate_episode(spec: EpisodeSpec, round_i: int) -> EpisodeRound:
         columns=prompt,
         kv_group_size=spec.kv_group_size,
     )
-    cache = KvCache(keys=freeze(keys), values=freeze(values), positions=prompt + generation)
+    positions = freeze(np.arange(base, base + tokens))
+    cache = KvCache(keys=freeze(keys), values=freeze(values), positions=positions)
     return EpisodeRound(cache=cache, prompt=prompt, generation=generation, attention=attention)
 
 

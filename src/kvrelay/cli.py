@@ -17,9 +17,11 @@ seed. Exit codes follow the error type: 0 on success, 3 on
 :class:`NumericalFailure` (non-finite input, or an SVD that did not
 converge), 2 on every other error. A fixture that does not load as an
 episode (including one whose generation positions are not strictly
-increasing), one with fewer rounds than agents, and a chain that rejects an
-episode (such as a sink longer than the first prompt) all exit 2 with one
-``error:`` line.
+increasing), one with fewer rounds than agents, a chain that rejects an
+episode (such as a sink longer than the first prompt), a config that is not
+UTF-8 YAML, an integer field given a float, string or bool, and an output
+directory that cannot be created or written all exit 2 with one ``error:``
+line.
 """
 
 from __future__ import annotations
@@ -115,6 +117,12 @@ def _require_mapping(value, where: str) -> dict:
     return value
 
 
+def _require_path(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a path string, got {value!r}")
+    return value
+
+
 def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
     unknown = sorted(set(mapping) - allowed)
     if unknown:
@@ -129,15 +137,10 @@ def _build_chain(doc: dict, seed_override: int | None) -> ChainConfig:
     if "budget_ratio" in comp_doc and "budget_k" not in comp_doc:
         comp_doc = dict(comp_doc, budget_k=None)
     try:
-        compression = CompressionConfig(**comp_doc)
-        defaults = ChainConfig()
-        seed = int(chain_doc.get("seed", defaults.seed)) if seed_override is None else seed_override
-        return ChainConfig(
-            num_agents=int(chain_doc.get("num_agents", defaults.num_agents)),
-            latent_steps=int(chain_doc.get("latent_steps", defaults.latent_steps)),
-            compression=compression,
-            seed=seed,
-        )
+        fields = dict(chain_doc, compression=CompressionConfig(**comp_doc))
+        if seed_override is not None:
+            fields["seed"] = seed_override
+        return ChainConfig(**fields)
     except (KvRelayError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad chain configuration: {exc}") from exc
 
@@ -154,7 +157,7 @@ def _build_episodes(doc: dict, chain: ChainConfig, config_dir: Path) -> list[_Ep
             raise ConfigError(f"episode {index} must be a mapping or a fixture path")
         if "fixture" in entry:
             _reject_unknown(entry, {"fixture"}, f"episode {index}")
-            path = Path(entry["fixture"])
+            path = Path(_require_path(entry["fixture"], f"episode {index}: fixture"))
             if not path.is_absolute():
                 path = config_dir / path
             if not path.is_file():
@@ -165,8 +168,6 @@ def _build_episodes(doc: dict, chain: ChainConfig, config_dir: Path) -> list[_Ep
         fields = dict(entry)
         fields.setdefault("seed", chain.seed + index)
         fields.setdefault("gen_len", chain.latent_steps)
-        if "prompt_lens" in fields:
-            fields["prompt_lens"] = tuple(fields["prompt_lens"])
         try:
             spec = EpisodeSpec(**fields)
         except (ValueError, TypeError) as exc:
@@ -192,7 +193,7 @@ def load_run_config(config_path, method_overrides=(), seed: int | None = None, o
         raise ConfigError(f"config file {path} does not exist")
     try:
         doc = yaml.safe_load(path.read_text())
-    except yaml.YAMLError as exc:
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     doc = _require_mapping(doc, "config document")
     _reject_unknown(doc, _TOP_KEYS, "config document")
@@ -209,7 +210,7 @@ def load_run_config(config_path, method_overrides=(), seed: int | None = None, o
     if len(set(methods)) != len(methods):
         raise ConfigError("methods must not repeat")
 
-    out_dir = Path(out) if out is not None else Path(doc.get("out", "runs"))
+    out_dir = Path(out) if out is not None else Path(_require_path(doc.get("out", "runs"), "out"))
     verbosity = doc.get("verbosity", 0)
     if isinstance(verbosity, bool) or not isinstance(verbosity, int):
         raise ConfigError(f"verbosity must be an integer, got {verbosity!r}")
@@ -273,31 +274,8 @@ def _episode_reports(cfg: RunConfig, episode: _Episode) -> dict[str, RelayReport
     return reports
 
 
-def cmd_simulate(
-    config_path,
-    method_overrides=(),
-    seed: int | None = None,
-    out=None,
-    emit_fixtures: bool = False,
-    stdout=None,
-) -> int:
-    """Run the configured sweep; returns a process exit code."""
-    stdout = stdout if stdout is not None else sys.stdout
-    try:
-        cfg = load_run_config(config_path, method_overrides, seed, out)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        results = {episode.index: _episode_reports(cfg, episode) for episode in cfg.episodes}
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-
+def _write_outputs(cfg: RunConfig, results: dict, emit_fixtures: bool) -> dict:
+    """Write every report, the emitted fixtures and ``summary.json``; return the summary."""
     cfg.out.mkdir(parents=True, exist_ok=True)
     for method in cfg.methods:
         for episode in cfg.episodes:
@@ -332,6 +310,39 @@ def cmd_simulate(
             "obf_skip_rate": sum(rates) / len(rates) if rates else None,
         }
     fixtures.dump_json(cfg.out / "summary.json", summary)
+    return summary
+
+
+def cmd_simulate(
+    config_path,
+    method_overrides=(),
+    seed: int | None = None,
+    out=None,
+    emit_fixtures: bool = False,
+    stdout=None,
+) -> int:
+    """Run the configured sweep; returns a process exit code."""
+    stdout = stdout if stdout is not None else sys.stdout
+    try:
+        cfg = load_run_config(config_path, method_overrides, seed, out)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+    try:
+        results = {episode.index: _episode_reports(cfg, episode) for episode in cfg.episodes}
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except NumericalFailure as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+
+    try:
+        summary = _write_outputs(cfg, results, emit_fixtures)
+    except OSError as exc:
+        print(f"error: cannot write outputs to {cfg.out} ({type(exc).__name__}: {exc})", file=sys.stderr)
+        return 2
 
     print(f"{'method':<20} {'rho':>8} {'r_eff':>8} {'final_len':>10} {'obf_skip':>9}", file=stdout)
     for method in cfg.methods:

@@ -28,8 +28,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import BudgetUnset, DimensionMismatch, EmptyKeep
-from .kv import IndexList, KvCache, RoleMap, as_index_list, freeze, locate, select
+from .errors import BudgetUnset, DimensionMismatch, EmptyKeep, require_int
+from .kv import KvCache, RoleMap, freeze, index_array, locate, read_only, select
 from .linalg import OrthoBasis, PrincipalSubspace, orthonormal_basis, principal_subspace, project_out, top_k_indices
 from .scoring import (
     GLOBAL,
@@ -57,7 +57,7 @@ class CompressionConfig:
 
     ``granularity`` (global, layerwise or headwise) is a label carried
     into reports. Every label ranks by total mass over layers and heads,
-    so all three keep the same tokens.
+    so all three keep the same tokens. Integer fields take ``int`` only.
     """
 
     method: str = "h2o"
@@ -69,6 +69,12 @@ class CompressionConfig:
     sink_size: int = 4
 
     def __post_init__(self):
+        require_int(self.pca_rank, "pca_rank")
+        require_int(self.sink_size, "sink_size")
+        if self.budget_k is not None:
+            require_int(self.budget_k, "budget_k")
+        if isinstance(self.budget_ratio, bool):
+            raise TypeError(f"budget_ratio must be a number, got {self.budget_ratio!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.granularity not in GRANULARITIES:
@@ -102,22 +108,24 @@ class CompressionConfig:
 class SelectionResult:
     """Outcome of splitting the eligible prompt into kept and deleted."""
 
-    keep: IndexList
-    deleted: IndexList
+    keep: np.ndarray
+    deleted: np.ndarray
     budget: int
 
     def __post_init__(self):
-        object.__setattr__(self, "keep", as_index_list(self.keep))
-        object.__setattr__(self, "deleted", as_index_list(self.deleted))
-        if set(self.keep) & set(self.deleted):
+        keep = index_array(self.keep)
+        deleted = index_array(self.deleted)
+        if locate(keep, deleted)[1].any():
             raise ValueError("keep and deleted must be disjoint")
+        object.__setattr__(self, "keep", keep)
+        object.__setattr__(self, "deleted", deleted)
         if self.budget < 0:
             raise ValueError("budget must be non-negative")
 
 
 @dataclass(frozen=True)
 class ObfUnitTrace:
-    """Diagnostics for one (layer, kv head) backfill evaluation."""
+    """Diagnostics for one (layer, kv head) backfill evaluation; vectors are read-only float64."""
 
     layer: int
     head: int
@@ -129,15 +137,16 @@ class ObfUnitTrace:
     injection: np.ndarray
     skipped: bool
     zero_keep_demand: bool = False
-    weights: tuple[float, ...] | None = None
+    weights: np.ndarray | None = None
     summary: np.ndarray | None = None
     direction: np.ndarray | None = None
 
     def __post_init__(self):
-        injection = np.array(self.injection, dtype=np.float64)
-        injection.flags.writeable = False
-        object.__setattr__(self, "injection", injection)
-        if self.skipped and injection.size and float(np.abs(injection).max()) != 0.0:
+        for name in ("injection", "weights", "summary", "direction"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, read_only(value))
+        if self.skipped and self.injection.size and float(np.abs(self.injection).max()) != 0.0:
             raise ValueError("a skipped unit must carry a zero injection")
 
     def to_dict(self, include_vectors: bool = False) -> dict:
@@ -153,7 +162,7 @@ class ObfUnitTrace:
             "zero_keep_demand": self.zero_keep_demand,
         }
         if include_vectors:
-            out["weights"] = list(self.weights) if self.weights is not None else None
+            out["weights"] = self.weights.tolist() if self.weights is not None else None
             out["summary"] = self.summary.tolist() if self.summary is not None else None
             out["direction"] = self.direction.tolist() if self.direction is not None else None
             out["injection"] = self.injection.tolist()
@@ -186,10 +195,9 @@ def h2o_select(table: MassTable, k: int) -> SelectionResult:
     One shared ranking by :func:`aggregate_global`, ties toward the smaller
     position.
     """
-    positions = np.asarray(table.positions, dtype=np.int64)
-    keep = top_k_indices(aggregate_global(table), k, positions)
-    _, kept = locate(keep, positions)
-    return SelectionResult(keep=keep, deleted=positions[~kept], budget=k)
+    keep = top_k_indices(aggregate_global(table), k, table.positions)
+    _, kept = locate(keep, table.positions)
+    return SelectionResult(keep=keep, deleted=table.positions[~kept], budget=k)
 
 
 def obf_residual(v_keep, v_del) -> tuple[OrthoBasis, np.ndarray]:
@@ -266,11 +274,11 @@ def _orthogonal_backfill(
 ) -> tuple[KvCache, ObfTrace]:
     """Backfill the kept rows ``block.values[:, :, kept_slice]`` of an assembled block."""
     keep, deleted = selection.keep, selection.deleted
-    if deleted and not keep:
+    if deleted.size and not keep.size:
         raise EmptyKeep("budget left no retained prompt rows to backfill into")
     _, kept = locate(keep, table.positions)
     demands, del_masses = demand_sums(table, kept)
-    deleted_values = select(local, deleted).values if deleted else None
+    deleted_values = select(local, deleted).values if deleted.size else None
     value_dim = local.value_dim
 
     values: np.ndarray | None = None
@@ -292,7 +300,7 @@ def _orthogonal_backfill(
                 skipped=True,
             )
 
-        if not deleted:
+        if not deleted.size:
             units[unit] = skipped()
             continue
         v_keep = block.values[layer, head, kept_slice]
@@ -321,7 +329,7 @@ def _orthogonal_backfill(
             injection=injection,
             skipped=False,
             zero_keep_demand=keep_mass == 0.0,
-            weights=tuple(_residual_weights(masses, cfg.epsilon).tolist()),
+            weights=_residual_weights(masses, cfg.epsilon),
             summary=summary,
             direction=direction,
         )
@@ -345,15 +353,15 @@ def compress(
     Eviction ranks by total mass whatever ``cfg.granularity`` says.
     """
     eligible = roles.prompt
-    sink = roles.sink if set(roles.sink) <= set(local.positions) else ()
+    sink = roles.sink if locate(local.positions, roles.sink)[1].all() else roles.sink[:0]
 
     if cfg.method == "full":
         selection = SelectionResult(keep=eligible, deleted=(), budget=len(eligible))
-        return select(local, sink + eligible + roles.generation), selection, ObfTrace()
+        return select(local, np.concatenate([sink, eligible, roles.generation])), selection, ObfTrace()
 
     if cfg.method == "streaming":
         selection = SelectionResult(keep=(), deleted=eligible, budget=0)
-        return select(local, sink + roles.generation), selection, ObfTrace()
+        return select(local, np.concatenate([sink, roles.generation])), selection, ObfTrace()
 
     if attn is None:
         raise ValueError("eviction methods need an attention record")
@@ -361,7 +369,7 @@ def compress(
     table = attention_mass_headwise(attn, roles.generation, eligible)
     selection = h2o_select(table, k)
 
-    retained = select(local, sink + selection.keep + roles.generation)
+    retained = select(local, np.concatenate([sink, selection.keep, roles.generation]))
     if cfg.method == "h2o":
         return retained, selection, ObfTrace()
     kept_slice = slice(len(sink), len(sink) + len(selection.keep))

@@ -1,8 +1,14 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the integer-field check.
 
 Everything subclasses :class:`KvRelayError`, which itself subclasses
 ``ValueError`` so callers can catch domain errors coarsely or precisely.
 """
+
+
+def require_int(value, what: str) -> None:
+    """Raise ``TypeError`` unless ``value`` is an ``int``; ``bool`` is rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
 class KvRelayError(ValueError):

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import EpisodeRound
-from .kv import KvCache, as_index_list
+from .kv import KvCache
 from .scoring import AttentionRecord
 
 
@@ -30,7 +30,7 @@ def kv_cache_to_dict(cache: KvCache) -> dict:
         "num_kv_heads": cache.num_kv_heads,
         "key_dim": cache.key_dim,
         "value_dim": cache.value_dim,
-        "positions": list(cache.positions),
+        "positions": cache.positions.tolist(),
         "keys": cache.keys.tolist(),
         "values": cache.values.tolist(),
     }
@@ -59,8 +59,8 @@ def attention_to_dict(attn: AttentionRecord) -> dict:
         "num_layers": attn.num_layers,
         "num_query_heads": attn.num_query_heads,
         "kv_group_size": attn.kv_group_size,
-        "generation_positions": list(attn.gen_positions),
-        "columns": list(attn.columns),
+        "generation_positions": attn.gen_positions.tolist(),
+        "columns": attn.columns.tolist(),
         "weights": attn.weights.tolist(),
     }
 
@@ -85,22 +85,22 @@ def episode_round_to_dict(ep: EpisodeRound) -> dict:
     return {
         "cache": kv_cache_to_dict(ep.cache),
         "attention": attention_to_dict(ep.attention),
-        "prompt": list(ep.prompt),
-        "generation": list(ep.generation),
-        "padding": list(ep.padding),
+        "prompt": ep.prompt.tolist(),
+        "generation": ep.generation.tolist(),
+        "padding": ep.padding.tolist(),
     }
 
 
 def episode_round_from_dict(doc: dict) -> EpisodeRound:
-    prompt = as_index_list(_positions(doc["prompt"], "prompt"))
+    prompt = _positions(doc["prompt"], "prompt")
     if not prompt:
         raise ValueError("round has an empty prompt")
     return EpisodeRound(
         cache=kv_cache_from_dict(doc["cache"]),
         attention=attention_from_dict(doc["attention"]),
         prompt=prompt,
-        generation=as_index_list(_positions(doc["generation"], "generation")),
-        padding=as_index_list(_positions(doc.get("padding", ()), "padding")),
+        generation=_positions(doc["generation"], "generation"),
+        padding=_positions(doc.get("padding", ()), "padding"),
     )
 
 

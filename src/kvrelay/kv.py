@@ -8,17 +8,19 @@ positions visible to one agent round into sink / inherited history /
 current prompt / current generation roles, with padding tracked separately
 and excluded from everything.
 
-All types are frozen and hold read-only float64 arrays; every operation is
-a pure function, so instances can be shared freely across threads.
+All types are frozen. They hold keys, values and weights as read-only
+float64 arrays and every list of global positions as a strictly
+increasing, read-only int64 array (:func:`index_array`). Every operation
+is a pure function, so instances can be shared freely across threads.
 
-Array ownership: ``KvCache`` and ``scoring.AttentionRecord`` keep a float64
-ndarray as is when it owns its buffer (``base is None``) and is already
-read-only; anything else (a writeable array, a view, another dtype or a
-nested list) is copied first. Handing over an array that way is a promise
-that nothing writes to its buffer again, so code that builds an array and
-hands it over freezes it (:func:`freeze`) and keeps no writeable view of
-it. A caller's writeable array is never shared: writing to it afterwards
-leaves the cache or record unchanged.
+Array ownership: every container keeps an ndarray of the right dtype as
+is when it owns its buffer (``base is None``) and is already read-only;
+anything else (a writeable array, a view, another dtype, a tuple or a
+nested list) is copied first. Handing over an array that way is a
+promise that nothing writes to its buffer again, so code that builds an
+array and hands it over freezes it (:func:`freeze`) and keeps no
+writeable view of it. A caller's writeable array is never shared: writing
+to it afterwards leaves the container unchanged.
 """
 
 from __future__ import annotations
@@ -29,20 +31,18 @@ import numpy as np
 
 from .errors import NumericalFailure, PositionOverlap, ShapeMismatch, SinkTooLarge, UnknownPosition
 
-IndexList = tuple[int, ...]
-
 
 def index_array(indices) -> np.ndarray:
-    """Strictly increasing int64 array of global positions.
+    """Strictly increasing, read-only int64 array of global positions (see :func:`read_only`).
 
     A position outside the int64 range raises ``ValueError``, as does a
     non-increasing pair (the message names the first one).
     """
     if isinstance(indices, np.ndarray) and indices.dtype == np.int64 and indices.ndim == 1:
-        arr = indices
+        arr = read_only(indices, np.int64)
     else:
         try:
-            arr = np.fromiter(indices, dtype=np.int64)
+            arr = freeze(np.fromiter(indices, dtype=np.int64))
         except OverflowError as exc:
             raise ValueError(f"index list has a position outside int64 ({exc})") from exc
     if arr.size > 1:
@@ -52,14 +52,6 @@ def index_array(indices) -> np.ndarray:
             a, b = arr[first], arr[first + 1]
             raise ValueError(f"index list must be strictly increasing ({a} followed by {b})")
     return arr
-
-
-def as_index_list(indices) -> IndexList:
-    """Normalize to a strictly increasing tuple of global positions.
-
-    A position outside the int64 range raises ``ValueError``.
-    """
-    return tuple(index_array(indices).tolist())
 
 
 def locate(positions, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -80,23 +72,18 @@ def locate(positions, targets) -> tuple[np.ndarray, np.ndarray]:
 def freeze(arr: np.ndarray) -> np.ndarray:
     """Mark an array this package just made read-only and return it.
 
-    A frozen float64 array that owns its buffer is taken by ``KvCache`` and
-    ``AttentionRecord`` without a copy (see the module docstring).
+    A frozen array that owns its buffer is taken by the containers without
+    a copy (see the module docstring).
     """
     arr.flags.writeable = False
     return arr
 
 
-def read_only(arr) -> np.ndarray:
-    """``arr`` itself if it is a read-only float64 ndarray owning its buffer, else a frozen copy."""
-    if (
-        isinstance(arr, np.ndarray)
-        and arr.dtype == np.float64
-        and arr.base is None
-        and not arr.flags.writeable
-    ):
+def read_only(arr, dtype=np.float64) -> np.ndarray:
+    """``arr`` itself if it is a read-only ``dtype`` ndarray owning its buffer, else a frozen copy."""
+    if isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.base is None and not arr.flags.writeable:
         return arr
-    return freeze(np.array(arr, dtype=np.float64))
+    return freeze(np.array(arr, dtype=dtype))
 
 
 @dataclass(frozen=True)
@@ -109,19 +96,19 @@ class KvCache:
         positions: strictly increasing global token indices, length T.
 
     Non-finite keys or values raise :class:`NumericalFailure`. A read-only
-    float64 array that owns its buffer is kept as is; any other array is
-    copied, so writing to the caller's array later does not change the
-    cache.
+    array of the right dtype that owns its buffer is kept as is; any other
+    array is copied, so writing to the caller's array later does not
+    change the cache.
     """
 
     keys: np.ndarray
     values: np.ndarray
-    positions: IndexList
+    positions: np.ndarray
 
     def __post_init__(self):
         keys = read_only(self.keys)
         values = read_only(self.values)
-        positions = as_index_list(self.positions)
+        positions = index_array(self.positions)
         if keys.ndim != 4 or values.ndim != 4:
             raise ShapeMismatch("keys/values must be (layers, heads, tokens, dim) arrays")
         if keys.shape[:3] != values.shape[:3]:
@@ -167,7 +154,7 @@ def caches_equal(a: KvCache, b: KvCache) -> bool:
     """Bitwise equality of layout, positions, keys and values."""
     return (
         a.layout() == b.layout()
-        and a.positions == b.positions
+        and np.array_equal(a.positions, b.positions)
         and np.array_equal(a.keys, b.keys)
         and np.array_equal(a.values, b.values)
     )
@@ -186,7 +173,7 @@ def select(cache: KvCache, indices) -> KvCache:
     return KvCache(
         keys=freeze(np.take(cache.keys, rows, axis=2)),
         values=freeze(np.take(cache.values, rows, axis=2)),
-        positions=tuple(idx.tolist()),
+        positions=idx,
     )
 
 
@@ -194,14 +181,14 @@ def concat(a: KvCache, b: KvCache) -> KvCache:
     """Row-wise concatenation; a's positions must all precede b's."""
     if a.layout() != b.layout():
         raise ShapeMismatch(f"cannot concat layouts {a.layout()} and {b.layout()}")
-    if a.positions and b.positions and a.positions[-1] >= b.positions[0]:
+    if a.positions.size and b.positions.size and a.positions[-1] >= b.positions[0]:
         raise PositionOverlap(
             f"left cache ends at {a.positions[-1]} but right starts at {b.positions[0]}"
         )
     return KvCache(
         keys=freeze(np.concatenate([a.keys, b.keys], axis=2)),
         values=freeze(np.concatenate([a.values, b.values], axis=2)),
-        positions=a.positions + b.positions,
+        positions=freeze(np.concatenate([a.positions, b.positions])),
     )
 
 
@@ -209,11 +196,11 @@ def concat(a: KvCache, b: KvCache) -> KvCache:
 class RoleMap:
     """Disjoint split of one round's visible positions into cache roles."""
 
-    sink: IndexList
-    history: IndexList
-    prompt: IndexList
-    generation: IndexList
-    padding: IndexList = ()
+    sink: np.ndarray
+    history: np.ndarray
+    prompt: np.ndarray
+    generation: np.ndarray
+    padding: np.ndarray = ()
 
     def __post_init__(self):
         names = ("sink", "history", "prompt", "generation", "padding")
@@ -235,7 +222,7 @@ class RoleMap:
                 f"{names[role[first]]} and {names[role[first + 1]]}"
             )
         for name, part in zip(names, parts):
-            object.__setattr__(self, name, tuple(part.tolist()))
+            object.__setattr__(self, name, part)
 
 
 @dataclass(frozen=True)
@@ -243,13 +230,13 @@ class RoundRecord:
     """What one round contributed to a relay message."""
 
     round_index: int
-    kept_prompt: IndexList
-    generation: IndexList
+    kept_prompt: np.ndarray
+    generation: np.ndarray
     prompt_len: int
 
     def __post_init__(self):
-        object.__setattr__(self, "kept_prompt", as_index_list(self.kept_prompt))
-        object.__setattr__(self, "generation", as_index_list(self.generation))
+        object.__setattr__(self, "kept_prompt", index_array(self.kept_prompt))
+        object.__setattr__(self, "generation", index_array(self.generation))
         if self.round_index < 1:
             raise ValueError("round_index starts at 1")
         if self.prompt_len < 0:
@@ -266,11 +253,11 @@ class RelayMessage:
     """
 
     cache: KvCache
-    sink: IndexList
+    sink: np.ndarray
     rounds: tuple[RoundRecord, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "sink", as_index_list(self.sink))
+        object.__setattr__(self, "sink", index_array(self.sink))
         object.__setattr__(self, "rounds", tuple(self.rounds))
         for a, b in zip(self.rounds, self.rounds[1:]):
             if b.round_index <= a.round_index:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, NumericalFailure
-from .kv import index_array
+from .kv import freeze, index_array
 
 _EPS = float(np.finfo(np.float64).eps)
 _SIGN_TOL = 1e-12
@@ -159,11 +159,12 @@ def principal_subspace(r_mat, max_rank: int) -> PrincipalSubspace:
     return PrincipalSubspace(rows=_fix_row_signs(vt[:p]), singular_values=tuple(sigmas[:p].tolist()))
 
 
-def top_k_indices(scores, k: int, eligible) -> tuple[int, ...]:
+def top_k_indices(scores, k: int, eligible) -> np.ndarray:
     """The ``min(k, |eligible|)`` highest-scoring positions, sorted ascending.
 
     ``scores[i]`` is the score of ``eligible[i]``. Ties are broken
-    deterministically toward the smaller global position.
+    deterministically toward the smaller global position. Returns a
+    read-only int64 array.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -171,4 +172,4 @@ def top_k_indices(scores, k: int, eligible) -> tuple[int, ...]:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != idx.shape:
         raise DimensionMismatch(f"{scores.shape} scores for {idx.size} eligible positions")
-    return tuple(np.sort(idx[np.lexsort((idx, -scores))[:k]]).tolist())
+    return freeze(np.sort(idx[np.lexsort((idx, -scores))[:k]]))

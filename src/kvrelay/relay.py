@@ -14,7 +14,7 @@ from typing import Callable
 
 from .backbone import EpisodeRound
 from .compress import CompressionConfig, ObfTrace, compress
-from .errors import ChainEmpty, EmptyList, ZeroLength
+from .errors import ChainEmpty, EmptyList, ZeroLength, require_int
 from .kv import RelayMessage, RoundRecord, concat, decompose
 
 # Reference total prompt lengths (sum over three agent rounds) for standard
@@ -34,7 +34,7 @@ BENCHMARK_PROMPT_LENGTHS = {
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """How many agent rounds to run and how to compress each boundary."""
+    """How many agent rounds to run and how to compress each boundary; integer fields take ``int`` only."""
 
     num_agents: int = 3
     latent_steps: int = 40
@@ -42,6 +42,8 @@ class ChainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("num_agents", "latent_steps", "seed"):
+            require_int(getattr(self, name), name)
         if self.num_agents < 1:
             raise ChainEmpty("a chain needs at least one agent round")
         if self.latent_steps < 1:

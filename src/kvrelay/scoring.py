@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, MissingColumn, NumericalFailure
-from .kv import IndexList, as_index_list, index_array, locate, read_only
+from .kv import index_array, locate, read_only
 
 # Ranking labels a run may carry. Eviction always ranks by the global
 # aggregate; a layer or head breakdown summed into one shared ranking is
@@ -40,22 +40,23 @@ class AttentionRecord:
             increasing.
         kv_group_size: query heads per kv head.
 
-    A read-only float64 ``weights`` array that owns its buffer is kept as
-    is; any other array is copied, so writing to the caller's array later
-    does not change the record. Every check runs either way.
+    A read-only ``weights`` (float64) or position (int64) array that owns
+    its buffer is kept as is; any other array is copied, so writing to the
+    caller's array later does not change the record. Every check runs
+    either way.
     """
 
     weights: np.ndarray
-    gen_positions: IndexList
-    columns: IndexList
+    gen_positions: np.ndarray
+    columns: np.ndarray
     kv_group_size: int
 
     def __post_init__(self):
         weights = read_only(self.weights)
         if weights.ndim != 4:
             raise ValueError("weights must be (layers, query_heads, gen_steps, columns)")
-        gen_positions = as_index_list(self.gen_positions)
-        columns = as_index_list(self.columns)
+        gen_positions = index_array(self.gen_positions)
+        columns = index_array(self.columns)
         layers, q_heads, gen_steps, n_cols = weights.shape
         if layers < 1 or q_heads < 1:
             raise ValueError("need at least one layer and one query head")
@@ -97,22 +98,21 @@ class MassTable:
     """Attention mass per (layer, kv head) and prompt position.
 
     ``masses[layer, head, i]`` is the mass that position ``positions[i]``
-    received through kv head ``head`` of layer ``layer``. The array is
+    received through kv head ``head`` of layer ``layer``. Both arrays are
     read-only.
     """
 
-    positions: IndexList
+    positions: np.ndarray
     masses: np.ndarray  # (num_layers, num_kv_heads, len(positions))
 
     def __post_init__(self):
-        positions = as_index_list(self.positions)
-        masses = np.array(self.masses, dtype=np.float64)
+        positions = index_array(self.positions)
+        masses = read_only(self.masses)
         if masses.ndim != 3 or masses.shape[2] != len(positions) or 0 in masses.shape[:2]:
             raise ValueError(
                 f"masses of shape {masses.shape} are not (layers >= 1, kv_heads >= 1, "
                 f"{len(positions)} positions)"
             )
-        masses.flags.writeable = False
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "masses", masses)
 
@@ -152,7 +152,7 @@ def attention_mass_headwise(attn: AttentionRecord, gen, prompt) -> MassTable:
         # gives the same bits without a (layers, heads, rows, columns) copy.
         per_query = attn.weights[:, :, _as_run(rows), :].sum(axis=2)[:, :, _as_run(cols)]
     grouped = per_query.reshape(attn.num_layers, attn.num_kv_heads, attn.kv_group_size, cols.size)
-    return MassTable(positions=tuple(prompt.tolist()), masses=grouped.sum(axis=2))
+    return MassTable(positions=prompt, masses=grouped.sum(axis=2))
 
 
 def aggregate_layerwise(table: MassTable) -> np.ndarray:

@@ -103,7 +103,7 @@ def test_episode_generation_is_pure():
     b = generate_episode(spec, 2)
     assert caches_equal(a.cache, b.cache)
     assert np.array_equal(a.attention.weights, b.attention.weights)
-    assert a.prompt == b.prompt and a.generation == b.generation
+    assert np.array_equal(a.prompt, b.prompt) and np.array_equal(a.generation, b.generation)
     # a second spec object with the same field values behaves identically
     c = generate_episode(small_spec(), 2)
     assert caches_equal(a.cache, c.cache)
@@ -114,12 +114,12 @@ def test_episode_positions_are_contiguous_across_rounds():
     r1 = generate_episode(spec, 1)
     r2 = generate_episode(spec, 2)
     r3 = generate_episode(spec, 3)
-    assert r1.prompt == tuple(range(0, 9))
-    assert r1.generation == tuple(range(9, 13))
-    assert r2.prompt == tuple(range(13, 20))
-    assert r2.generation == tuple(range(20, 24))
-    assert r3.prompt == tuple(range(24, 32))
-    assert r3.cache.positions == r3.prompt + r3.generation
+    assert r1.prompt.tolist() == list(range(0, 9))
+    assert r1.generation.tolist() == list(range(9, 13))
+    assert r2.prompt.tolist() == list(range(13, 20))
+    assert r2.generation.tolist() == list(range(20, 24))
+    assert r3.prompt.tolist() == list(range(24, 32))
+    assert np.array_equal(r3.cache.positions, np.concatenate([r3.prompt, r3.generation]))
 
 
 def test_episode_round_bounds():
@@ -143,8 +143,8 @@ def test_attention_is_consistent_with_keys():
     spec = small_spec()
     ep = generate_episode(spec, 1)
     attn = ep.attention
-    assert attn.gen_positions == ep.generation
-    assert attn.columns == ep.prompt
+    assert np.array_equal(attn.gen_positions, ep.generation)
+    assert np.array_equal(attn.columns, ep.prompt)
     assert attn.weights.shape == (2, 4, 4, 9)
     # recompute one (layer, query head) from the cache and compare
     keys = ep.cache.keys[1, 1, : len(ep.prompt), :]
@@ -304,7 +304,7 @@ def test_episode_round_checks_its_labels():
     wider = KvCache(
         keys=np.concatenate([ep.cache.keys, ep.cache.keys[:, :, :1]], axis=2),
         values=np.concatenate([ep.cache.values, ep.cache.values[:, :, :1]], axis=2),
-        positions=ep.cache.positions + (99,),
+        positions=ep.cache.positions.tolist() + [99],
     )
     assert rebuilt(cache=wider).cache is wider
     with pytest.raises(RoundMismatch, match="columns"):
@@ -312,10 +312,10 @@ def test_episode_round_checks_its_labels():
     with pytest.raises(RoundMismatch, match="rows"):
         rebuilt(generation=generation[:-1])
     with pytest.raises(RoundMismatch, match=f"position {prompt[3]} is not in the cache"):
-        rebuilt(cache=select(ep.cache, prompt[:3] + prompt[4:] + generation))
+        rebuilt(cache=select(ep.cache, np.concatenate([prompt[:3], prompt[4:], generation])))
     overlap = AttentionRecord(
         weights=ep.attention.weights,
-        gen_positions=(prompt[-1],) + generation[1:],
+        gen_positions=np.concatenate([prompt[-1:], generation[1:]]),
         columns=prompt,
         kv_group_size=ep.attention.kv_group_size,
     )

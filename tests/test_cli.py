@@ -619,6 +619,88 @@ def test_config_unknown_key_messages(tmp_path, where, edit, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["episodes"][0].update(kv_group_size=1.5),
+        lambda doc: doc["episodes"][0].update(num_layers=2.0),
+        lambda doc: doc["episodes"][0].update(gen_len=4.0),
+        lambda doc: doc["chain"]["compression"].update(budget_k=2.5),
+        lambda doc: doc["chain"]["compression"].update(sink_size=1.5),
+        lambda doc: doc["episodes"][0].update(prompt_lens=[10.5, 9, 11]),
+        lambda doc: doc["chain"]["compression"].update(pca_rank=2.5),
+        lambda doc: doc["chain"].update(latent_steps=4.9),
+        lambda doc: doc["chain"].update(seed="7"),
+        lambda doc: doc["chain"]["compression"].update(budget_k=None, budget_ratio=True),
+        lambda doc: doc["chain"].update(num_agents=2.5),
+        lambda doc: doc["episodes"][0].update(value_rank=True),
+    ],
+    ids=[
+        "kv_group_size", "num_layers", "gen_len", "budget_k", "sink_size", "prompt_lens",
+        "pca_rank", "latent_steps", "seed", "budget_ratio", "num_agents", "value_rank",
+    ],
+)
+def test_simulate_non_integer_config_field_exits_2(tmp_path, capsys, request, edit):
+    doc = yaml.safe_load(BASE_CONFIG)
+    edit(doc)
+    out = tmp_path / "runs"
+    config = write_config(tmp_path, yaml.safe_dump(doc))
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert request.node.callspec.id in err  # the message names the field
+
+
+def _bad_paths(tmp_path, case):
+    """Config bytes and extra simulate arguments for one bad path input."""
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    config, args = BASE_CONFIG.encode(), []
+    if case == "out_is_a_file":
+        args = ["--out", str(taken)]
+    elif case == "out_under_a_file":
+        args = ["--out", str(taken / "runs")]
+    elif case == "out_not_a_path":
+        config += b"out: [1]\n"
+    elif case == "fixture_not_a_path":
+        config = config.replace(b"  - prompt_lens", b"  - fixture: 5\n  - prompt_lens")
+    elif case == "fixture_list":
+        config = config.replace(b"  - prompt_lens", b"  - fixture: [a]\n  - prompt_lens")
+    else:  # config_not_utf8
+        config = b"\xff\xfe" + config
+    return config, args
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["out_is_a_file", "out_under_a_file", "out_not_a_path", "fixture_not_a_path", "fixture_list", "config_not_utf8"],
+)
+def test_simulate_bad_path_input_exits_2(tmp_path, capsys, monkeypatch, case):
+    config, args = _bad_paths(tmp_path, case)
+    (tmp_path / "run.yaml").write_bytes(config)
+    monkeypatch.chdir(tmp_path)  # the config's default out directory lands here
+    assert main(["simulate", "--config", str(tmp_path / "run.yaml"), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (tmp_path / "taken").read_text() == "a file, not a directory\n"
+
+
+def test_readme_sample_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    doc = yaml.safe_load(readme.split("```yaml\n", 1)[1].split("```", 1)[0])  # the one sample config
+    emitted = tmp_path / "emitted"
+    assert main(["simulate", "--config", str(write_config(tmp_path)), "--out", str(emitted), "--emit-fixtures"]) == 0
+    (entry,) = [entry for entry in doc["episodes"] if "fixture" in entry]
+    entry["fixture"] = str(emitted / "fixtures" / "ep000.json")
+    cfg = load_run_config(write_config(tmp_path, yaml.safe_dump(doc), name="readme.yaml"))
+    assert cfg.chain.compression.budget_k == doc["chain"]["compression"]["budget_k"]
+    assert cfg.chain.latent_steps == doc["chain"]["latent_steps"]
+    assert cfg.methods == doc["methods"] and cfg.verbosity == doc["verbosity"]
+    assert [episode.label for episode in cfg.episodes] == ["spec0", "ep000.json"]
+    assert len(cfg.episodes[1].rounds()) == doc["chain"]["num_agents"]
+
+
 # --- exit-code contract over random fixture corruptions ----------------------
 
 _POSITION_LISTS = (

@@ -21,7 +21,7 @@ from kvrelay.compress import (
     obf_summary,
 )
 from kvrelay.errors import BudgetUnset, DimensionMismatch, EmptyKeep
-from kvrelay.kv import RoleMap, as_index_list, decompose, select
+from kvrelay.kv import RoleMap, decompose, index_array, select
 from kvrelay.linalg import principal_subspace
 from kvrelay.scoring import GLOBAL, HEADWISE, LAYERWISE, MassTable, attention_mass_headwise, demand_sums
 
@@ -107,29 +107,29 @@ def global_table(scores):
 def test_select_keeps_highest_mass_with_tie_toward_lower():
     table = global_table({4: 0.9, 5: 0.1, 6: 0.5, 7: 0.5})
     result = h2o_select(table, 2)
-    assert result.keep == (4, 6)
-    assert result.deleted == (5, 7)
+    assert result.keep.tolist() == [4, 6]
+    assert result.deleted.tolist() == [5, 7]
     assert result.budget == 2
 
 
 def test_select_all_zero_masses_uses_position_cascade():
     table = global_table({p: 0.0 for p in range(4, 10)})
-    assert h2o_select(table, 2).keep == (4, 5)
+    assert h2o_select(table, 2).keep.tolist() == [4, 5]
 
 
 def test_select_without_pressure_deletes_nothing():
     table = global_table({4: 0.9, 5: 0.1})
     result = h2o_select(table, 2)
-    assert result.keep == (4, 5)
-    assert result.deleted == ()
+    assert result.keep.tolist() == [4, 5]
+    assert result.deleted.tolist() == []
 
 
 def test_select_packs_unit_rankings_by_summing():
     # two layers, one kv head each
     table = MassTable(positions=(1, 2), masses=[[[0.9, 0.1]], [[0.2, 0.8]]])
     result = h2o_select(table, 1)
-    assert result.keep == (1,)  # 1.1 beats 0.9 on the summed ranking
-    assert result.deleted == (2,)
+    assert result.keep.tolist() == [1]  # 1.1 beats 0.9 on the summed ranking
+    assert result.deleted.tolist() == [2]
 
 
 def test_selection_result_rejects_overlap():
@@ -147,8 +147,8 @@ def test_selection_budget_is_exact(seed):
     k = int(rng.integers(0, n + 4))
     result = h2o_select(global_table(scores), k)
     assert len(result.keep) == min(k, n)
-    assert tuple(sorted(result.keep + result.deleted)) == eligible
-    assert result.keep == oracles.topk(scores, k, eligible)
+    assert tuple(sorted(result.keep.tolist() + result.deleted.tolist())) == eligible
+    assert tuple(result.keep.tolist()) == oracles.topk(scores, k, eligible)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -160,9 +160,9 @@ def test_select_deleted_set_matches_set_loop(seed):
     masses = rng.integers(0, 3, size=(int(rng.integers(1, 3)), 2, n)).astype(float)
     table = MassTable(positions=positions, masses=masses)
     result = h2o_select(table, int(rng.integers(0, n + 3)))
-    keep_set = set(result.keep)
-    assert result.deleted == tuple(pos for pos in table.positions if pos not in keep_set)
-    assert all(type(pos) is int for pos in result.deleted)
+    keep_set = set(result.keep.tolist())
+    assert result.deleted.tolist() == [pos for pos in table.positions.tolist() if pos not in keep_set]
+    assert result.deleted.dtype == np.int64
 
 
 # --- backfill kernels -------------------------------------------------------
@@ -326,9 +326,9 @@ def test_full_method_relays_everything():
     ep, roles = one_round(sink_size=2)
     cfg = CompressionConfig(method="full", sink_size=2)
     retained, selection, trace = compress(ep.cache, roles, None, cfg)
-    assert selection.keep == roles.prompt
-    assert selection.deleted == ()
-    assert retained.positions == roles.sink + roles.prompt + roles.generation
+    assert np.array_equal(selection.keep, roles.prompt)
+    assert selection.deleted.tolist() == []
+    assert np.array_equal(retained.positions, np.concatenate([roles.sink, roles.prompt, roles.generation]))
     assert caches_rows_match(ep.cache, retained)
     assert trace.total == 0
 
@@ -337,8 +337,8 @@ def test_streaming_keeps_sink_and_generation_only():
     ep, roles = one_round(sink_size=2)
     cfg = CompressionConfig(method="streaming", sink_size=2)
     retained, selection, _ = compress(ep.cache, roles, None, cfg)
-    assert selection.keep == ()
-    assert retained.positions == roles.sink + roles.generation
+    assert selection.keep.tolist() == []
+    assert np.array_equal(retained.positions, np.concatenate([roles.sink, roles.generation]))
 
 
 def test_streaming_later_round_is_generation_only():
@@ -346,7 +346,7 @@ def test_streaming_later_round_is_generation_only():
     roles = RoleMap(sink=(900, 901), history=(), prompt=ep.prompt, generation=ep.generation)
     cfg = CompressionConfig(method="streaming", sink_size=2)
     retained, _, _ = compress(ep.cache, roles, None, cfg)
-    assert retained.positions == ep.generation
+    assert np.array_equal(retained.positions, ep.generation)
 
 
 def test_eviction_without_attention_fails():
@@ -356,8 +356,8 @@ def test_eviction_without_attention_fails():
 
 
 def caches_rows_match(source, retained):
-    row_of = {pos: row for row, pos in enumerate(source.positions)}
-    rows = [row_of[pos] for pos in retained.positions]
+    row_of = {pos: row for row, pos in enumerate(source.positions.tolist())}
+    rows = [row_of[pos] for pos in retained.positions.tolist()]
     return np.array_equal(retained.keys, source.keys[:, :, rows, :])
 
 
@@ -367,7 +367,7 @@ def test_h2o_budget_and_key_preservation(granularity):
     cfg = CompressionConfig(method="h2o", budget_k=4, granularity=granularity, sink_size=0)
     retained, selection, _ = compress(ep.cache, roles, ep.attention, cfg)
     assert len(selection.keep) == 4
-    assert retained.positions == selection.keep + roles.generation
+    assert np.array_equal(retained.positions, np.concatenate([selection.keep, roles.generation]))
     assert caches_rows_match(ep.cache, retained)
 
 
@@ -375,7 +375,7 @@ def test_h2o_saturates_at_eligible_count():
     ep, roles = one_round()
     cfg = CompressionConfig(method="h2o", budget_k=50, sink_size=0)
     _, selection, _ = compress(ep.cache, roles, ep.attention, cfg)
-    assert selection.keep == roles.prompt
+    assert np.array_equal(selection.keep, roles.prompt)
 
 
 def test_h2o_selection_agrees_with_mass_oracle():
@@ -385,8 +385,8 @@ def test_h2o_selection_agrees_with_mass_oracle():
     mass = oracles.headwise_mass(
         ep.attention.weights, list(range(len(ep.generation))), list(range(len(ep.prompt))), 2
     ).sum(axis=(0, 1))
-    scores = {pos: mass[i] for i, pos in enumerate(ep.prompt)}
-    assert selection.keep == oracles.topk(scores, 3, roles.prompt)
+    scores = {pos: mass[i] for i, pos in enumerate(ep.prompt.tolist())}
+    assert tuple(selection.keep.tolist()) == oracles.topk(scores, 3, roles.prompt.tolist())
 
 
 def test_backfill_modifies_only_kept_prompt_values():
@@ -395,7 +395,7 @@ def test_backfill_modifies_only_kept_prompt_values():
     shifted = CompressionConfig(method="h2o_obf", budget_k=3, sink_size=1)
     plain, selection, _ = compress(ep.cache, roles, ep.attention, base)
     backed, selection2, trace = compress(ep.cache, roles, ep.attention, shifted)
-    assert selection.keep == selection2.keep
+    assert np.array_equal(selection.keep, selection2.keep)
     assert np.array_equal(plain.keys, backed.keys)
     unit = trace.units[(0, 0)]
     assert not unit.skipped
@@ -440,8 +440,8 @@ def test_h2o_with_zero_budget_keeps_nothing():
     ep, roles = one_round()
     cfg = CompressionConfig(method="h2o", budget_k=0, sink_size=0)
     retained, selection, _ = compress(ep.cache, roles, ep.attention, cfg)
-    assert selection.keep == ()
-    assert retained.positions == ep.generation
+    assert selection.keep.tolist() == []
+    assert np.array_equal(retained.positions, ep.generation)
 
 
 def test_sink_block_included_for_every_method_at_round_one():
@@ -449,7 +449,7 @@ def test_sink_block_included_for_every_method_at_round_one():
     for method in ("full", "streaming", "h2o", "h2o_obf"):
         cfg = CompressionConfig(method=method, budget_k=3, sink_size=2)
         retained, _, _ = compress(ep.cache, roles, ep.attention, cfg)
-        assert retained.positions[:2] == roles.sink
+        assert np.array_equal(retained.positions[:2], roles.sink)
         block = select(ep.cache, roles.sink)
         assert np.array_equal(retained.values[:, :, :2, :], block.values)
 
@@ -479,15 +479,15 @@ def reference_h2o_obf(local, roles, attn, cfg):
     Returns (positions, keys, values, units) with each unit's trace fields in
     a dict.
     """
-    eligible = roles.prompt
-    sink = roles.sink if set(roles.sink) <= set(local.positions) else ()
+    eligible = roles.prompt.tolist()
+    sink = roles.sink.tolist() if set(roles.sink.tolist()) <= set(local.positions.tolist()) else []
     table = attention_mass_headwise(attn, roles.generation, eligible)
     selection = h2o_select(table, cfg.round_budget(len(eligible)))
-    keep, deleted = selection.keep, selection.deleted
-    row_of = {pos: row for row, pos in enumerate(local.positions)}
+    keep, deleted = selection.keep.tolist(), selection.deleted.tolist()
+    row_of = {pos: row for row, pos in enumerate(local.positions.tolist())}
     keep_rows = [row_of[pos] for pos in keep]
     del_rows = [row_of[pos] for pos in deleted]
-    col_of = {pos: col for col, pos in enumerate(table.positions)}
+    col_of = {pos: col for col, pos in enumerate(table.positions.tolist())}
     del_cols = [col_of[pos] for pos in deleted]
     demands, _ = demand_sums(table, np.isin(table.positions, keep))
     shifts = {}
@@ -522,7 +522,7 @@ def reference_h2o_obf(local, roles, attn, cfg):
             zero_keep_demand=keep_mass == 0.0, weights=tuple(float(w) for w in weights),
             summary=summary, direction=direction,
         )
-    order = as_index_list(sink + keep + roles.generation)
+    order = index_array(sink + keep + roles.generation.tolist())
     block = select(local, order)
     values = np.array(block.values)
     kept_slice = slice(len(sink), len(sink) + len(keep))
@@ -586,14 +586,14 @@ def test_backfill_matches_row_gather_reference(case, seed):
 
     if opts.get("one_deleted"):
         assert len(selection.deleted) == 1
-    assert retained.positions == positions
+    assert np.array_equal(retained.positions, positions)
     assert np.array_equal(retained.keys, keys)
     assert np.array_equal(retained.values, values)
     assert sorted(trace.units) == sorted(units)
     for key, unit in trace.units.items():
         expected = units[key]
         for name in ("basis_rank", "residual_norm", "subspace_rank", "keep_mass", "del_mass",
-                     "skipped", "zero_keep_demand", "weights"):
+                     "skipped", "zero_keep_demand"):
             assert getattr(unit, name) == expected[name], (key, name)
-        for name in ("injection", "summary", "direction"):
+        for name in ("injection", "weights", "summary", "direction"):
             assert same_vector(getattr(unit, name), expected[name]), (key, name)

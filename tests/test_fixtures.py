@@ -51,8 +51,8 @@ def test_attention_round_trip_is_bit_exact():
     doc = attention_to_dict(ep.attention)
     restored = attention_from_dict(json.loads(json.dumps(doc)))
     assert np.array_equal(ep.attention.weights, restored.weights)
-    assert restored.gen_positions == ep.attention.gen_positions
-    assert restored.columns == ep.attention.columns
+    assert np.array_equal(restored.gen_positions, ep.attention.gen_positions)
+    assert np.array_equal(restored.columns, ep.attention.columns)
     assert restored.kv_group_size == ep.attention.kv_group_size
 
 
@@ -60,9 +60,9 @@ def test_episode_round_trip():
     ep = generate_episode(spec(), 1)
     restored = episode_round_from_dict(episode_round_to_dict(ep))
     assert caches_equal(ep.cache, restored.cache)
-    assert restored.prompt == ep.prompt
-    assert restored.generation == ep.generation
-    assert restored.padding == ()
+    assert np.array_equal(restored.prompt, ep.prompt)
+    assert np.array_equal(restored.generation, ep.generation)
+    assert restored.padding.tolist() == []
 
 
 def test_episode_fixture_file_round_trip(tmp_path):

@@ -1,22 +1,28 @@
 """Cache container, position algebra and round decomposition."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kvrelay.backbone import EpisodeRound
+from kvrelay.compress import SelectionResult
 from kvrelay.errors import NumericalFailure, PositionOverlap, ShapeMismatch, SinkTooLarge, UnknownPosition
 from kvrelay.kv import (
     KvCache,
     RelayMessage,
     RoleMap,
     RoundRecord,
-    as_index_list,
     caches_equal,
     concat,
     decompose,
+    index_array,
     select,
 )
+from kvrelay.linalg import top_k_indices
+from kvrelay.scoring import AttentionRecord, MassTable
 
 
 def make_cache(positions, layers=2, heads=2, key_dim=3, value_dim=2):
@@ -37,15 +43,18 @@ def make_cache(positions, layers=2, heads=2, key_dim=3, value_dim=2):
     return KvCache(keys=keys, values=values, positions=positions)
 
 
+# Tests of index_array; they keep the names from when positions were tuples (as_index_list).
+
+
 def test_as_index_list_accepts_strictly_increasing():
-    assert as_index_list([1, 4, 9]) == (1, 4, 9)
-    assert as_index_list(()) == ()
+    assert index_array([1, 4, 9]).tolist() == [1, 4, 9]
+    assert index_array(()).tolist() == []
 
 
 @pytest.mark.parametrize("bad", [[3, 3], [5, 4], [0, 2, 2]])
 def test_as_index_list_rejects_non_increasing(bad):
     with pytest.raises(ValueError):
-        as_index_list(bad)
+        index_array(bad)
 
 
 def _index_list_loop(indices):
@@ -65,18 +74,18 @@ def test_as_index_list_matches_loop_reference(values):
             expected = _index_list_loop(indices)
         except ValueError as exc:
             with pytest.raises(ValueError) as err:
-                as_index_list(indices)
+                index_array(indices)
             assert str(err.value) == str(exc)  # names the first offending pair
             continue
-        got = as_index_list(indices)
-        assert got == expected
-        assert all(type(i) is int for i in got)
+        got = index_array(indices)
+        assert tuple(got.tolist()) == expected
+        assert got.dtype == np.int64 and not got.flags.writeable
 
 
 @pytest.mark.parametrize("big", [2**63, -(2**63) - 1, np.uint64(2**63)])
 def test_as_index_list_rejects_positions_outside_int64(big):
     with pytest.raises(ValueError, match="outside int64"):
-        as_index_list([0, big])
+        index_array([0, big])
 
 
 def test_cache_validates_shapes():
@@ -107,7 +116,8 @@ def empty_cache(layers, heads, key_dim, value_dim):
 
 
 def role_positions(roles):
-    return tuple(sorted(roles.sink + roles.history + roles.prompt + roles.generation + roles.padding))
+    parts = (roles.sink, roles.history, roles.prompt, roles.generation, roles.padding)
+    return tuple(sorted(np.concatenate(parts).tolist()))
 
 
 def test_cache_layout():
@@ -119,14 +129,14 @@ def test_cache_layout():
 def test_empty_cache():
     cache = empty_cache(2, 2, 3, 4)
     assert cache.num_tokens == 0
-    assert cache.positions == ()
+    assert cache.positions.tolist() == []
     assert cache.layout() == (2, 2, 3, 4)
 
 
 def test_select_picks_rows_bit_exactly():
     cache = make_cache((10, 11, 12, 15))
     picked = select(cache, (11, 15))
-    assert picked.positions == (11, 15)
+    assert picked.positions.tolist() == [11, 15]
     assert np.array_equal(picked.keys, cache.keys[:, :, [1, 3], :])
     assert np.array_equal(picked.values, cache.values[:, :, [1, 3], :])
     assert picked.keys[0, 0, 0, 0] == 11.0
@@ -149,7 +159,7 @@ def test_concat_orders_positions():
     a = make_cache((0, 1))
     b = make_cache((5, 9))
     both = concat(a, b)
-    assert both.positions == (0, 1, 5, 9)
+    assert both.positions.tolist() == [0, 1, 5, 9]
     assert np.array_equal(both.keys[:, :, :2, :], a.keys)
     assert np.array_equal(both.keys[:, :, 2:, :], b.keys)
 
@@ -216,17 +226,17 @@ def test_relay_message_orders_rounds():
 
 def test_decompose_first_round_carves_sink():
     roles = decompose(None, 1, tuple(range(10)), (10, 11), sink_size=4)
-    assert roles.sink == (0, 1, 2, 3)
-    assert roles.prompt == (4, 5, 6, 7, 8, 9)
-    assert roles.history == ()
-    assert roles.generation == (10, 11)
+    assert roles.sink.tolist() == [0, 1, 2, 3]
+    assert roles.prompt.tolist() == [4, 5, 6, 7, 8, 9]
+    assert roles.history.tolist() == []
+    assert roles.generation.tolist() == [10, 11]
 
 
 def test_decompose_skips_padding_when_carving():
     roles = decompose(None, 1, tuple(range(8)), (8,), sink_size=3, padding=(0, 2))
-    assert roles.padding == (0, 2)
-    assert roles.sink == (1, 3, 4)
-    assert roles.prompt == (5, 6, 7)
+    assert roles.padding.tolist() == [0, 2]
+    assert roles.sink.tolist() == [1, 3, 4]
+    assert roles.prompt.tolist() == [5, 6, 7]
 
 
 def test_decompose_sink_too_large():
@@ -258,10 +268,10 @@ def test_decompose_later_round_inherits_sink_and_history():
         ),
     )
     roles = decompose(message, 2, (7, 8, 9), (10, 11), sink_size=2)
-    assert roles.sink == (0, 1)
-    assert roles.history == (5, 6)
-    assert roles.prompt == (7, 8, 9)
-    assert roles.generation == (10, 11)
+    assert roles.sink.tolist() == [0, 1]
+    assert roles.history.tolist() == [5, 6]
+    assert roles.prompt.tolist() == [7, 8, 9]
+    assert roles.generation.tolist() == [10, 11]
 
 
 def test_decompose_rejects_reused_positions():
@@ -303,7 +313,7 @@ def test_select_is_composable(positions, data):
     cache = make_cache(positions, layers=1, heads=1)
     narrowed = select(cache, subset)
     assert caches_equal(narrowed, select(cache, narrowed.positions))
-    for row, pos in enumerate(narrowed.positions):
+    for row, pos in enumerate(narrowed.positions.tolist()):
         assert narrowed.keys[0, 0, row, 0] == pos
 
 
@@ -327,11 +337,11 @@ def test_decompose_partitions_first_round(base, prompt_len, gen_len, sink_size, 
         return
     roles = decompose(None, 1, prompt, gen, sink_size, padding=padding)
     assert len(roles.sink) == sink_size
-    assert roles.history == ()
+    assert roles.history.tolist() == []
     # the roles cover exactly the visible positions, with no double booking
     assert role_positions(roles) == tuple(sorted(prompt + gen))
-    assert set(roles.sink).isdisjoint(roles.prompt)
-    assert set(roles.padding) == set(padding)
+    assert set(roles.sink.tolist()).isdisjoint(roles.prompt.tolist())
+    assert set(roles.padding.tolist()) == set(padding)
 
 
 # --- array lookups against the dict and set loops they replace --------------
@@ -341,8 +351,8 @@ ROLES = ("sink", "history", "prompt", "generation", "padding")
 
 def _select_loop(cache, indices):
     """Reference: a position -> row dict and one fancy-index gather."""
-    idx = as_index_list(indices)
-    lookup = {pos: row for row, pos in enumerate(cache.positions)}
+    idx = _index_list_loop(indices)
+    lookup = {pos: row for row, pos in enumerate(cache.positions.tolist())}
     try:
         rows = [lookup[pos] for pos in idx]
     except KeyError as exc:
@@ -352,7 +362,7 @@ def _select_loop(cache, indices):
 
 def _role_map_loop(**given):
     """Reference: the role split checked position by position through one dict."""
-    parts = {name: as_index_list(given.get(name, ())) for name in ROLES}
+    parts = {name: _index_list_loop(given.get(name, ())) for name in ROLES}
     seen = {}
     for name, part in parts.items():
         for pos in part:
@@ -368,11 +378,11 @@ def _decompose_loop(message, round_i, local_prompt, local_generation, sink_size,
         raise ValueError("rounds are numbered from 1")
     if sink_size < 0:
         raise ValueError("sink_size must be non-negative")
-    local_prompt = as_index_list(local_prompt)
-    local_generation = as_index_list(local_generation)
-    padding = as_index_list(padding)
+    local_prompt = _index_list_loop(local_prompt)
+    local_generation = _index_list_loop(local_generation)
+    padding = _index_list_loop(padding)
     pad_set = set(padding)
-    inherited = message.cache.positions if message is not None else ()
+    inherited = tuple(message.cache.positions.tolist()) if message is not None else ()
     inherited_set = set(inherited)
     for pos in local_prompt + local_generation:
         if pos in inherited_set:
@@ -387,7 +397,7 @@ def _decompose_loop(message, round_i, local_prompt, local_generation, sink_size,
     else:
         if message is None:
             raise ValueError("rounds after the first need the inherited message")
-        sink = message.sink
+        sink = tuple(message.sink.tolist())
         history = tuple(p for p in inherited if p not in set(sink))
         prompt = tuple(p for p in local_prompt if p not in pad_set)
     return _role_map_loop(
@@ -433,7 +443,7 @@ def test_role_map_matches_dict_loop(parts, unsorted_role, data):
         parts[unsorted_role] = data.draw(raw_lists)
     expected, got = _same_outcome(lambda: _role_map_loop(**parts), lambda: RoleMap(**parts))
     if expected is not None:
-        assert {name: getattr(got, name) for name in ROLES} == expected
+        assert {name: tuple(getattr(got, name).tolist()) for name in ROLES} == expected
 
 
 @given(
@@ -459,7 +469,7 @@ def test_decompose_matches_set_loop(
     args = (message, round_i, prompt, generation, sink_size, padding)
     expected, got = _same_outcome(lambda: _decompose_loop(*args), lambda: decompose(*args))
     if expected is not None:
-        assert {name: getattr(got, name) for name in ROLES} == expected
+        assert {name: tuple(getattr(got, name).tolist()) for name in ROLES} == expected
 
 
 # --- array ownership --------------------------------------------------------
@@ -500,3 +510,85 @@ def test_select_and_concat_hand_over_frozen_arrays():
     for out in (select(cache, (3, 8)), concat(select(cache, (3,)), select(cache, (5, 8)))):
         for arr in (out.keys, out.values):
             assert arr.base is None and not arr.flags.writeable
+
+
+# --- the position contract --------------------------------------------------
+
+
+def _attention(gen, columns):
+    weights = np.full((1, 1, len(gen), len(columns)), 1.0 / len(columns))
+    return AttentionRecord(weights=weights, gen_positions=gen, columns=columns, kv_group_size=1)
+
+
+# Each case builds one container (or calls one function) from the position
+# lists it is given, and names the fields that hold positions.
+POSITION_CASES = {
+    "KvCache": (
+        lambda w: KvCache(keys=np.zeros((1, 1, 3, 2)), values=np.zeros((1, 1, 3, 2)), positions=w([1, 2, 3])),
+        ("positions",),
+    ),
+    "RoleMap": (
+        lambda w: RoleMap(sink=w([0, 1]), history=w([2]), prompt=w([3, 4]), generation=w([5]), padding=w([6])),
+        ("sink", "history", "prompt", "generation", "padding"),
+    ),
+    "RoundRecord": (
+        lambda w: RoundRecord(round_index=1, kept_prompt=w([3, 4]), generation=w([5]), prompt_len=2),
+        ("kept_prompt", "generation"),
+    ),
+    "RelayMessage": (
+        lambda w: RelayMessage(
+            cache=make_cache((0, 1, 2, 3)),
+            sink=w([0, 1]),
+            rounds=(RoundRecord(round_index=1, kept_prompt=(2,), generation=(3,), prompt_len=1),),
+        ),
+        ("sink",),
+    ),
+    "AttentionRecord": (lambda w: _attention(w([5, 6]), w([1, 2])), ("gen_positions", "columns")),
+    "MassTable": (lambda w: MassTable(positions=w([1, 2]), masses=np.ones((1, 1, 2))), ("positions",)),
+    "SelectionResult": (lambda w: SelectionResult(keep=w([1, 3]), deleted=w([2]), budget=2), ("keep", "deleted")),
+    "EpisodeRound": (
+        lambda w: EpisodeRound(
+            cache=make_cache((0, 1, 2)),
+            prompt=w([0, 1]),
+            generation=w([2]),
+            attention=_attention((2,), (0, 1)),
+            padding=w([7]),
+        ),
+        ("prompt", "generation", "padding"),
+    ),
+    "select": (lambda w: select(make_cache((1, 2, 3)), w([1, 3])), ("positions",)),
+    "top_k_indices": (lambda w: SimpleNamespace(result=top_k_indices([0.5, 0.2, 0.9], 2, w([4, 5, 6]))), ("result",)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POSITION_CASES))
+def test_positions_are_read_only_int64_arrays_the_caller_cannot_change(case):
+    build, fields = POSITION_CASES[case]
+    given = []
+
+    def writeable(values):
+        given.append(np.array(values, dtype=np.int64))
+        return given[-1]
+
+    made = build(writeable)
+    held = {name: getattr(made, name) for name in fields}
+    before = {name: arr.tolist() for name, arr in held.items()}
+    for arr in held.values():
+        assert type(arr) is np.ndarray and arr.dtype == np.int64 and not arr.flags.writeable
+    for arr in given:
+        arr[...] = -1
+    assert {name: arr.tolist() for name, arr in held.items()} == before
+
+    bad = []
+
+    def one_reversed(values):
+        # reverse the first list long enough to have a pair, keep the rest
+        if len(values) > 1 and not bad:
+            bad.append(values[::-1])
+            return np.array(values[::-1], dtype=np.int64)
+        return np.array(values, dtype=np.int64)
+
+    with pytest.raises(ValueError) as err:
+        build(one_reversed)
+    first, second = bad[0][:2]
+    assert str(err.value) == f"index list must be strictly increasing ({first} followed by {second})"

@@ -51,7 +51,7 @@ def test_attention_record_rejects_non_finite_weights(bad):
 def test_mass_sums_over_generation_rows():
     attn = record([[[[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]]]], gen=(13, 14), columns=(10, 11, 12))
     table = attention_mass_headwise(attn, (13, 14), (10, 11, 12))
-    assert table.positions == (10, 11, 12)
+    assert table.positions.tolist() == [10, 11, 12]
     assert table.masses.shape == (1, 1, 3)
     assert table.masses[0, 0] == pytest.approx([0.6, 0.9, 0.5])
 
@@ -257,7 +257,7 @@ def test_mass_matches_two_step_gather_bit_for_bit(seed, rows_kind, cols_kind):
     else:
         prompt = (columns[int(rng.integers(0, cols))],)
     table = attention_mass_headwise(attn, rows, prompt)
-    assert table.positions == prompt
+    assert table.positions.tolist() == list(prompt)
     assert np.array_equal(table.masses, _mass_two_step(attn, rows, prompt))
 
 
