@@ -1,0 +1,28 @@
+"""Reports, CSVs, summaries and emitted fixtures stay byte-identical.
+
+Bytes must match exactly, on every platform the suite runs on: report
+floats pass through BLAS and LAPACK, so a CPU whose kernels round
+differently fails here, and that is a finding to report, not a reason to
+compare with a tolerance. See ``golden_cases.py`` for the cases and how to
+regenerate them.
+"""
+
+import pytest
+
+from golden_cases import CASES, DIGESTS, expected_files, run_case
+
+
+def test_every_case_has_golden_files():
+    assert CASES and all(expected_files(case) for case in CASES)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_simulate_outputs_match_golden_bytes(case, tmp_path):
+    got, expected = run_case(case, tmp_path), expected_files(case)
+    assert sorted(got) == sorted(expected)
+    changed = [name for name in sorted(got) if got[name] != expected[name]]
+    if DIGESTS in changed:
+        changed.remove(DIGESTS)
+        want = set(expected[DIGESTS].decode().splitlines())
+        changed += [line.split("  ", 1)[1] for line in got[DIGESTS].decode().splitlines() if line not in want]
+    assert not changed, f"{case}: these outputs differ from the golden bytes: {changed}"
