@@ -87,7 +87,7 @@ class EpisodeSpec:
         return self.num_kv_heads * self.kv_group_size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EpisodeRound:
     """One agent round as the backbone hands it to the relay.
 

@@ -10,18 +10,21 @@ The config keys are the dataclass fields: ``chain`` takes those of
 entry those of ``EpisodeSpec`` or a ``fixture`` path.
 
 ``simulate`` runs episode by episode: each episode is generated or parsed
-once, and each group of method aliases runs one chain whose report is
-relabelled per alias. It writes one report per (method, episode) plus a
-comparison summary. Outputs are byte-identical for identical config and
-seed. Exit codes follow the error type: 0 on success, 3 on
-:class:`NumericalFailure` (non-finite input, or an SVD that did not
-converge), 2 on every other error. A fixture that does not load as an
-episode (including one whose generation positions are not strictly
-increasing), one with fewer rounds than agents, a chain that rejects an
-episode (such as a sink longer than the first prompt), a config that is not
-UTF-8 YAML, an integer field given a float, string or bool, and an output
-directory that cannot be created or written all exit 2 with one ``error:``
-line.
+once, also under ``--emit-fixtures``, and each group of method aliases runs
+one chain whose report is relabelled per alias. It writes one report per
+(method, episode) plus a comparison summary, only after every chain
+succeeded, so ``--emit-fixtures`` holds every generated episode's rounds
+until then (2.0 MB of arrays for a default ``EpisodeSpec``). Outputs are
+byte-identical for identical config and seed. Exit codes follow the error
+type: 0 on success, 3 on :class:`NumericalFailure` (non-finite input, or an
+SVD that did not converge), 2 on every other error. A fixture that does not
+load as an episode (including one whose generation positions are not
+strictly increasing), one with fewer rounds than agents, a chain that
+rejects an episode (such as a sink longer than the first prompt), a config
+that is not UTF-8 YAML, an integer field given a float, string or bool, a
+bool or non-finite ``epsilon``, empty ``methods``, a ``verbosity`` outside
+0-2, and an output directory that cannot be created or written all exit 2
+with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -204,6 +207,8 @@ def load_run_config(config_path, method_overrides=(), seed: int | None = None, o
     methods = list(method_overrides) or doc.get("methods", ["h2o_obf_global"])
     if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
         raise ConfigError(f"methods must be a list of method names, got {methods!r}")
+    if not methods:
+        raise ConfigError("methods must be a non-empty list")
     unknown = sorted(set(methods) - set(METHOD_TABLE))
     if unknown:
         raise ConfigError(f"unknown methods {unknown} (allowed: {sorted(METHOD_TABLE)})")
@@ -214,6 +219,8 @@ def load_run_config(config_path, method_overrides=(), seed: int | None = None, o
     verbosity = doc.get("verbosity", 0)
     if isinstance(verbosity, bool) or not isinstance(verbosity, int):
         raise ConfigError(f"verbosity must be an integer, got {verbosity!r}")
+    if not 0 <= verbosity <= 2:
+        raise ConfigError(f"verbosity must be 0, 1 or 2, got {verbosity}")
     return RunConfig(
         chain=chain,
         episodes=episodes,
@@ -238,17 +245,15 @@ def _config_echo(chain: ChainConfig, episode: _Episode) -> dict:
     return echo
 
 
-def _episode_reports(cfg: RunConfig, episode: _Episode) -> dict[str, RelayReport]:
-    """Reports of every configured method on one episode, keyed by method name.
+def _episode_reports(cfg: RunConfig, episode: _Episode, rounds: tuple[EpisodeRound, ...]) -> dict:
+    """Reports of every configured method on one episode's rounds, keyed by method name.
 
-    The episode is materialised once. Aliases of one base method select the
-    same tokens, so each base method runs one chain and every alias gets that
-    report with its own granularity label. A fixture with fewer rounds than
-    the chain has agents raises :class:`ConfigError` before any chain runs,
-    as does a chain that rejects the episode with any error but
-    :class:`NumericalFailure`.
+    Aliases of one base method select the same tokens, so each base method
+    runs one chain and every alias gets that report with its own granularity
+    label. A fixture with fewer rounds than the chain has agents raises
+    :class:`ConfigError` before any chain runs, as does a chain that rejects
+    the episode with any error but :class:`NumericalFailure`.
     """
-    rounds = episode.rounds()
     if len(rounds) < cfg.chain.num_agents:
         raise ConfigError(
             f"fixture {episode.label} has {len(rounds)} rounds for {cfg.chain.num_agents} agents"
@@ -274,8 +279,8 @@ def _episode_reports(cfg: RunConfig, episode: _Episode) -> dict[str, RelayReport
     return reports
 
 
-def _write_outputs(cfg: RunConfig, results: dict, emit_fixtures: bool) -> dict:
-    """Write every report, the emitted fixtures and ``summary.json``; return the summary."""
+def _write_outputs(cfg: RunConfig, results: dict, emitted: dict[int, tuple[EpisodeRound, ...]]) -> dict:
+    """Write every report, the ``emitted`` rounds as fixtures, and ``summary.json``; return the summary."""
     cfg.out.mkdir(parents=True, exist_ok=True)
     for method in cfg.methods:
         for episode in cfg.episodes:
@@ -291,13 +296,11 @@ def _write_outputs(cfg: RunConfig, results: dict, emit_fixtures: bool) -> dict:
                     "\n".join(lines) + "\n"
                 )
 
-    if emit_fixtures:
+    if emitted:
         fix_dir = cfg.out / "fixtures"
         fix_dir.mkdir(parents=True, exist_ok=True)
-        for episode in cfg.episodes:
-            if episode.spec is None:
-                continue
-            fixtures.save_episode_fixture(fix_dir / f"ep{episode.index:03d}.json", episode.rounds())
+        for index, rounds in emitted.items():
+            fixtures.save_episode_fixture(fix_dir / f"ep{index:03d}.json", rounds)
 
     summary = {"episodes": len(cfg.episodes), "seed": cfg.chain.seed, "methods": {}}
     for method in cfg.methods:
@@ -329,8 +332,14 @@ def cmd_simulate(
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    results, emitted = {}, {}
     try:
-        results = {episode.index: _episode_reports(cfg, episode) for episode in cfg.episodes}
+        for episode in cfg.episodes:
+            rounds = episode.rounds()
+            results[episode.index] = _episode_reports(cfg, episode, rounds)
+            if emit_fixtures and episode.spec is not None:
+                emitted[episode.index] = rounds
+            del rounds  # without --emit-fixtures one episode is alive at a time
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -339,7 +348,7 @@ def cmd_simulate(
         return 3
 
     try:
-        summary = _write_outputs(cfg, results, emit_fixtures)
+        summary = _write_outputs(cfg, results, emitted)
     except OSError as exc:
         print(f"error: cannot write outputs to {cfg.out} ({type(exc).__name__}: {exc})", file=sys.stderr)
         return 2

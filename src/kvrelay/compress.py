@@ -23,6 +23,7 @@ it has at least one principal direction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -73,8 +74,9 @@ class CompressionConfig:
         require_int(self.sink_size, "sink_size")
         if self.budget_k is not None:
             require_int(self.budget_k, "budget_k")
-        if isinstance(self.budget_ratio, bool):
-            raise TypeError(f"budget_ratio must be a number, got {self.budget_ratio!r}")
+        for name in ("budget_ratio", "epsilon"):
+            if isinstance(getattr(self, name), bool):
+                raise TypeError(f"{name} must be a number, got {getattr(self, name)!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.granularity not in GRANULARITIES:
@@ -85,8 +87,8 @@ class CompressionConfig:
             raise ValueError("budget_ratio must be in (0, 1]")
         if self.pca_rank < 1:
             raise ValueError("pca_rank must be at least 1")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         if self.sink_size < 0:
             raise ValueError("sink_size must be non-negative")
         if self.method in EVICTION_METHODS:
@@ -104,7 +106,7 @@ class CompressionConfig:
         return max(1, round(self.budget_ratio * eligible_count))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectionResult:
     """Outcome of splitting the eligible prompt into kept and deleted."""
 
@@ -123,7 +125,7 @@ class SelectionResult:
             raise ValueError("budget must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObfUnitTrace:
     """Diagnostics for one (layer, kv head) backfill evaluation; vectors are read-only float64."""
 
@@ -169,7 +171,7 @@ class ObfUnitTrace:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObfTrace:
     """Per-unit backfill diagnostics for one round (empty unless h2o_obf)."""
 

@@ -86,7 +86,7 @@ def read_only(arr, dtype=np.float64) -> np.ndarray:
     return freeze(np.array(arr, dtype=dtype))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KvCache:
     """Immutable key/value states for a run of tokens.
 
@@ -192,7 +192,7 @@ def concat(a: KvCache, b: KvCache) -> KvCache:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoleMap:
     """Disjoint split of one round's visible positions into cache roles."""
 
@@ -225,7 +225,7 @@ class RoleMap:
             object.__setattr__(self, name, part)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoundRecord:
     """What one round contributed to a relay message."""
 
@@ -243,7 +243,7 @@ class RoundRecord:
             raise ValueError("prompt_len must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelayMessage:
     """The cache handed from one agent to the next, with per-round records.
 

@@ -67,7 +67,7 @@ def _check_orthonormal(vectors: np.ndarray, what: str) -> None:
         raise DimensionMismatch(f"{what} are not orthonormal (err {gram_err:g})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthoBasis:
     """Orthonormal columns spanning the row space of some matrix."""
 
@@ -113,7 +113,7 @@ def project_out(x, basis: OrthoBasis) -> np.ndarray:
     return x - (x @ q) @ q.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrincipalSubspace:
     """Top right-singular directions of a residual matrix, as rows."""
 

@@ -59,7 +59,7 @@ class RoundReportRow:
     message_len: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelayReport:
     """Per-round accounting plus chain totals for one compression run."""
 

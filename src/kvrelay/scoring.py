@@ -26,7 +26,7 @@ HEADWISE = "headwise"
 GRANULARITIES = (GLOBAL, LAYERWISE, HEADWISE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttentionRecord:
     """Post-softmax attention from generation steps onto context positions.
 
@@ -93,7 +93,7 @@ class AttentionRecord:
         return self.num_query_heads // self.kv_group_size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MassTable:
     """Attention mass per (layer, kv head) and prompt position.
 

@@ -58,8 +58,9 @@ def run_case(case: str, work: Path) -> dict[str, bytes]:
     replay.write_text(yaml.safe_dump(doc))
     _simulate(replay, work / "replay")
 
-    files = _files(work / "spec")
-    digested = {name: files.pop(name) for name in [n for n in files if n.startswith("fixtures/")]}
+    spec = _files(work / "spec")
+    files = {name: data for name, data in spec.items() if not name.startswith("fixtures/")}
+    digested = {name: data for name, data in spec.items() if name.startswith("fixtures/")}
     digested.update((f"replay/{name}", data) for name, data in _files(work / "replay").items())
     files[DIGESTS] = "".join(
         f"{hashlib.sha256(data).hexdigest()}  {name}\n" for name, data in sorted(digested.items())

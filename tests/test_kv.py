@@ -1,5 +1,8 @@
-"""Cache container, position algebra and round decomposition."""
+"""Cache container, position algebra, round decomposition and container equality."""
 
+import copy
+import dataclasses
+import importlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvrelay.backbone import EpisodeRound
-from kvrelay.compress import SelectionResult
+from kvrelay.backbone import EpisodeRound, EpisodeSpec, episode_source, generate_episode
+from kvrelay.compress import CompressionConfig, ObfTrace, ObfUnitTrace, SelectionResult, h2o_select
 from kvrelay.errors import NumericalFailure, PositionOverlap, ShapeMismatch, SinkTooLarge, UnknownPosition
 from kvrelay.kv import (
     KvCache,
@@ -21,8 +24,9 @@ from kvrelay.kv import (
     index_array,
     select,
 )
-from kvrelay.linalg import top_k_indices
-from kvrelay.scoring import AttentionRecord, MassTable
+from kvrelay.linalg import OrthoBasis, PrincipalSubspace, orthonormal_basis, principal_subspace, top_k_indices
+from kvrelay.relay import ChainConfig, RelayReport, RoundReportRow, run_chain
+from kvrelay.scoring import AttentionRecord, MassTable, attention_mass_headwise
 
 
 def make_cache(positions, layers=2, heads=2, key_dim=3, value_dim=2):
@@ -592,3 +596,70 @@ def test_positions_are_read_only_int64_arrays_the_caller_cannot_change(case):
         build(one_reversed)
     first, second = bad[0][:2]
     assert str(err.value) == f"index list must be strictly increasing ({first} followed by {second})"
+
+
+# Frozen dataclasses that hold arrays, directly or through another container.
+ARRAY_CONTAINERS = (
+    KvCache, RoleMap, RoundRecord, RelayMessage, AttentionRecord, MassTable, SelectionResult,
+    ObfUnitTrace, ObfTrace, EpisodeRound, OrthoBasis, PrincipalSubspace, RelayReport,
+)
+VALUE_CLASSES = {
+    EpisodeSpec: lambda: EpisodeSpec(prompt_lens=[8, 9]),
+    CompressionConfig: lambda: CompressionConfig(method="h2o_obf", budget_k=3),
+    ChainConfig: lambda: ChainConfig(num_agents=2, compression=CompressionConfig(sink_size=1)),
+    RoundReportRow: lambda: RoundReportRow(round=1, prompt_len=9, kept_prompt=3, gen_len=4, message_len=8),
+}
+
+
+@pytest.fixture(scope="module")
+def containers():
+    """One instance of every array container, from an h2o_obf chain with active backfill."""
+    spec = EpisodeSpec(
+        seed=3, num_layers=1, num_kv_heads=1, kv_group_size=1,
+        key_dim=4, value_dim=6, prompt_lens=(12, 10), gen_len=3,
+    )
+    chain = ChainConfig(
+        num_agents=2, latent_steps=3,
+        compression=CompressionConfig(method="h2o_obf", budget_k=2, sink_size=1),
+    )
+    message, report = run_chain(episode_source(spec), chain)
+    trace = report.obf_traces[0]
+    (unit,) = trace.units.values()
+    assert not unit.skipped
+    ep = generate_episode(spec, 1)
+    table = attention_mass_headwise(ep.attention, ep.generation, ep.prompt)
+    values = ep.cache.values[0, 0]
+    found = [
+        ep.cache, RoleMap(sink=ep.prompt[:1], history=(), prompt=ep.prompt[1:], generation=ep.generation),
+        message.rounds[0], message, ep.attention, table, h2o_select(table, 2), unit, trace, ep,
+        orthonormal_basis(values[:3]), principal_subspace(values, 2), report,
+    ]
+    return {type(obj): obj for obj in found}
+
+
+@pytest.mark.parametrize("cls", ARRAY_CONTAINERS, ids=lambda cls: cls.__name__)
+def test_array_containers_compare_by_identity(containers, cls):
+    a = containers[cls]
+    b = copy.deepcopy(a)  # equal content, distinct instance
+    assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+    assert a != b and not a == b
+    assert a == a
+    assert {a: "a", b: "b"}[a] == "a"
+
+
+@pytest.mark.parametrize("cls", list(VALUE_CLASSES), ids=lambda cls: cls.__name__)
+def test_config_dataclasses_compare_by_value(cls):
+    a, b = VALUE_CLASSES[cls](), VALUE_CLASSES[cls]()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != dataclasses.replace(a, **{dataclasses.fields(cls)[1].name: 5})
+
+
+def test_every_dataclass_is_an_array_container_or_a_value_class():
+    """A new dataclass that holds arrays must join ARRAY_CONTAINERS (and declare ``eq=False``)."""
+    found = {
+        obj for name in ("backbone", "compress", "kv", "linalg", "relay", "scoring")
+        for module in [importlib.import_module(f"kvrelay.{name}")]
+        for obj in vars(module).values()
+        if dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__
+    }
+    assert found == set(ARRAY_CONTAINERS) | set(VALUE_CLASSES)
