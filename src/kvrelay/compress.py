@@ -74,9 +74,10 @@ class CompressionConfig:
         require_int(self.sink_size, "sink_size")
         if self.budget_k is not None:
             require_int(self.budget_k, "budget_k")
-        for name in ("budget_ratio", "epsilon"):
-            if isinstance(getattr(self, name), bool):
-                raise TypeError(f"{name} must be a number, got {getattr(self, name)!r}")
+        for name in ("budget_ratio", "epsilon") if self.budget_ratio is not None else ("epsilon",):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError(f"{name} must be a number, got {value!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.granularity not in GRANULARITIES:

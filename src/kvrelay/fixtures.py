@@ -1,14 +1,25 @@
 """Fixture serialization for caches, attention records and episodes.
 
-Documents are JSON with every real emitted as 64-bit round-trip decimal
-text (Python float repr), so save/load is bit-exact. Cache arrays nest as
-[layer][head][token][dim]; attention weights nest as
-[layer][query_head][gen_step][position].
+Documents are JSON. Each float array (cache ``keys`` and ``values``,
+attention ``weights``) is written packed, as an object
+``{"shape": [...], "float64_le_base64": "..."}`` holding the base64 of the
+array's little-endian float64 bytes in C order. Packing is bit-exact by
+construction and cheap to decode, where decimal text costs one correctly
+rounded decimal-to-float conversion per number. Positions, layout fields
+and ``kv_group_size`` stay plain JSON integers.
+
+The reader also takes a float array as nested lists of decimal numbers
+(``[layer][head][token][dim]`` for the cache,
+``[layer][query_head][gen_step][position]`` for weights). That is the form
+fixtures were written in before packing, and the only one a person can
+write or edit by hand.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +35,24 @@ def dump_json(path, obj) -> None:
     Path(path).write_text(text + "\n")
 
 
+def _pack(arr: np.ndarray) -> dict:
+    data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    return {"shape": list(arr.shape), "float64_le_base64": base64.b64encode(data).decode("ascii")}
+
+
+def _float_array(value, what: str) -> np.ndarray:
+    """A float array read from a document: packed, or nested decimal lists."""
+    if not isinstance(value, dict):
+        return np.asarray(value, dtype=np.float64)
+    shape = value["shape"]
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise ValueError(f"{what} shape must list non-negative integers, got {shape!r}")
+    data = base64.b64decode(value["float64_le_base64"], validate=True)
+    if len(data) != 8 * math.prod(shape):
+        raise ValueError(f"{what} holds {len(data)} bytes, not 8 per entry of shape {shape}")
+    return np.frombuffer(data, dtype="<f8").reshape(shape)
+
+
 def kv_cache_to_dict(cache: KvCache) -> dict:
     return {
         "num_layers": cache.num_layers,
@@ -31,8 +60,8 @@ def kv_cache_to_dict(cache: KvCache) -> dict:
         "key_dim": cache.key_dim,
         "value_dim": cache.value_dim,
         "positions": cache.positions.tolist(),
-        "keys": cache.keys.tolist(),
-        "values": cache.values.tolist(),
+        "keys": _pack(cache.keys),
+        "values": _pack(cache.values),
     }
 
 
@@ -45,8 +74,8 @@ def _positions(values, what: str) -> tuple[int, ...]:
 
 
 def kv_cache_from_dict(doc: dict) -> KvCache:
-    keys = np.asarray(doc["keys"], dtype=np.float64)
-    values = np.asarray(doc["values"], dtype=np.float64)
+    keys = _float_array(doc["keys"], "cache keys")
+    values = _float_array(doc["values"], "cache values")
     cache = KvCache(keys=keys, values=values, positions=_positions(doc["positions"], "cache positions"))
     declared = (doc["num_layers"], doc["num_kv_heads"], doc["key_dim"], doc["value_dim"])
     if cache.layout() != tuple(declared):
@@ -61,7 +90,7 @@ def attention_to_dict(attn: AttentionRecord) -> dict:
         "kv_group_size": attn.kv_group_size,
         "generation_positions": attn.gen_positions.tolist(),
         "columns": attn.columns.tolist(),
-        "weights": attn.weights.tolist(),
+        "weights": _pack(attn.weights),
     }
 
 
@@ -70,7 +99,7 @@ def attention_from_dict(doc: dict) -> AttentionRecord:
     if type(group) is not int:
         raise ValueError(f"attention kv_group_size must be an integer, got {group!r}")
     attn = AttentionRecord(
-        weights=np.asarray(doc["weights"], dtype=np.float64),
+        weights=_float_array(doc["weights"], "attention weights"),
         gen_positions=_positions(doc["generation_positions"], "attention generation_positions"),
         columns=_positions(doc["columns"], "attention columns"),
         kv_group_size=group,

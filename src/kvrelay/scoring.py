@@ -67,8 +67,10 @@ class AttentionRecord:
         if self.kv_group_size < 1 or q_heads % self.kv_group_size != 0:
             raise ValueError("kv_group_size must evenly divide the query head count")
         if weights.size:
-            row_sums = weights.sum(axis=3)
-            # A NaN or infinite weight makes its row sum non-finite.
+            # A NaN or infinite weight makes its row sum non-finite. A packed
+            # fixture can hold a signalling NaN, whose sum would also warn.
+            with np.errstate(invalid="ignore"):
+                row_sums = weights.sum(axis=3)
             if not np.isfinite(row_sums).all():
                 raise NumericalFailure("attention weights have non-finite entries")
             if float(weights.min()) < 0.0:

@@ -4,7 +4,7 @@ Each ``tests/golden/<case>.yaml`` is one small sweep. A case runs it with
 ``--emit-fixtures``, then replays the emitted fixtures under the same chain
 and methods. ``tests/golden/<case>/`` holds the reports, CSVs and
 ``summary.json`` of the first run byte for byte, and a ``SHA256SUMS`` file
-with the digests of the emitted fixtures (0.2-1.2 MB each) and of every
+with the digests of the emitted fixtures (56-351 KB each) and of every
 file the replay wrote.
 
 ``tests/test_golden.py`` compares exact bytes: a one-ulp change to any

@@ -1,5 +1,6 @@
 """Config parsing, simulate sweeps, exit codes and output determinism."""
 
+import base64
 import contextlib
 import dataclasses
 import io
@@ -8,6 +9,7 @@ import tempfile
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -44,6 +46,18 @@ def write_config(tmp_path, text=BASE_CONFIG, name="run.yaml"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+_FLOAT_ARRAYS = (("cache", "keys"), ("cache", "values"), ("attention", "weights"))
+
+
+def _decimal_lists(round_doc):
+    """Turn a saved round's packed float arrays into the nested decimal lists a person edits."""
+    for outer, key in _FLOAT_ARRAYS:
+        packed = round_doc[outer][key]
+        data = base64.b64decode(packed["float64_le_base64"])
+        round_doc[outer][key] = np.frombuffer(data, "<f8").reshape(packed["shape"]).tolist()
+    return round_doc
 
 
 def test_load_config_defaults(tmp_path):
@@ -217,7 +231,7 @@ def test_simulate_nan_fixture_exits_3(tmp_path, capsys):
     fixture = tmp_path / "nan.json"
     save_episode_fixture(fixture, [generate_episode(spec, i) for i in (1, 2, 3)])
     doc = json.loads(fixture.read_text())
-    doc["rounds"][0]["cache"]["values"][0][0][10][3] = float("nan")
+    _decimal_lists(doc["rounds"][0])["cache"]["values"][0][0][10][3] = float("nan")
     fixture.write_text(json.dumps(doc))
     text = textwrap.dedent(
         """\
@@ -249,7 +263,7 @@ def _nan_fixture_run(tmp_path, capsys, poison):
     fixture = tmp_path / "nan.json"
     save_episode_fixture(fixture, [generate_episode(spec, i) for i in (1, 2, 3)])
     doc = json.loads(fixture.read_text())
-    poison(doc["rounds"][1])
+    poison(_decimal_lists(doc["rounds"][1]))
     fixture.write_text(json.dumps(doc))
     text = textwrap.dedent(
         """\
@@ -399,6 +413,21 @@ def test_simulate_sweep_reports_match_single_method_runs(tmp_path):
             assert (sweep / name).read_bytes() == (single / name).read_bytes(), name
 
 
+def test_simulate_decimal_fixture_replays_like_packed(tmp_path):
+    # a fixture written with nested decimal lists, as before packing, replays to the same bytes
+    config = _spec_and_fixture_config(tmp_path, verbosity=2)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "packed")]) == 0
+    fixture = tmp_path / "ep.json"
+    doc = json.loads(fixture.read_text())
+    fixture.write_text(json.dumps({"rounds": [_decimal_lists(round_doc) for round_doc in doc["rounds"]]}))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "decimal")]) == 0
+    packed, decimal = (
+        {path.relative_to(out): path.read_bytes() for path in out.rglob("*")}
+        for out in (tmp_path / "packed", tmp_path / "decimal")
+    )
+    assert len(packed) == 33 and packed == decimal
+
+
 def _drop_positions(doc):
     del doc["rounds"][0]["cache"]["positions"]
     return doc
@@ -410,7 +439,7 @@ def _empty_prompt(doc):
 
 
 def _negative_weight(doc):
-    doc["rounds"][0]["attention"]["weights"][0][0][0][3] = -1e-13
+    _decimal_lists(doc["rounds"][0])["attention"]["weights"][0][0][0][3] = -1e-13
     return doc
 
 
@@ -505,7 +534,7 @@ def test_simulate_prompt_position_missing_from_cache_exits_2(tmp_path, capsys):
     fixture = tmp_path / "ep.json"
     save_episode_fixture(fixture, [generate_episode(spec, i) for i in (1, 2, 3)])
     doc = json.loads(fixture.read_text())
-    cache = doc["rounds"][0]["cache"]
+    cache = _decimal_lists(doc["rounds"][0])["cache"]
     row = cache["positions"].index(5)
     del cache["positions"][row]
     for name in ("keys", "values"):
@@ -635,6 +664,7 @@ def test_config_unknown_key_messages(tmp_path, where, edit, message):
         lambda doc: doc["chain"].update(latent_steps=4.9),
         lambda doc: doc["chain"].update(seed="7"),
         lambda doc: doc["chain"]["compression"].update(budget_k=None, budget_ratio=True),
+        lambda doc: doc["chain"]["compression"].update(budget_k=None, budget_ratio="0.5"),
         lambda doc: doc["chain"].update(num_agents=2.5),
         lambda doc: doc["episodes"][0].update(value_rank=True),
         lambda doc: doc["chain"]["compression"].update(epsilon=True),
@@ -646,7 +676,7 @@ def test_config_unknown_key_messages(tmp_path, where, edit, message):
     ],
     ids=[
         "kv_group_size", "num_layers", "gen_len", "budget_k", "sink_size", "prompt_lens",
-        "pca_rank", "latent_steps", "seed", "budget_ratio", "num_agents", "value_rank",
+        "pca_rank", "latent_steps", "seed", "budget_ratio", "budget_ratio-string", "num_agents", "value_rank",
         "epsilon-bool", "epsilon-nan", "epsilon-inf", "methods-empty", "verbosity-negative", "verbosity-7",
     ],
 )
@@ -661,6 +691,16 @@ def test_simulate_non_integer_config_field_exits_2(tmp_path, capsys, request, ed
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert request.node.callspec.id.split("-")[0] in err  # the message names the field
+
+
+def test_simulate_epsilon_without_a_dot_exits_2(tmp_path, capsys):
+    # YAML 1.1 reads 1e-12 (no dot) as a string; 1.0e-12 is a float
+    assert yaml.safe_load("epsilon: 1e-12") == {"epsilon": "1e-12"}
+    text = BASE_CONFIG.replace("    sink_size: 2\n", "    sink_size: 2\n    epsilon: 1e-12\n")
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: bad chain configuration: epsilon must be a number, got '1e-12'\n"
 
 
 def _bad_paths(tmp_path, case):
@@ -755,7 +795,7 @@ def _random_swap_adjacent(round_doc, data):
 
 
 def _random_remove_cache_position(round_doc, data):
-    cache = round_doc["cache"]
+    cache = _decimal_lists(round_doc)["cache"]
     row = data.draw(st.integers(0, len(cache["positions"]) - 1))
     del cache["positions"][row]
     for name in ("keys", "values"):
@@ -777,7 +817,7 @@ def _random_non_integer_group_size(round_doc, data):
 
 
 def _random_negative_weight(round_doc, data):
-    weights = round_doc["attention"]["weights"]
+    weights = _decimal_lists(round_doc)["attention"]["weights"]
     row = weights[data.draw(st.integers(0, len(weights) - 1))][0][0]
     row[data.draw(st.integers(0, len(row) - 1))] = -data.draw(st.sampled_from([1e-13, 0.5]))
     return 2
@@ -785,6 +825,7 @@ def _random_negative_weight(round_doc, data):
 
 def _random_non_finite(round_doc, data):
     bad = data.draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    _decimal_lists(round_doc)
     if data.draw(st.booleans()):
         round_doc["cache"]["values"][0][1][data.draw(st.integers(0, 15))][2] = bad
     else:
@@ -792,16 +833,73 @@ def _random_non_finite(round_doc, data):
     return 3
 
 
+def _packed(round_doc, data):
+    outer, key = data.draw(st.sampled_from(_FLOAT_ARRAYS))
+    return round_doc[outer][key]
+
+
+def _random_invalid_base64(round_doc, data):
+    packed = _packed(round_doc, data)
+    text = packed["float64_le_base64"]
+    packed["float64_le_base64"] = data.draw(
+        st.sampled_from([text[:-1], text[:4] + "!" + text[5:], text[:4] + "\n" + text[4:], "é" + text[1:], 5])
+    )
+    return 2
+
+
+def _random_wrong_byte_count(round_doc, data):
+    packed = _packed(round_doc, data)
+    if data.draw(st.booleans()):
+        packed["shape"][data.draw(st.integers(0, len(packed["shape"]) - 1))] += 1
+    else:
+        raw = base64.b64decode(packed["float64_le_base64"])
+        raw = data.draw(st.sampled_from([raw[:-8], raw[:-3], raw + bytes(8), b""]))
+        packed["float64_le_base64"] = base64.b64encode(raw).decode("ascii")
+    return 2
+
+
+def _random_bad_shape_entry(round_doc, data):
+    # each edit keeps the product of the shape, so the byte count still matches
+    shape = _packed(round_doc, data)["shape"]
+    i = data.draw(st.integers(0, len(shape) - 2))
+    edit = data.draw(st.sampled_from(["bool", "float", "negative"]))
+    if edit == "bool":
+        shape[i], shape[-1] = True, shape[i] * shape[-1]
+    elif edit == "float":
+        shape[i] = float(shape[i])
+    else:
+        shape[i], shape[-1] = -shape[i], -shape[-1]
+    return 2
+
+
+def _random_drop_packed_key(round_doc, data):
+    del _packed(round_doc, data)[data.draw(st.sampled_from(["shape", "float64_le_base64"]))]
+    return 2
+
+
+def _random_packed_non_finite(round_doc, data):
+    packed = _packed(round_doc, data)
+    bits = np.frombuffer(base64.b64decode(packed["float64_le_base64"]), "<u8").copy()
+    # quiet NaN, signalling NaN, negative NaN, +inf, -inf
+    bad = data.draw(st.sampled_from([0x7FF8000000000000, 0x7FF0000000000001, 0xFFF8000000000000,
+                                     0x7FF0000000000000, 0xFFF0000000000000]))
+    bits[data.draw(st.integers(0, bits.size - 1))] = bad
+    packed["float64_le_base64"] = base64.b64encode(bits.tobytes()).decode("ascii")
+    return 3
+
+
 @given(
     corrupt=st.sampled_from([
         _random_drop_key, _random_fractional_position, _random_swap_adjacent, _random_remove_cache_position,
         _random_reuse_prompt_position, _random_non_integer_group_size, _random_negative_weight, _random_non_finite,
+        _random_invalid_base64, _random_wrong_byte_count, _random_bad_shape_entry, _random_drop_packed_key,
+        _random_packed_non_finite,
     ]),
     round_i=st.integers(0, 2),
     method=st.sampled_from(ALL_METHODS),
     data=st.data(),
 )
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=130, deadline=None)
 def test_simulate_corrupt_fixture_exit_code_follows_the_error(corrupt, round_i, method, data):
     spec = EpisodeSpec(
         seed=5, num_layers=2, num_kv_heads=2, kv_group_size=1,

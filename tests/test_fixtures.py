@@ -15,7 +15,7 @@ from kvrelay.fixtures import (
     load_episode_fixture,
     save_episode_fixture,
 )
-from kvrelay.kv import caches_equal
+from kvrelay.kv import KvCache, caches_equal
 
 
 def spec():
@@ -74,6 +74,35 @@ def test_episode_fixture_file_round_trip(tmp_path):
     for original, loaded in zip(rounds, restored):
         assert caches_equal(original.cache, loaded.cache)
         assert np.array_equal(original.attention.weights, loaded.attention.weights)
+
+
+def test_decimal_list_fixture_loads_like_packed(tmp_path):
+    rounds = [generate_episode(spec(), i) for i in (1, 2)]
+    packed, decimal = tmp_path / "packed.json", tmp_path / "decimal.json"
+    save_episode_fixture(packed, rounds)
+    docs = [episode_round_to_dict(ep) for ep in rounds]
+    for doc, ep in zip(docs, rounds):
+        doc["cache"]["keys"] = ep.cache.keys.tolist()
+        doc["cache"]["values"] = ep.cache.values.tolist()
+        doc["attention"]["weights"] = ep.attention.weights.tolist()
+    dump_json(decimal, {"rounds": docs})
+    for a, b in zip(load_episode_fixture(packed), load_episode_fixture(decimal)):
+        assert caches_equal(a.cache, b.cache)
+        assert a.attention.weights.tobytes() == b.attention.weights.tobytes()
+        assert np.array_equal(a.prompt, b.prompt) and np.array_equal(a.generation, b.generation)
+
+
+@pytest.mark.parametrize("form", ["packed", "decimal"])
+def test_cache_round_trip_keeps_signed_zero_subnormal_and_extremes(form):
+    edge = [-0.0, 0.0, 5e-324, -2.225073858507201e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+    keys = np.array(edge, dtype=np.float64).reshape(1, 1, 6, 1)
+    cache = KvCache(keys=keys, values=keys[..., ::-1, :], positions=range(6))
+    doc = json.loads(json.dumps(kv_cache_to_dict(cache)))
+    if form == "decimal":
+        doc["keys"], doc["values"] = cache.keys.tolist(), cache.values.tolist()
+    restored = kv_cache_from_dict(doc)
+    assert restored.keys.tobytes() == cache.keys.tobytes()
+    assert restored.values.tobytes() == cache.values.tobytes()
 
 
 def test_dump_json_is_canonical(tmp_path):
