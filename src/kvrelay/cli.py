@@ -7,7 +7,9 @@
 The config keys are the dataclass fields: ``chain`` takes those of
 ``ChainConfig``, ``chain.compression`` those of ``CompressionConfig`` but
 ``method`` and ``granularity`` (set by the method names), and an episode
-entry those of ``EpisodeSpec`` or a ``fixture`` path.
+entry those of ``EpisodeSpec`` or a ``fixture`` path. The config is read
+as UTF-8 and parsed by libyaml when PyYAML was built with it, by PyYAML's
+pure-Python parser otherwise; both give the same document.
 
 ``simulate`` runs episode by episode: each episode is generated or parsed
 once, also under ``--emit-fixtures``, and each group of method aliases runs
@@ -15,16 +17,17 @@ one chain whose report is relabelled per alias. It writes one report per
 (method, episode) plus a comparison summary, only after every chain
 succeeded, so ``--emit-fixtures`` holds every generated episode's rounds
 until then (2.0 MB of arrays for a default ``EpisodeSpec``). Outputs are
-byte-identical for identical config and seed. Exit codes follow the error
-type: 0 on success, 3 on :class:`NumericalFailure` (non-finite input, or an
-SVD that did not converge), 2 on every other error. A fixture that does not
-load as an episode (including one whose generation positions are not
-strictly increasing), one with fewer rounds than agents, a chain that
-rejects an episode (such as a sink longer than the first prompt), a config
-that is not UTF-8 YAML, an integer field given a float, string or bool, a
-bool or non-finite ``epsilon``, empty ``methods``, a ``verbosity`` outside
-0-2, and an output directory that cannot be created or written all exit 2
-with one ``error:`` line.
+byte-identical for identical config and seed, on every platform: reports,
+CSVs and fixtures are written as bytes with LF line ends. Exit codes follow
+the error type: 0 on success, 3 on :class:`NumericalFailure` (non-finite
+input, or an SVD that did not converge), 2 on every other error. A fixture
+that does not load as an episode (including one whose generation positions
+are not strictly increasing), one with fewer rounds than agents, a chain
+that rejects an episode (such as a sink longer than the first prompt), a
+config that is not UTF-8 YAML, an integer field given a float, string or
+bool, a bool or non-finite ``epsilon``, empty ``methods``, a ``verbosity``
+outside 0-2, and an output directory that cannot be created or written all
+exit 2 with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -190,12 +193,19 @@ def _build_episodes(doc: dict, chain: ChainConfig, config_dir: Path) -> list[_Ep
 
 
 def load_run_config(config_path, method_overrides=(), seed: int | None = None, out=None) -> RunConfig:
-    """Parse and validate a simulate configuration file."""
+    """Parse and validate a simulate configuration file (UTF-8 YAML).
+
+    The parser is libyaml's (``yaml.CSafeLoader``) when PyYAML was built
+    with it, else PyYAML's pure-Python ``yaml.SafeLoader``. Both build the
+    document with PyYAML's own ``SafeConstructor`` and ``Resolver``, so
+    they give the same document.
+    """
     path = Path(config_path)
     if not path.is_file():
         raise ConfigError(f"config file {path} does not exist")
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        doc = yaml.safe_load(path.read_text())
+        doc = yaml.load(path.read_text(encoding="utf-8"), Loader=loader)
     except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     doc = _require_mapping(doc, "config document")
@@ -241,7 +251,7 @@ def _config_echo(chain: ChainConfig, episode: _Episode) -> dict:
     echo.update((key, getattr(chain.compression, key)) for key in _COMPRESSION_KEYS)
     echo["episode"] = episode.label
     if episode.spec is not None:
-        echo["episode_spec"] = dataclasses.asdict(episode.spec)
+        echo["episode_spec"] = dict(vars(episode.spec))
     return echo
 
 
@@ -282,18 +292,20 @@ def _episode_reports(cfg: RunConfig, episode: _Episode, rounds: tuple[EpisodeRou
 def _write_outputs(cfg: RunConfig, results: dict, emitted: dict[int, tuple[EpisodeRound, ...]]) -> dict:
     """Write every report, the ``emitted`` rounds as fixtures, and ``summary.json``; return the summary."""
     cfg.out.mkdir(parents=True, exist_ok=True)
+    # Reports only read the echo, so the methods of one episode share it.
+    echoes = {episode.index: _config_echo(cfg.chain, episode) for episode in cfg.episodes}
     for method in cfg.methods:
         for episode in cfg.episodes:
             report = results[episode.index][method]
             doc = report.to_dict(cfg.verbosity)
             doc["method"] = method  # full CLI name, including granularity suffix
             doc["episode"] = episode.index
-            doc["config"] = _config_echo(cfg.chain, episode)
+            doc["config"] = echoes[episode.index]
             fixtures.dump_json(cfg.out / f"{method}__ep{episode.index:03d}.json", doc)
             if cfg.verbosity >= 1:
                 lines = [",".join(str(cell) for cell in row) for row in report.csv_rows()]
-                (cfg.out / f"{method}__ep{episode.index:03d}.csv").write_text(
-                    "\n".join(lines) + "\n"
+                (cfg.out / f"{method}__ep{episode.index:03d}.csv").write_bytes(
+                    ("\n".join(lines) + "\n").encode("utf-8")
                 )
 
     if emitted:

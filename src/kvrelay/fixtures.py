@@ -13,6 +13,11 @@ The reader also takes a float array as nested lists of decimal numbers
 ``[layer][query_head][gen_step][position]`` for weights). That is the form
 fixtures were written in before packing, and the only one a person can
 write or edit by hand.
+
+Every document, report and summary goes through :func:`dump_json`, whose
+bytes are those of ``json.dumps(obj, indent=2, sort_keys=True,
+allow_nan=False)`` encoded as ASCII with one LF appended, on every
+platform.
 """
 
 from __future__ import annotations
@@ -29,10 +34,94 @@ from .kv import KvCache
 from .scoring import AttentionRecord
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+
+
+def _float(value) -> str:
+    text = _float_repr(value)
+    if "n" in text:  # nan, inf or -inf: no finite repr holds an "n"
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return text
+
+
+def _key(key) -> str:
+    """A dict key as ``json`` writes it, before quoting."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):  # bool is an int
+        return _encode(key, "")
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _encode(obj, indent: str) -> str:
+    """``obj`` as ``json.dumps(indent=2, sort_keys=True, allow_nan=False)`` writes it at ``indent``.
+
+    Each container is one join of its encoded items, where ``json`` yields
+    every token from a chain of generators once ``indent`` is set. The type
+    tests follow ``json``'s order (``bool`` before ``int``) and accept the
+    same subclasses, such as ``np.float64``.
+    """
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return _int_repr(obj)
+    if isinstance(obj, float):
+        return _float(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        text = None
+        if isinstance(obj[0], float):
+            try:  # a list of floats only; float.__repr__ rejects ints and bools
+                text = sep.join(map(_float_repr, obj))
+            except TypeError:
+                pass
+            else:
+                if "n" in text:
+                    for item in obj:
+                        _float(item)
+        if text is None:
+            text = sep.join([_encode(item, inner) for item in obj])
+        return "[\n" + inner + text + "\n" + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        return (
+            "{\n"
+            + inner
+            + (",\n" + inner).join(
+                [_encode_str(_key(key)) + ": " + _encode(value, inner) for key, value in sorted(obj.items())]
+            )
+            + "\n"
+            + indent
+            + "}"
+        )
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
 def dump_json(path, obj) -> None:
-    """Canonical JSON writer: sorted keys, two-space indent, no NaN/Inf."""
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    Path(path).write_text(text + "\n")
+    """Write ``obj`` as canonical JSON: sorted keys, two-space indent, no NaN/Inf.
+
+    The file holds exactly the ASCII bytes of ``json.dumps(obj, indent=2,
+    sort_keys=True, allow_nan=False)`` and one LF, with no locale encoding
+    or newline translation. A non-finite float raises ``ValueError`` and an
+    object ``json`` cannot encode raises ``TypeError``, as ``json.dumps``
+    does; nothing is written then. Unlike ``json.dumps`` it does not look
+    for circular references: a container that holds itself recurses until
+    ``RecursionError``.
+    """
+    Path(path).write_bytes((_encode(obj, "") + "\n").encode("ascii"))
 
 
 def _pack(arr: np.ndarray) -> dict:
@@ -138,5 +227,5 @@ def save_episode_fixture(path, rounds) -> None:
 
 
 def load_episode_fixture(path) -> tuple[EpisodeRound, ...]:
-    doc = json.loads(Path(path).read_text())
+    doc = json.loads(Path(path).read_bytes())
     return tuple(episode_round_from_dict(entry) for entry in doc["rounds"])

@@ -9,7 +9,7 @@ appended to the inherited message, so the message length satisfies
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .backbone import EpisodeRound
@@ -94,7 +94,7 @@ class RelayReport:
         out = {
             "method": self.method,
             "granularity": self.granularity,
-            "rounds": [asdict(row) for row in self.rounds],
+            "rounds": [dict(vars(row)) for row in self.rounds],
             "totals": {
                 "sink_len": self.sink_len,
                 "total_prompt_len": self.total_prompt_len,

@@ -67,12 +67,15 @@ class AttentionRecord:
         if self.kv_group_size < 1 or q_heads % self.kv_group_size != 0:
             raise ValueError("kv_group_size must evenly divide the query head count")
         if weights.size:
-            # A NaN or infinite weight makes its row sum non-finite. A packed
-            # fixture can hold a signalling NaN, whose sum would also warn.
-            with np.errstate(invalid="ignore"):
+            # A NaN or infinite weight makes its row sum non-finite, and so do
+            # finite weights whose sum overflows; only then are the entries
+            # read one by one. A packed fixture can hold a signalling NaN,
+            # whose sum would also warn.
+            with np.errstate(invalid="ignore", over="ignore"):
                 row_sums = weights.sum(axis=3)
             if not np.isfinite(row_sums).all():
-                raise NumericalFailure("attention weights have non-finite entries")
+                if not np.isfinite(weights).all():
+                    raise NumericalFailure("attention weights have non-finite entries")
             if float(weights.min()) < 0.0:
                 raise ValueError("attention weights must be non-negative")
             err = float(np.abs(row_sums - 1.0).max())

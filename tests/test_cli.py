@@ -255,12 +255,13 @@ def test_simulate_nan_fixture_exits_3(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def _nan_fixture_run(tmp_path, capsys, poison):
+def _poisoned_fixture_run(tmp_path, capsys, poison):
+    """Exit code and stderr of ``h2o_global`` on a fixture whose decimal round 2 ``poison`` edited."""
     spec = EpisodeSpec(
         seed=3, num_layers=1, num_kv_heads=1, kv_group_size=1,
         key_dim=4, value_dim=4, prompt_lens=(12, 10, 11), gen_len=4,
     )
-    fixture = tmp_path / "nan.json"
+    fixture = tmp_path / "ep.json"
     save_episode_fixture(fixture, [generate_episode(spec, i) for i in (1, 2, 3)])
     doc = json.loads(fixture.read_text())
     poison(_decimal_lists(doc["rounds"][1]))
@@ -274,15 +275,19 @@ def _nan_fixture_run(tmp_path, capsys, poison):
             budget_k: 3
             sink_size: 1
         episodes:
-          - fixture: nan.json
+          - fixture: ep.json
         methods: [h2o_global]
         """
     )
     out = tmp_path / "runs"
     code = main(["simulate", "--config", str(write_config(tmp_path, text)), "--out", str(out)])
-    assert code == 3
     assert not out.exists()
-    err = capsys.readouterr().err
+    return code, capsys.readouterr().err
+
+
+def _nan_fixture_run(tmp_path, capsys, poison):
+    code, err = _poisoned_fixture_run(tmp_path, capsys, poison)
+    assert code == 3
     assert err.startswith("numerical failure:") and "non-finite" in err
     assert err.count("\n") == 1
 
@@ -299,6 +304,19 @@ def test_simulate_nan_attention_weight_exits_3(tmp_path, capsys):
         round_doc["attention"]["weights"][0][0][1][3] = float("nan")
 
     _nan_fixture_run(tmp_path, capsys, poison)
+
+
+def test_simulate_overflowing_attention_row_exits_2(tmp_path, capsys):
+    # two finite weights of 1.7e308 overflow their row sum: bad input (exit
+    # 2), not a non-finite entry (exit 3); numpy's overflow warning would be
+    # an error under this suite's warning filter
+    def poison(round_doc):
+        round_doc["attention"]["weights"][0][0][1][2:4] = [1.7e308, 1.7e308]
+
+    code, err = _poisoned_fixture_run(tmp_path, capsys, poison)
+    assert code == 2
+    assert err.startswith("error: fixture ep.json is malformed") and "sum to 1" in err
+    assert err.count("\n") == 1
 
 
 def test_load_config_rejects_non_integer_verbosity(tmp_path):
@@ -735,6 +753,35 @@ def test_simulate_bad_path_input_exits_2(tmp_path, capsys, monkeypatch, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert (tmp_path / "taken").read_text() == "a file, not a directory\n"
+
+
+def test_simulate_reads_a_utf8_config_naming_a_non_ascii_fixture(tmp_path):
+    spec = EpisodeSpec(
+        seed=4, num_layers=1, num_kv_heads=1, kv_group_size=1,
+        key_dim=4, value_dim=4, prompt_lens=(12, 10, 11), gen_len=4,
+    )
+    save_episode_fixture(tmp_path / "\u00e9pisode.json", [generate_episode(spec, i) for i in (1, 2, 3)])
+    text = textwrap.dedent(
+        """\
+        chain:
+          num_agents: 3
+          latent_steps: 4
+          compression:
+            budget_k: 3
+            sink_size: 1
+        episodes:
+          - fixture: \u00e9pisode.json
+        methods: [h2o_global]
+        verbosity: 1
+        """
+    )
+    config = tmp_path / "run.yaml"
+    config.write_bytes(text.encode("utf-8"))  # whatever the locale's encoding
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    report = (out / "h2o_global__ep000.json").read_bytes()
+    assert b'"episode": "\\u00e9pisode.json"' in report  # reports are ASCII
+    assert (out / "h2o_global__ep000.csv").read_bytes().endswith(b"\n")
 
 
 def test_readme_sample_config_loads(tmp_path):

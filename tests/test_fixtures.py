@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kvrelay.backbone import EpisodeSpec, generate_episode
 from kvrelay.fixtures import (
@@ -116,3 +120,82 @@ def test_dump_json_is_canonical(tmp_path):
 def test_dump_json_rejects_non_finite(tmp_path):
     with pytest.raises(ValueError):
         dump_json(tmp_path / "bad.json", {"x": float("nan")})
+
+
+# Strings json must escape: quotes, backslashes, control characters,
+# non-ASCII text and characters outside the Basic Multilingual Plane.
+_TEXT = st.text() | st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u00e9t\u00e9", "\u2028", "\U0001f600"])
+_FLOATS = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, -5e-324, 1.797e308, -1.797e308])
+    | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+)
+_SCALARS = _TEXT | _FLOATS | st.integers(min_value=-(10**40), max_value=10**40) | st.booleans() | st.none()
+
+
+def _trees(leaves, keys=_TEXT):
+    return st.recursive(
+        leaves,
+        lambda children: st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.dictionaries(keys, children, max_size=5)
+        | st.lists(_FLOATS, max_size=6),
+        max_leaves=40,
+    )
+
+
+def _canonical(doc) -> bytes:
+    return (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("ascii")
+
+
+def _dumped(doc):
+    """The bytes ``dump_json`` writes for ``doc``, or the type of what it raised (nothing is written then)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        try:
+            dump_json(path, doc)
+        except Exception as exc:
+            assert not path.exists()
+            return type(exc)
+        return path.read_bytes()
+
+
+def _nested(depth):
+    doc = [1.5]
+    for level in range(depth):
+        doc = {"k": doc} if level % 2 else [doc, 0]
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_trees(_SCALARS))
+@example(doc=[])
+@example(doc={})
+@example(doc=[[], {}, ()])
+@example(doc=_nested(60))
+@example(doc=[1.5, 2, True, np.float64(0.1)])
+def test_dump_json_matches_json_dumps(doc):
+    assert _dumped(doc) == _canonical(doc)
+
+
+class _Unencodable:
+    pass
+
+
+_BAD = st.sampled_from([float("nan"), float("inf"), -float("inf"), np.float64("inf"), _Unencodable(), b"x", {1}, 1j])
+# Keys json converts (int, float, bool, None) and keys it rejects; mixing
+# kinds in one dict makes sorting raise TypeError.
+_ANY_KEYS = _TEXT | st.integers() | st.floats() | st.booleans() | st.none() | st.just((1,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_trees(_SCALARS | _BAD, keys=_ANY_KEYS))
+@example(doc=[1.0, float("nan"), True])
+@example(doc=[1.0, 2.0, float("inf")])
+@example(doc={"a": [float("nan")], "b": _Unencodable()})
+def test_dump_json_fails_like_json_dumps(doc):
+    try:
+        expected = _canonical(doc)
+    except Exception as exc:
+        expected = type(exc)
+    assert _dumped(doc) == expected

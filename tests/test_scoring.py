@@ -34,6 +34,9 @@ def softmax_weights(rng, layers, q_heads, gen, cols):
 def test_attention_record_validates_rows():
     with pytest.raises(ValueError):
         record([[[[0.5, 0.4]]]], gen=(9,), columns=(0, 1))  # sums to 0.9
+    with pytest.raises(ValueError, match="sum to 1"):
+        # finite entries whose sum overflows, without a warning
+        record([[[[1.7e308, 1.7e308]]]], gen=(9,), columns=(0, 1))
     with pytest.raises(ValueError):
         record([[[[1.2, -0.2]]]], gen=(9,), columns=(0, 1))
     with pytest.raises(ValueError):
