@@ -24,11 +24,7 @@ from .compress import (
     SelectionResult,
     compress,
     h2o_select,
-    obf_inject,
-    obf_project,
     obf_residual,
-    obf_scale,
-    obf_summary,
 )
 from .kv import (
     KvCache,
@@ -42,8 +38,6 @@ from .kv import (
     select,
 )
 from .linalg import (
-    OrthoBasis,
-    PrincipalSubspace,
     orthonormal_basis,
     principal_subspace,
     project_out,
@@ -87,8 +81,6 @@ __all__ = [
     "MassTable",
     "ObfTrace",
     "ObfUnitTrace",
-    "OrthoBasis",
-    "PrincipalSubspace",
     "RelayMessage",
     "RelayReport",
     "RoleMap",
@@ -110,11 +102,7 @@ __all__ = [
     "generate_episode",
     "h2o_select",
     "index_array",
-    "obf_inject",
-    "obf_project",
     "obf_residual",
-    "obf_scale",
-    "obf_summary",
     "orthonormal_basis",
     "principal_subspace",
     "project_out",

@@ -24,7 +24,9 @@ input, or an SVD that did not converge), 2 on every other error. A fixture
 that does not load as an episode (including one whose generation positions
 are not strictly increasing), one with fewer rounds than agents, a chain
 that rejects an episode (such as a sink longer than the first prompt), a
-config that is not UTF-8 YAML, an integer field given a float, string or
+config that is not UTF-8 YAML or nests collections more than 32 deep, a
+fixture nested too deep for the JSON parser or whose decimal float arrays
+hold anything but numbers, an integer field given a float, string or
 bool, a bool or non-finite ``epsilon``, empty ``methods``, a ``verbosity``
 outside 0-2, and an output directory that cannot be created or written all
 exit 2 with one ``error:`` line.
@@ -62,6 +64,12 @@ DEFAULT_RATIO_BUDGET = 32
 DEFAULT_RATIO_ROUNDS = 3
 
 
+# Deepest collection nesting a config may have (a valid one nests 4 deep).
+# Both YAML parsers are iterative, but the composers recurse: libyaml's
+# crashes the process and the pure-Python one raises RecursionError.
+_MAX_CONFIG_DEPTH = 32
+
+
 class ConfigError(Exception):
     """Bad run configuration or unreadable input."""
 
@@ -88,7 +96,7 @@ class _Episode:
             return fixtures.load_episode_fixture(self.fixture)
         except NumericalFailure:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ConfigError(
                 f"fixture {self.label} is malformed ({type(exc).__name__}: {exc})"
             ) from exc
@@ -198,14 +206,25 @@ def load_run_config(config_path, method_overrides=(), seed: int | None = None, o
     The parser is libyaml's (``yaml.CSafeLoader``) when PyYAML was built
     with it, else PyYAML's pure-Python ``yaml.SafeLoader``. Both build the
     document with PyYAML's own ``SafeConstructor`` and ``Resolver``, so
-    they give the same document.
+    they give the same document. The parser's events are scanned first:
+    a document that nests collections more than ``_MAX_CONFIG_DEPTH`` deep
+    raises :class:`ConfigError` before it reaches the recursive composer.
     """
     path = Path(config_path)
     if not path.is_file():
         raise ConfigError(f"config file {path} does not exist")
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        doc = yaml.load(path.read_text(encoding="utf-8"), Loader=loader)
+        text = path.read_text(encoding="utf-8")
+        depth = 0
+        for event in yaml.parse(text, Loader=loader):
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                if depth > _MAX_CONFIG_DEPTH:
+                    raise ConfigError(f"{path} nests collections deeper than {_MAX_CONFIG_DEPTH} levels")
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
+        doc = yaml.load(text, Loader=loader)
     except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     doc = _require_mapping(doc, "config document")

@@ -9,11 +9,18 @@ Four methods share one entry point:
 
 Every method first assembles the block it relays (sink, kept prompt rows,
 generation rows). Orthogonal backfill then edits the kept slice of that
-block, per (layer, kv head): project the deleted rows out of the span of
-the retained rows, keep the leading principal directions of that
-residual, form an attention-weighted residual summary, project it onto
-those directions, rescale by the deleted-to-retained demand ratio, and add
-the resulting vector to every retained prompt value row. Keys are never
+block, per (layer, kv head), in six array operations written once in
+``_orthogonal_backfill``:
+
+  residual   = v_del - (v_del Q) Q^T       Q: orthonormal basis of span(v_keep)
+  C          = the residual's top right singular directions, at most ``pca_rank``
+  summary    = w @ residual                w = m_del / (sum(m_del) + epsilon)
+  direction  = (summary C^T) C
+  injection  = del_mass / (keep_mass + epsilon) * direction
+  v_keep    += injection                   the same vector on every kept row
+
+where ``m_del`` are the deleted rows' attention masses through that head
+and ``keep_mass``/``del_mass`` the kept and deleted totals. Keys are never
 modified, and the whole step is skipped for a unit when there is nothing
 deleted or the residual norm is negligible (<= 1e-10 * (1 + ||v_del||_F));
 a skipped unit's rows keep their exact bits. Any larger residual has a
@@ -29,9 +36,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import BudgetUnset, DimensionMismatch, EmptyKeep, require_int
+from .errors import BudgetUnset, EmptyKeep, require_int
 from .kv import KvCache, RoleMap, freeze, index_array, locate, read_only, select
-from .linalg import OrthoBasis, PrincipalSubspace, orthonormal_basis, principal_subspace, project_out, top_k_indices
+from .linalg import orthonormal_basis, principal_subspace, project_out, top_k_indices
 from .scoring import (
     GLOBAL,
     GRANULARITIES,
@@ -139,7 +146,6 @@ class ObfUnitTrace:
     del_mass: float
     injection: np.ndarray
     skipped: bool
-    zero_keep_demand: bool = False
     weights: np.ndarray | None = None
     summary: np.ndarray | None = None
     direction: np.ndarray | None = None
@@ -151,6 +157,11 @@ class ObfUnitTrace:
                 object.__setattr__(self, name, read_only(value))
         if self.skipped and self.injection.size and float(np.abs(self.injection).max()) != 0.0:
             raise ValueError("a skipped unit must carry a zero injection")
+
+    @property
+    def zero_keep_demand(self) -> bool:
+        """An active unit whose kept rows got no attention mass: its scale divides by epsilon alone."""
+        return not self.skipped and self.keep_mass == 0.0
 
     def to_dict(self, include_vectors: bool = False) -> dict:
         out = {
@@ -203,68 +214,13 @@ def h2o_select(table: MassTable, k: int) -> SelectionResult:
     return SelectionResult(keep=keep, deleted=table.positions[~kept], budget=k)
 
 
-def obf_residual(v_keep, v_del) -> tuple[OrthoBasis, np.ndarray]:
-    """Basis of the retained-value row space and the deleted rows' residual."""
+def obf_residual(v_keep, v_del) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis (d x r) of the retained-value row space and the deleted rows' residual."""
     v_keep = np.asarray(v_keep, dtype=np.float64)
     if v_keep.ndim != 2 or v_keep.shape[0] == 0:
         raise EmptyKeep("backfill needs at least one retained value row")
-    basis = orthonormal_basis(v_keep)
-    residual = project_out(np.asarray(v_del, dtype=np.float64), basis)
-    return basis, residual
-
-
-def _residual_weights(masses: np.ndarray, epsilon: float) -> np.ndarray:
-    return masses / (masses.sum() + epsilon)
-
-
-def obf_summary(residual, masses, epsilon: float) -> np.ndarray:
-    """Attention-weighted average of the residual rows."""
-    residual = np.asarray(residual, dtype=np.float64)
-    masses = np.asarray(masses, dtype=np.float64)
-    if residual.ndim != 2 or masses.ndim != 1 or masses.shape[0] != residual.shape[0]:
-        raise DimensionMismatch("need one mass per residual row")
-    if masses.size and float(masses.min()) < 0.0:
-        raise ValueError("masses must be non-negative")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    return _residual_weights(masses, epsilon) @ residual
-
-
-def obf_project(summary, subspace: PrincipalSubspace) -> np.ndarray:
-    """Component of the summary inside the principal residual subspace."""
-    summary = np.asarray(summary, dtype=np.float64)
-    if summary.ndim != 1:
-        raise DimensionMismatch("summary must be a vector")
-    if subspace.subspace_rank == 0:
-        return np.zeros_like(summary)
-    if summary.shape[0] != subspace.ambient_dim:
-        raise DimensionMismatch(
-            f"summary has dim {summary.shape[0]} but subspace lives in {subspace.ambient_dim}"
-        )
-    c = subspace.rows
-    return (summary @ c.T) @ c
-
-
-def obf_scale(direction, demand: tuple[float, float], epsilon: float) -> np.ndarray:
-    """Rescale by the deleted-to-retained attention demand ratio."""
-    direction = np.asarray(direction, dtype=np.float64)
-    keep_mass, del_mass = float(demand[0]), float(demand[1])
-    if keep_mass < 0.0 or del_mass < 0.0:
-        raise ValueError("demand masses must be non-negative")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    return (del_mass / (keep_mass + epsilon)) * direction
-
-
-def obf_inject(v_keep, delta) -> np.ndarray:
-    """Add the same compensation vector to every retained value row."""
-    v_keep = np.asarray(v_keep, dtype=np.float64)
-    delta = np.asarray(delta, dtype=np.float64)
-    if v_keep.ndim != 2 or delta.ndim != 1 or v_keep.shape[1] != delta.shape[0]:
-        raise DimensionMismatch(
-            f"cannot add a dim-{delta.shape} vector to rows of shape {v_keep.shape}"
-        )
-    return v_keep + delta
+    q = orthonormal_basis(v_keep)
+    return q, project_out(np.asarray(v_del, dtype=np.float64), q)
 
 
 def _orthogonal_backfill(
@@ -308,31 +264,31 @@ def _orthogonal_backfill(
             continue
         v_keep = block.values[layer, head, kept_slice]
         v_del = deleted_values[layer, head]
-        basis, residual = obf_residual(v_keep, v_del)
+        q, residual = obf_residual(v_keep, v_del)
         residual_norm = float(np.linalg.norm(residual))
         if residual_norm <= RESIDUAL_NEGLIGIBLE * (1.0 + float(np.linalg.norm(v_del))):
-            units[unit] = skipped(basis.rank, residual_norm)
+            units[unit] = skipped(q.shape[1], residual_norm)
             continue
-        subspace = principal_subspace(residual, cfg.pca_rank)
+        rows = principal_subspace(residual, cfg.pca_rank)
         masses = del_masses[layer, head]
-        summary = obf_summary(residual, masses, cfg.epsilon)
-        direction = obf_project(summary, subspace)
-        injection = obf_scale(direction, (keep_mass, del_mass), cfg.epsilon)
+        weights = masses / (masses.sum() + cfg.epsilon)
+        summary = weights @ residual
+        direction = (summary @ rows.T) @ rows
+        injection = (del_mass / (keep_mass + cfg.epsilon)) * direction
         if values is None:
             values = np.array(block.values)
-        values[layer, head, kept_slice] = obf_inject(v_keep, injection)
+        values[layer, head, kept_slice] = v_keep + injection
         units[unit] = ObfUnitTrace(
             layer=layer,
             head=head,
-            basis_rank=basis.rank,
+            basis_rank=q.shape[1],
             residual_norm=residual_norm,
-            subspace_rank=subspace.subspace_rank,
+            subspace_rank=rows.shape[0],
             keep_mass=keep_mass,
             del_mass=del_mass,
             injection=injection,
             skipped=False,
-            zero_keep_demand=keep_mass == 0.0,
-            weights=_residual_weights(masses, cfg.epsilon),
+            weights=weights,
             summary=summary,
             direction=direction,
         )

@@ -130,9 +130,15 @@ def _pack(arr: np.ndarray) -> dict:
 
 
 def _float_array(value, what: str) -> np.ndarray:
-    """A float array read from a document: packed, or nested decimal lists."""
+    """A float array read from a document: packed, or nested lists of JSON numbers (not bools)."""
     if not isinstance(value, dict):
-        return np.asarray(value, dtype=np.float64)
+        leaves = np.array(value, dtype=object)
+        if not all(type(x) is float or type(x) is int for x in leaves.flat):
+            raise ValueError(f"{what} must hold only JSON numbers")
+        try:
+            return leaves.astype(np.float64)
+        except OverflowError as exc:  # an integer leaf beyond the float range
+            raise ValueError(f"{what} holds an integer too large for a float") from exc
     shape = value["shape"]
     if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
         raise ValueError(f"{what} shape must list non-negative integers, got {shape!r}")

@@ -1,11 +1,14 @@
 """Dense linear-algebra kernels for selection and backfill.
 
-All float64, all deterministic. Orthonormal bases and their rank, singular
-values and right singular vectors all come from one LAPACK SVD
-(``np.linalg.svd(full_matrices=False)``). Shared conventions:
+All float64, all deterministic. Orthonormal bases, their rank and the
+principal right singular vectors all come from one LAPACK SVD
+(``np.linalg.svd(full_matrices=False)``) and are returned as read-only
+arrays. Shared conventions:
 
-  * basis vectors are sign-fixed so their first entry above 1e-12 in
-    magnitude is non-negative;
+  * basis vectors carry whatever sign LAPACK gives them: the backfill
+    uses a basis only as ``x - (x Q) Q^T`` and a subspace only as
+    ``(s C^T) C``, and both are exactly invariant under flipping the
+    sign of a vector;
   * numeric rank counts singular values above ``tol * sigma_max`` with
     the fixed ``tol = max(rows, cols) * machine_eps``;
   * non-finite input raises :class:`NumericalFailure`, as does an SVD
@@ -16,16 +19,12 @@ values and right singular vectors all come from one LAPACK SVD
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, NumericalFailure
 from .kv import freeze, index_array
 
 _EPS = float(np.finfo(np.float64).eps)
-_SIGN_TOL = 1e-12
-_ORTHO_TOL = 1e-10
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -52,43 +51,8 @@ def _rank(sigmas: np.ndarray, shape: tuple[int, int]) -> int:
     return int(np.count_nonzero(sigmas > max(shape) * _EPS * sigmas[0]))
 
 
-def _fix_row_signs(v: np.ndarray) -> np.ndarray:
-    """Flip rows so the first entry with |x| > 1e-12 is non-negative."""
-    big = np.abs(v) > _SIGN_TOL
-    lead = np.where(big, v, 0.0)[np.arange(v.shape[0]), big.argmax(axis=1)]
-    return np.where((lead < 0)[:, None], -v, v)
-
-
-def _check_orthonormal(vectors: np.ndarray, what: str) -> None:
-    """Rows of ``vectors`` must be orthonormal; NaN fails the check."""
-    n = vectors.shape[0]
-    gram_err = np.abs(vectors @ vectors.T - np.eye(n)).max() if n else 0.0
-    if not gram_err <= _ORTHO_TOL:
-        raise DimensionMismatch(f"{what} are not orthonormal (err {gram_err:g})")
-
-
-@dataclass(frozen=True, eq=False)
-class OrthoBasis:
-    """Orthonormal columns spanning the row space of some matrix."""
-
-    basis: np.ndarray  # (ambient_dim, rank)
-    rank: int
-
-    def __post_init__(self):
-        basis = np.array(self.basis, dtype=np.float64)
-        if basis.ndim != 2 or basis.shape[1] != self.rank:
-            raise DimensionMismatch("basis must be (ambient_dim, rank)")
-        _check_orthonormal(basis.T, "basis columns")
-        basis.flags.writeable = False
-        object.__setattr__(self, "basis", basis)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
-
-
-def orthonormal_basis(m) -> OrthoBasis:
-    """Orthonormal basis Q (d x r) for the row space of ``m`` (K x d)."""
+def orthonormal_basis(m) -> np.ndarray:
+    """Orthonormal basis Q (d x r) for the row space of ``m`` (K x d), read-only."""
     m = _as_matrix(m)
     k, d = m.shape
     if k == 0:
@@ -96,67 +60,32 @@ def orthonormal_basis(m) -> OrthoBasis:
     if d == 0:
         raise DimensionMismatch("row dimension must be positive")
     _, sigmas, vt = _svd(m)
-    rank = _rank(sigmas, m.shape)
-    return OrthoBasis(basis=_fix_row_signs(vt[:rank]).T, rank=rank)
+    return freeze(vt[: _rank(sigmas, m.shape)].T)
 
 
-def project_out(x, basis: OrthoBasis) -> np.ndarray:
-    """Residual of every row of ``x`` against the basis: x - (x Q) Q^T."""
+def project_out(x, q: np.ndarray) -> np.ndarray:
+    """Residual of every row of ``x`` against the (d x r) basis ``q``: x - (x Q) Q^T."""
     x = _as_matrix(x)
-    if x.shape[1] != basis.ambient_dim:
-        raise DimensionMismatch(
-            f"rows have dim {x.shape[1]} but basis lives in dim {basis.ambient_dim}"
-        )
-    if basis.rank == 0:
+    if x.shape[1] != q.shape[0]:
+        raise DimensionMismatch(f"rows have dim {x.shape[1]} but basis lives in dim {q.shape[0]}")
+    if q.shape[1] == 0:
         return x.copy()
-    q = basis.basis
     return x - (x @ q) @ q.T
 
 
-@dataclass(frozen=True, eq=False)
-class PrincipalSubspace:
-    """Top right-singular directions of a residual matrix, as rows."""
+def principal_subspace(r_mat, max_rank: int) -> np.ndarray:
+    """Top ``min(max_rank, numeric rank)`` right singular directions of ``r_mat`` as (p x d) rows, read-only.
 
-    rows: np.ndarray  # (p, ambient_dim)
-    singular_values: tuple[float, ...]
-
-    def __post_init__(self):
-        rows = np.array(self.rows, dtype=np.float64)
-        if rows.ndim != 2:
-            raise DimensionMismatch("rows must be a (p, d) matrix")
-        sig = np.asarray(self.singular_values, dtype=np.float64).reshape(-1)
-        if sig.size != rows.shape[0]:
-            raise DimensionMismatch("one singular value per subspace row")
-        if not (np.all(sig >= 0) and np.all(sig[:-1] >= sig[1:])):
-            raise ValueError("singular values must be non-negative and non-increasing")
-        _check_orthonormal(rows, "subspace rows")
-        rows.flags.writeable = False
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "singular_values", tuple(sig.tolist()))
-
-    @property
-    def subspace_rank(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.rows.shape[1]
-
-
-def principal_subspace(r_mat, max_rank: int) -> PrincipalSubspace:
-    """Top ``min(max_rank, numeric rank)`` right singular directions of ``r_mat``.
-
-    Zero or empty input yields an empty subspace rather than an error.
+    Zero or empty input yields (0 x d) rows rather than an error.
     """
     if max_rank < 1:
         raise ValueError("max_rank must be at least 1")
     r_mat = _as_matrix(r_mat)
     n, d = r_mat.shape
     if n == 0 or d == 0:
-        return PrincipalSubspace(rows=np.zeros((0, d)), singular_values=())
+        return freeze(np.zeros((0, d)))
     _, sigmas, vt = _svd(r_mat)
-    p = min(max_rank, _rank(sigmas, r_mat.shape))
-    return PrincipalSubspace(rows=_fix_row_signs(vt[:p]), singular_values=tuple(sigmas[:p].tolist()))
+    return freeze(vt[: min(max_rank, _rank(sigmas, r_mat.shape))])
 
 
 def top_k_indices(scores, k: int, eligible) -> np.ndarray:

@@ -16,15 +16,6 @@ import numpy as np
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def fix_sign(vec, tol: float = 1e-12) -> np.ndarray:
-    """Same sign convention as the library: first entry above tol is >= 0."""
-    vec = np.array(vec, dtype=np.float64)
-    nz = np.nonzero(np.abs(vec) > tol)[0]
-    if nz.size and vec[nz[0]] < 0:
-        return -vec
-    return vec
-
-
 def gram_right_vectors(m) -> tuple[np.ndarray, np.ndarray]:
     """Brute-force SVD pieces from the Gram matrix m^T m.
 

@@ -160,7 +160,7 @@ def test_gaussian_values_fill_the_value_space():
     ep = generate_episode(small_spec(value_dim=6, prompt_lens=(12,)), 1)
     for layer in range(2):
         for head in range(2):
-            assert orthonormal_basis(ep.cache.values[layer, head]).rank == 6
+            assert orthonormal_basis(ep.cache.values[layer, head]).shape[1] == 6
 
 
 def test_low_rank_values_have_bounded_rank():
@@ -168,7 +168,7 @@ def test_low_rank_values_have_bounded_rank():
     ep = generate_episode(spec, 1)
     for layer in range(spec.num_layers):
         for head in range(spec.num_kv_heads):
-            assert orthonormal_basis(ep.cache.values[layer, head]).rank <= 2
+            assert orthonormal_basis(ep.cache.values[layer, head]).shape[1] <= 2
             assert oracles.svd_rank(ep.cache.values[layer, head]) <= 2
 
 

@@ -5,6 +5,9 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import textwrap
 from pathlib import Path
@@ -316,6 +319,66 @@ def test_simulate_overflowing_attention_row_exits_2(tmp_path, capsys):
     code, err = _poisoned_fixture_run(tmp_path, capsys, poison)
     assert code == 2
     assert err.startswith("error: fixture ep.json is malformed") and "sum to 1" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("leaf", ["1.5", None, True, 10**400], ids=["string", "null", "bool", "huge_int"])
+def test_simulate_bad_decimal_leaf_exits_2(tmp_path, capsys, leaf):
+    # numpy would read the first three as 1.5, NaN and 1.0; the last is a
+    # JSON number that no float holds
+    def poison(round_doc):
+        round_doc["cache"]["values"][0][0][2][1] = leaf
+
+    code, err = _poisoned_fixture_run(tmp_path, capsys, poison)
+    assert code == 2
+    assert err.startswith("error: fixture ep.json is malformed") and "cache values" in err
+    assert err.count("\n") == 1
+
+
+DEEP_CONFIG = "chain: " + "[" * 50_000 + "\n"
+
+
+def test_simulate_deep_config_exits_2_under_libyaml(tmp_path):
+    # libyaml's composer recursed until the process died (exit 139), so run
+    # it in a child process: a crash fails this test instead of pytest
+    config = write_config(tmp_path, DEEP_CONFIG)
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "kvrelay", "simulate", "--config", str(config), "--out", str(tmp_path / "runs")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 2, done.stderr[-2000:]
+    assert done.stderr.startswith("error:") and "deeper than 32" in done.stderr
+    assert done.stderr.count("\n") == 1
+
+
+def test_simulate_deep_config_exits_2_without_libyaml(tmp_path, capsys, monkeypatch):
+    # the pure-Python composer raised RecursionError at 500 levels
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    config = write_config(tmp_path, "chain: " + "[" * 500 + "\n")
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "deeper than 32" in err and err.count("\n") == 1
+
+
+def test_load_config_nesting_limit_is_32(tmp_path):
+    # the top-level mapping plus 31 nested lists is 32 levels: parsed, then
+    # rejected for its key; one list more is rejected before composing
+    for lists, message in ((31, "unknown keys"), (32, "deeper than 32")):
+        path = write_config(tmp_path, BASE_CONFIG + "extra: " + "[" * lists + "]" * lists + "\n")
+        with pytest.raises(ConfigError, match=message):
+            load_run_config(path)
+
+
+def test_simulate_deep_fixture_exits_2(tmp_path, capsys):
+    config = _spec_and_fixture_config(tmp_path)
+    (tmp_path / "ep.json").write_text("[" * 100_000)
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: fixture ep.json is malformed (RecursionError")
     assert err.count("\n") == 1
 
 

@@ -14,16 +14,21 @@ from kvrelay.compress import (
     SelectionResult,
     compress,
     h2o_select,
-    obf_inject,
-    obf_project,
     obf_residual,
-    obf_scale,
-    obf_summary,
 )
-from kvrelay.errors import BudgetUnset, DimensionMismatch, EmptyKeep
-from kvrelay.kv import RoleMap, decompose, index_array, select
-from kvrelay.linalg import principal_subspace
-from kvrelay.scoring import GLOBAL, HEADWISE, LAYERWISE, MassTable, attention_mass_headwise, demand_sums
+from kvrelay import linalg
+from kvrelay.errors import BudgetUnset, EmptyKeep
+from kvrelay.kv import KvCache, RoleMap, decompose, index_array, select
+from kvrelay.linalg import orthonormal_basis, principal_subspace, project_out
+from kvrelay.scoring import (
+    GLOBAL,
+    HEADWISE,
+    LAYERWISE,
+    AttentionRecord,
+    MassTable,
+    attention_mass_headwise,
+    demand_sums,
+)
 
 
 def one_round(sink_size=0, **spec_overrides):
@@ -165,14 +170,44 @@ def test_select_deleted_set_matches_set_loop(seed):
     assert result.deleted.dtype == np.int64
 
 
-# --- backfill kernels -------------------------------------------------------
+# --- backfill kernels and formula -----------------------------------------
+
+
+def hand_round(prompt_values, masses, budget_k):
+    """Run ``h2o_obf`` on a one-layer round whose prompt values and masses are given.
+
+    ``prompt_values[h]`` holds kv head ``h``'s (P, d) prompt value rows (at
+    positions 0..P-1) and ``masses[h]`` the mass each prompt position gets
+    through that head from one generation step, so each row of ``masses``
+    sums to 1. Returns (the local cache, the compressed block, its trace, cfg).
+    """
+    prompt_values = np.asarray(prompt_values, dtype=np.float64)
+    heads, p, d = prompt_values.shape
+    gen_row = np.zeros((heads, 1, d))
+    values = np.concatenate([prompt_values, gen_row], axis=1)[None]
+    local = KvCache(keys=np.zeros((1, heads, p + 1, 1)), values=values, positions=range(p + 1))
+    roles = RoleMap(sink=(), history=(), prompt=range(p), generation=(p,))
+    attn = AttentionRecord(
+        weights=np.asarray(masses, dtype=np.float64)[None, :, None, :],
+        gen_positions=(p,), columns=range(p), kv_group_size=1,
+    )
+    cfg = CompressionConfig(method="h2o_obf", budget_k=budget_k, sink_size=0)
+    block, _, trace = compress(local, roles, attn, cfg)
+    return local, block, trace, cfg
+
+
+# Kept rows e1, e2 (positions 0, 1); deleted rows 2 e3 and e1 + e3, whose
+# residual is [[0, 0, 2], [0, 0, 1]]. Head 0 gives the deleted rows masses
+# 0.15 and 0.05 (weights 3/4 and 1/4), head 1 gives them none.
+HAND_VALUES = [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [1.0, 0.0, 1.0]]] * 2
+HAND_MASSES = [[0.4, 0.4, 0.15, 0.05], [0.5, 0.5, 0.0, 0.0]]
 
 
 def test_residual_removes_retained_span():
-    basis, residual = obf_residual(
+    q, residual = obf_residual(
         [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[0.0, 0.0, 2.0], [1.0, 0.0, 1.0]]
     )
-    assert basis.rank == 2
+    assert q.shape == (3, 2)
     assert np.allclose(residual, [[0.0, 0.0, 2.0], [0.0, 0.0, 1.0]], atol=1e-12)
 
 
@@ -197,71 +232,79 @@ def test_residual_requires_retained_rows():
 
 
 def test_summary_weights_rows_by_mass():
-    r = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 1.0]])
-    summary = obf_summary(r, [0.3, 0.1], epsilon=1e-12)
-    assert np.allclose(summary, [0.0, 0.0, 1.75], atol=1e-10)
+    _, _, trace, _ = hand_round(HAND_VALUES, HAND_MASSES, budget_k=2)
+    unit = trace.units[(0, 0)]
+    assert not unit.skipped
+    assert np.allclose(unit.weights, [0.75, 0.25], atol=1e-10)
+    assert np.allclose(unit.summary, [0.0, 0.0, 1.75], atol=1e-10)
 
 
 def test_summary_of_single_row_is_nearly_that_row():
-    r = np.array([[1.0, -2.0, 0.5]])
-    assert np.allclose(obf_summary(r, [0.3], 1e-12), r[0], atol=1e-10)
+    # budget 3 deletes only position 3, which lies wholly outside the kept span
+    values = [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]]]
+    _, _, trace, _ = hand_round(values, [[0.3, 0.3, 0.3, 0.1]], budget_k=3)
+    assert np.allclose(trace.units[(0, 0)].summary, [0.0, 0.0, 2.0], atol=1e-10)
 
 
 def test_summary_with_zero_masses_is_zero():
-    r = np.array([[1.0, 1.0], [2.0, 2.0]])
-    assert np.array_equal(obf_summary(r, [0.0, 0.0], 1e-12), np.zeros(2))
-
-
-def test_summary_validates_inputs():
-    with pytest.raises(DimensionMismatch):
-        obf_summary(np.ones((2, 3)), [1.0], 1e-12)
-    with pytest.raises(ValueError):
-        obf_summary(np.ones((1, 3)), [-0.1], 1e-12)
-    with pytest.raises(ValueError):
-        obf_summary(np.ones((1, 3)), [0.1], 0.0)
+    # head 1's deleted rows have a residual but get no mass: nothing moves
+    local, block, trace, _ = hand_round(HAND_VALUES, HAND_MASSES, budget_k=2)
+    unit = trace.units[(0, 1)]
+    assert not unit.skipped and unit.del_mass == 0.0
+    assert np.array_equal(unit.summary, np.zeros(3))
+    assert np.array_equal(unit.injection, np.zeros(3))
+    assert np.array_equal(block.values[0, 1, :2], local.values[0, 1, :2])
 
 
 def test_project_onto_principal_direction():
-    sub = principal_subspace([[0.0, 0.0, 2.0], [0.0, 0.0, 1.0]], max_rank=8)
-    assert np.allclose(obf_project([0.0, 0.0, 1.75], sub), [0.0, 0.0, 1.75], atol=1e-12)
+    _, _, trace, _ = hand_round(HAND_VALUES, HAND_MASSES, budget_k=2)
+    # the residual spans e3 alone, and the summary already lies on it
+    assert trace.units[(0, 0)].subspace_rank == 1
+    assert np.allclose(trace.units[(0, 0)].direction, [0.0, 0.0, 1.75], atol=1e-12)
 
 
 def test_project_onto_empty_subspace_is_zero():
-    sub = principal_subspace(np.zeros((2, 3)), max_rank=4)
-    assert np.array_equal(obf_project([1.0, 2.0, 3.0], sub), np.zeros(3))
+    rows = principal_subspace(np.zeros((2, 3)), max_rank=4)
+    assert np.array_equal((np.array([1.0, 2.0, 3.0]) @ rows.T) @ rows, np.zeros(3))
 
 
 def test_project_in_span_is_fixpoint():
     rng = np.random.default_rng(8)
-    r = rng.standard_normal((4, 6))
-    sub = principal_subspace(r, max_rank=6)
-    x = rng.standard_normal(sub.subspace_rank) @ sub.rows
-    assert np.allclose(obf_project(x, sub), x, atol=1e-10)
-
-
-def test_project_dimension_check():
-    sub = principal_subspace(np.eye(3), max_rank=3)
-    with pytest.raises(DimensionMismatch):
-        obf_project(np.ones(4), sub)
+    rows = principal_subspace(rng.standard_normal((4, 6)), max_rank=6)
+    x = rng.standard_normal(rows.shape[0]) @ rows
+    assert np.allclose((x @ rows.T) @ rows, x, atol=1e-10)
 
 
 def test_scale_by_demand_ratio():
-    delta = obf_scale([0.0, 0.0, 1.75], (0.6, 0.4), epsilon=1e-12)
-    assert np.allclose(delta, [0.0, 0.0, 7.0 / 6.0], atol=1e-10)
-    assert np.array_equal(obf_scale([1.0, 2.0], (0.7, 0.0), 1e-12), np.zeros(2))
+    _, _, trace, _ = hand_round(HAND_VALUES, HAND_MASSES, budget_k=2)
+    unit = trace.units[(0, 0)]
+    assert unit.keep_mass == pytest.approx(0.8) and unit.del_mass == pytest.approx(0.2)
+    assert np.allclose(unit.injection, [0.0, 0.0, 0.25 * 1.75], atol=1e-10)
+    assert np.array_equal(trace.units[(0, 1)].injection, np.zeros(3))  # no deleted mass
 
 
 def test_scale_with_zero_keep_mass_is_large_but_finite():
-    delta = obf_scale([1.0], (0.0, 0.4), epsilon=1e-12)
-    assert np.isfinite(delta).all()
-    assert delta[0] == pytest.approx(0.4e12, rel=1e-6)
+    # Head 1 gives the kept rows (positions 0, 1) no mass and spreads its
+    # mass over the four deleted rows; head 0's mass keeps 0 and 1 on top of
+    # the shared ranking.
+    values = [[[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+               [0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]]] * 2
+    masses = [[0.5, 0.5, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.25, 0.25, 0.25, 0.25]]
+    _, block, trace, cfg = hand_round(values, masses, budget_k=2)
+    unit = trace.units[(0, 1)]
+    assert not unit.skipped and unit.keep_mass == 0.0 and unit.del_mass == 1.0
+    assert unit.zero_keep_demand and unit.to_dict()["zero_keep_demand"] is True
+    assert np.isfinite(unit.injection).all() and np.isfinite(block.values).all()
+    assert np.array_equal(unit.injection, (unit.del_mass / cfg.epsilon) * unit.direction)
+    assert float(np.abs(unit.injection).max()) == pytest.approx(0.5e12, rel=1e-6)
+    assert not trace.units[(0, 0)].zero_keep_demand
 
 
 def test_inject_adds_vector_to_every_row():
-    out = obf_inject([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0.0, 0.0, 7.0 / 6.0])
-    assert np.allclose(out, [[1.0, 0.0, 7.0 / 6.0], [0.0, 1.0, 7.0 / 6.0]], atol=1e-12)
-    with pytest.raises(DimensionMismatch):
-        obf_inject(np.ones((2, 3)), np.ones(2))
+    local, block, trace, _ = hand_round(HAND_VALUES, HAND_MASSES, budget_k=2)
+    injection = trace.units[(0, 0)].injection
+    assert np.array_equal(block.values[0, 0, :2], local.values[0, 0, :2] + injection)
+    assert np.allclose(block.values[0, 0, :2], [[1.0, 0.0, 0.4375], [0.0, 1.0, 0.4375]], atol=1e-10)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -269,12 +312,17 @@ def test_inject_adds_vector_to_every_row():
 def test_summary_ignores_deleted_row_order(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 9))
-    residual = rng.standard_normal((n, 7))
-    masses = rng.random(n)
+    kept = np.eye(7)[:2]
+    deleted = rng.standard_normal((n, 7))
+    share = rng.random(n) + 0.01
+    masses = np.concatenate([[0.35, 0.35], 0.3 * share / share.sum()])
     perm = rng.permutation(n)
-    direct = obf_summary(residual, masses, 1e-12)
-    shuffled = obf_summary(residual[perm], masses[perm], 1e-12)
-    assert np.allclose(direct, shuffled, atol=1e-12)
+    summaries = [
+        hand_round([np.concatenate([kept, deleted[order]])],
+                   [np.concatenate([masses[:2], masses[2:][order]])], budget_k=2)[2].units[(0, 0)].summary
+        for order in (np.arange(n), perm)
+    ]
+    assert np.allclose(summaries[0], summaries[1], atol=1e-12)
 
 
 # --- trace bookkeeping ------------------------------------------------------
@@ -475,6 +523,8 @@ def test_backfill_injection_is_uniform_across_kept_rows(seed):
 def reference_h2o_obf(local, roles, attn, cfg):
     """h2o_obf built the long way: gather rows through a position dict, collect
     one injection per active unit, then shift the kept slice of a fresh block.
+    Only the linalg kernels are shared with the code under test; every step
+    of the backfill formula is written out here.
 
     Returns (positions, keys, values, units) with each unit's trace fields in
     a dict.
@@ -504,21 +554,22 @@ def reference_h2o_obf(local, roles, attn, cfg):
             continue
         v_keep = local.values[layer, head, keep_rows, :]
         v_del = local.values[layer, head, del_rows, :]
-        basis, residual = obf_residual(v_keep, v_del)
-        fields.update(basis_rank=basis.rank, residual_norm=float(np.linalg.norm(residual)))
+        q = orthonormal_basis(v_keep)
+        residual = project_out(v_del, q)
+        fields.update(basis_rank=q.shape[1], residual_norm=float(np.linalg.norm(residual)))
         if fields["residual_norm"] <= 1e-10 * (1.0 + float(np.linalg.norm(v_del))):
             continue
-        subspace = principal_subspace(residual, cfg.pca_rank)
-        if subspace.subspace_rank == 0:
+        rows = principal_subspace(residual, cfg.pca_rank)
+        if rows.shape[0] == 0:
             continue
         masses = table.masses[layer, head, del_cols]
         weights = masses / (masses.sum() + cfg.epsilon)
         summary = weights @ residual
-        direction = obf_project(summary, subspace)
-        injection = obf_scale(direction, (keep_mass, del_mass), cfg.epsilon)
+        direction = (summary @ rows.T) @ rows
+        injection = (del_mass / (keep_mass + cfg.epsilon)) * direction
         shifts[unit] = injection
         fields.update(
-            subspace_rank=subspace.subspace_rank, injection=injection, skipped=False,
+            subspace_rank=rows.shape[0], injection=injection, skipped=False,
             zero_keep_demand=keep_mass == 0.0, weights=tuple(float(w) for w in weights),
             summary=summary, direction=direction,
         )
@@ -527,7 +578,7 @@ def reference_h2o_obf(local, roles, attn, cfg):
     values = np.array(block.values)
     kept_slice = slice(len(sink), len(sink) + len(keep))
     for (layer, head), delta in shifts.items():
-        values[layer, head, kept_slice, :] = obf_inject(values[layer, head, kept_slice, :], delta)
+        values[layer, head, kept_slice, :] = values[layer, head, kept_slice, :] + delta
     return order, block.keys, values, units
 
 
@@ -546,10 +597,8 @@ def same_vector(a, b):
     return a is None and b is None or a is not None and b is not None and np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("case", sorted(BACKFILL_CASES))
-@given(seed=st.integers(0, 2**31 - 1))
-@settings(max_examples=25, deadline=None)
-def test_backfill_matches_row_gather_reference(case, seed):
+def backfill_case(case, seed):
+    """One round of ``BACKFILL_CASES[case]``: (episode round, roles, h2o_obf config)."""
     opts = BACKFILL_CASES[case]
     rng = np.random.default_rng(seed)
     value_dim = int(rng.integers(2, 10))
@@ -580,11 +629,18 @@ def test_backfill_matches_row_gather_reference(case, seed):
     cfg = CompressionConfig(
         method="h2o_obf", sink_size=sink_size, pca_rank=opts.get("pca_rank", 8), **budget
     )
+    return ep, roles, cfg
 
+
+@pytest.mark.parametrize("case", sorted(BACKFILL_CASES))
+@given(seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=25, deadline=None)
+def test_backfill_matches_row_gather_reference(case, seed):
+    ep, roles, cfg = backfill_case(case, seed)
     retained, selection, trace = compress(ep.cache, roles, ep.attention, cfg)
     positions, keys, values, units = reference_h2o_obf(ep.cache, roles, ep.attention, cfg)
 
-    if opts.get("one_deleted"):
+    if BACKFILL_CASES[case].get("one_deleted"):
         assert len(selection.deleted) == 1
     assert np.array_equal(retained.positions, positions)
     assert np.array_equal(retained.keys, keys)
@@ -597,3 +653,38 @@ def test_backfill_matches_row_gather_reference(case, seed):
             assert getattr(unit, name) == expected[name], (key, name)
         for name in ("injection", "weights", "summary", "direction"):
             assert same_vector(getattr(unit, name), expected[name]), (key, name)
+
+
+@pytest.mark.parametrize("case", sorted(BACKFILL_CASES))
+@given(seed=st.integers(0, 2**31 - 1), flips=st.integers(0, 2**8 - 1))
+@settings(max_examples=15, deadline=None)
+def test_basis_signs_are_unobservable(case, seed, flips):
+    """Flipping the sign of singular vectors changes no output bit.
+
+    The backfill reads a basis only as ``x - (x Q) Q^T`` and a subspace only
+    as ``(s C^T) C``; negation is exact in IEEE arithmetic, so both are
+    bit-for-bit invariant and the kernels need no sign convention.
+    """
+    ep, roles, cfg = backfill_case(case, seed)
+    plain_block, selection, plain = compress(ep.cache, roles, ep.attention, cfg)
+    svd = linalg._svd
+    calls = []
+
+    def flipped_svd(m):
+        # the first right vector always flips, the next ones as ``flips`` says
+        u, sigmas, vt = svd(m)
+        calls.append(m.shape)
+        sign = np.where(((flips << 1 | 1) >> np.arange(vt.shape[0])) & 1, -1.0, 1.0)
+        return u * sign, sigmas, vt * sign[:, None]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_svd", flipped_svd)
+        block, _, trace = compress(ep.cache, roles, ep.attention, cfg)
+    assert calls or not selection.deleted.size
+    assert np.array_equal(block.values, plain_block.values)
+    assert sorted(trace.units) == sorted(plain.units)
+    for key, unit in trace.units.items():
+        expected = plain.units[key]
+        assert unit.to_dict() == expected.to_dict()
+        for name in ("injection", "weights", "summary", "direction"):
+            assert same_vector(getattr(unit, name), getattr(expected, name)), (key, name)

@@ -24,7 +24,7 @@ from kvrelay.kv import (
     index_array,
     select,
 )
-from kvrelay.linalg import OrthoBasis, PrincipalSubspace, orthonormal_basis, principal_subspace, top_k_indices
+from kvrelay.linalg import top_k_indices
 from kvrelay.relay import ChainConfig, RelayReport, RoundReportRow, run_chain
 from kvrelay.scoring import AttentionRecord, MassTable, attention_mass_headwise
 
@@ -601,7 +601,7 @@ def test_positions_are_read_only_int64_arrays_the_caller_cannot_change(case):
 # Frozen dataclasses that hold arrays, directly or through another container.
 ARRAY_CONTAINERS = (
     KvCache, RoleMap, RoundRecord, RelayMessage, AttentionRecord, MassTable, SelectionResult,
-    ObfUnitTrace, ObfTrace, EpisodeRound, OrthoBasis, PrincipalSubspace, RelayReport,
+    ObfUnitTrace, ObfTrace, EpisodeRound, RelayReport,
 )
 VALUE_CLASSES = {
     EpisodeSpec: lambda: EpisodeSpec(prompt_lens=[8, 9]),
@@ -628,11 +628,9 @@ def containers():
     assert not unit.skipped
     ep = generate_episode(spec, 1)
     table = attention_mass_headwise(ep.attention, ep.generation, ep.prompt)
-    values = ep.cache.values[0, 0]
     found = [
         ep.cache, RoleMap(sink=ep.prompt[:1], history=(), prompt=ep.prompt[1:], generation=ep.generation),
-        message.rounds[0], message, ep.attention, table, h2o_select(table, 2), unit, trace, ep,
-        orthonormal_basis(values[:3]), principal_subspace(values, 2), report,
+        message.rounds[0], message, ep.attention, table, h2o_select(table, 2), unit, trace, ep, report,
     ]
     return {type(obj): obj for obj in found}
 

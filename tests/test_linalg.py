@@ -13,14 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from kvrelay.errors import DimensionMismatch, EmptyInput, KvRelayError, NumericalFailure
-from kvrelay.linalg import (
-    OrthoBasis,
-    PrincipalSubspace,
-    orthonormal_basis,
-    principal_subspace,
-    project_out,
-    top_k_indices,
-)
+from kvrelay.linalg import orthonormal_basis, principal_subspace, project_out, top_k_indices
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -44,14 +37,16 @@ def random_matrix(rng, max_rows=16, max_cols=12):
 
 
 def test_basis_of_rank_one_rows():
-    basis = orthonormal_basis([[2.0, 0.0], [4.0, 0.0]])
-    assert basis.rank == 1
-    assert np.allclose(basis.basis, [[1.0], [0.0]], atol=1e-14)
+    q = orthonormal_basis([[2.0, 0.0], [4.0, 0.0]])
+    assert q.shape == (2, 1)
+    assert np.allclose(np.abs(q), [[1.0], [0.0]], atol=1e-14)
 
 
-def test_basis_sign_convention():
-    basis = orthonormal_basis([[-2.0, 0.0]])
-    assert np.allclose(basis.basis, [[1.0], [0.0]], atol=1e-14)
+def test_kernels_return_read_only_arrays():
+    m = np.array([[2.0, 0.0, 1.0], [4.0, 1.0, 0.0]])
+    for out in (orthonormal_basis(m), principal_subspace(m, 2), principal_subspace(np.zeros((0, 3)), 2)):
+        assert isinstance(out, np.ndarray) and out.dtype == np.float64
+        assert not out.flags.writeable
 
 
 def test_basis_requires_rows():
@@ -64,14 +59,7 @@ def test_basis_requires_rows():
 
 
 def test_basis_of_zero_matrix_is_empty():
-    basis = orthonormal_basis(np.zeros((3, 4)))
-    assert basis.rank == 0
-    assert basis.basis.shape == (4, 0)
-
-
-def test_ortho_basis_rejects_skewed_columns():
-    with pytest.raises(DimensionMismatch):
-        OrthoBasis(basis=np.array([[1.0, 0.9], [0.0, 0.1]]), rank=2)
+    assert orthonormal_basis(np.zeros((3, 4))).shape == (4, 0)
 
 
 def test_project_out_removes_spanned_part():
@@ -93,23 +81,24 @@ def test_project_out_dimension_check():
 
 
 def test_principal_subspace_of_axis_aligned_residual():
-    sub = principal_subspace([[0.0, 0.0, 2.0], [0.0, 0.0, 1.0]], max_rank=8)
-    assert sub.subspace_rank == 1
-    assert np.allclose(sub.singular_values, [np.sqrt(5.0)], atol=1e-12)
-    assert np.allclose(sub.rows, [[0.0, 0.0, 1.0]], atol=1e-12)
+    m = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 1.0]])
+    rows = principal_subspace(m, max_rank=8)
+    assert rows.shape == (1, 3)
+    assert np.allclose(np.linalg.norm(m @ rows.T, axis=0), [np.sqrt(5.0)], atol=1e-12)
+    assert np.allclose(np.abs(rows), [[0.0, 0.0, 1.0]], atol=1e-12)
 
 
 def test_principal_subspace_truncates_to_max_rank():
-    sub = principal_subspace(np.diag([5.0, 3.0, 1.0]), max_rank=2)
-    assert sub.subspace_rank == 2
-    assert np.allclose(sub.singular_values, [5.0, 3.0], atol=1e-12)
-    assert np.allclose(sub.rows, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], atol=1e-12)
+    m = np.diag([5.0, 3.0, 1.0])
+    rows = principal_subspace(m, max_rank=2)
+    assert rows.shape == (2, 3)
+    assert np.allclose(np.linalg.norm(m @ rows.T, axis=0), [5.0, 3.0], atol=1e-12)
+    assert np.allclose(np.abs(rows), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], atol=1e-12)
 
 
 def test_principal_subspace_of_zero_input_is_empty():
-    sub = principal_subspace(np.zeros((2, 3)), max_rank=4)
-    assert sub.subspace_rank == 0
-    assert sub.singular_values == ()
+    assert principal_subspace(np.zeros((2, 3)), max_rank=4).shape == (0, 3)
+    assert principal_subspace(np.zeros((0, 3)), max_rank=4).shape == (0, 3)
 
 
 def test_principal_subspace_rejects_bad_max_rank():
@@ -117,16 +106,11 @@ def test_principal_subspace_rejects_bad_max_rank():
         principal_subspace(np.eye(2), max_rank=0)
 
 
-def test_principal_subspace_type_rejects_increasing_sigmas():
-    with pytest.raises(ValueError):
-        PrincipalSubspace(rows=np.eye(2), singular_values=(1.0, 2.0))
-
-
 def test_numeric_rank_examples():
-    assert orthonormal_basis(np.eye(3)).rank == 3
-    assert orthonormal_basis([[1.0, 2.0], [2.0, 4.0]]).rank == 1
-    assert orthonormal_basis(np.zeros((2, 3))).rank == 0
-    assert orthonormal_basis(np.ones((4, 4))).rank == 1
+    assert orthonormal_basis(np.eye(3)).shape[1] == 3
+    assert orthonormal_basis([[1.0, 2.0], [2.0, 4.0]]).shape[1] == 1
+    assert orthonormal_basis(np.zeros((2, 3))).shape[1] == 0
+    assert orthonormal_basis(np.ones((4, 4))).shape[1] == 1
 
 
 def test_top_k_picks_highest_scores():
@@ -152,11 +136,10 @@ def test_top_k_edges():
 def test_basis_is_orthonormal_and_spans_rows(seed):
     rng = np.random.default_rng(seed)
     m = random_matrix(rng)
-    basis = orthonormal_basis(m)
-    q = basis.basis
-    assert np.linalg.norm(q.T @ q - np.eye(basis.rank)) <= 1e-10
+    q = orthonormal_basis(m)
+    assert np.linalg.norm(q.T @ q - np.eye(q.shape[1])) <= 1e-10
     # every input row must be reconstructed by the basis
-    residual = project_out(m, basis)
+    residual = project_out(m, q)
     assert np.linalg.norm(residual) <= 1e-9 * (1.0 + np.linalg.norm(m))
 
 
@@ -165,7 +148,7 @@ def test_basis_is_orthonormal_and_spans_rows(seed):
 def test_basis_rank_matches_svd_oracle(seed):
     rng = np.random.default_rng(seed)
     m = random_matrix(rng)
-    assert orthonormal_basis(m).rank == oracles.svd_rank(m)
+    assert orthonormal_basis(m).shape[1] == oracles.svd_rank(m)
 
 
 @given(seed=seeds)
@@ -184,10 +167,10 @@ def test_projection_is_idempotent(seed):
 def test_residual_is_orthogonal_to_basis(seed):
     rng = np.random.default_rng(seed)
     keep = random_matrix(rng, max_rows=10, max_cols=10)
-    basis = orthonormal_basis(keep)
+    q = orthonormal_basis(keep)
     x = rng.standard_normal((4, keep.shape[1]))
-    residual = project_out(x, basis)
-    assert np.linalg.norm(residual @ basis.basis) <= 1e-8 * (1.0 + np.linalg.norm(x))
+    residual = project_out(x, q)
+    assert np.linalg.norm(residual @ q) <= 1e-8 * (1.0 + np.linalg.norm(x))
 
 
 @given(seed=seeds)
@@ -195,13 +178,14 @@ def test_residual_is_orthogonal_to_basis(seed):
 def test_singular_values_match_gram_oracle(seed):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((int(rng.integers(1, 7)), int(rng.integers(1, 7))))
-    sub = principal_subspace(m, max_rank=6)
+    rows = principal_subspace(m, max_rank=6)
     sigmas, _ = oracles.gram_right_vectors(m)
-    p = sub.subspace_rank
-    assert np.allclose(sub.singular_values, sigmas[:p], atol=1e-8)
+    p = rows.shape[0]
+    # the input's extent along each returned direction is its singular value
+    assert np.allclose(np.linalg.norm(m @ rows.T, axis=0), sigmas[:p], atol=1e-8)
     # projecting the input onto the subspace reproduces it when p = rank
     if p == min(m.shape):
-        reconstructed = (m @ sub.rows.T) @ sub.rows
+        reconstructed = (m @ rows.T) @ rows
         assert np.allclose(reconstructed, m, atol=1e-8)
 
 
@@ -236,8 +220,8 @@ def test_known_rank_is_recovered_by_every_kernel(seed):
     # r well-separated singular values spanning six decades, the rest exactly zero
     sigmas = 10.0 ** -np.linspace(0.0, 6.0, r) * 10.0 ** rng.integers(-4, 5)
     m = with_spectrum(rng, rows, cols, sigmas)
-    assert orthonormal_basis(m).rank == r
-    assert principal_subspace(m, max_rank=cols).subspace_rank == r
+    assert orthonormal_basis(m).shape[1] == r
+    assert principal_subspace(m, max_rank=cols).shape[0] == r
 
 
 @pytest.mark.parametrize("shape", [(300, 16), (1000, 64)])
@@ -248,11 +232,13 @@ def test_tall_residual_matches_gram_oracle(shape, seed):
     m = with_spectrum(rng, rows, cols, np.linspace(10.0, 1.0, cols))
     sigmas, vectors = oracles.gram_right_vectors(m)
     for max_rank in (4, cols):
-        sub = principal_subspace(m, max_rank=max_rank)
-        assert sub.subspace_rank == max_rank
-        assert np.allclose(sub.singular_values, sigmas[:max_rank], rtol=1e-10, atol=0.0)
-        expected = np.array([oracles.fix_sign(vectors[:, i]) for i in range(max_rank)])
-        assert np.allclose(sub.rows, expected, atol=1e-9)
+        rows = principal_subspace(m, max_rank=max_rank)
+        assert rows.shape[0] == max_rank
+        assert np.allclose(np.linalg.norm(m @ rows.T, axis=0), sigmas[:max_rank], rtol=1e-10, atol=0.0)
+        # each row is the oracle's vector up to sign
+        want = vectors[:, :max_rank].T
+        want = want * np.sign(np.sum(rows * want, axis=1))[:, None]
+        assert np.allclose(rows, want, atol=1e-9)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -274,10 +260,3 @@ def test_kernels_wrap_svd_failure(monkeypatch):
     for kernel in (orthonormal_basis, lambda m: principal_subspace(m, 2)):
         with pytest.raises(NumericalFailure, match="did not converge"):
             kernel(np.eye(3))
-
-
-def test_orthonormality_checks_reject_nan():
-    with pytest.raises(DimensionMismatch):
-        OrthoBasis(basis=np.array([[np.nan], [0.0]]), rank=1)
-    with pytest.raises(DimensionMismatch):
-        PrincipalSubspace(rows=np.array([[np.nan, 0.0]]), singular_values=(1.0,))
