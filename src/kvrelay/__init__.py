@@ -57,7 +57,6 @@ from .scoring import (
     HEADWISE,
     LAYERWISE,
     AttentionRecord,
-    MassTable,
     aggregate_global,
     aggregate_layerwise,
     attention_mass_headwise,
@@ -78,7 +77,6 @@ __all__ = [
     "HEADWISE",
     "KvCache",
     "LAYERWISE",
-    "MassTable",
     "ObfTrace",
     "ObfUnitTrace",
     "RelayMessage",

@@ -92,8 +92,9 @@ class EpisodeRound:
     """One agent round as the backbone hands it to the relay.
 
     The attention columns must equal ``prompt`` and its rows
-    ``generation``; prompt and generation must be disjoint cache positions.
-    Any other round raises :class:`RoundMismatch`.
+    ``generation``; prompt and generation must be non-empty cache
+    positions, every generation position after every prompt position. Any
+    other round raises :class:`RoundMismatch`.
     """
 
     cache: KvCache
@@ -106,6 +107,10 @@ class EpisodeRound:
         for name in ("prompt", "generation", "padding"):
             object.__setattr__(self, name, index_array(getattr(self, name)))
         prompt, generation = self.prompt, self.generation
+        if not prompt.size:
+            raise RoundMismatch("round has an empty prompt")
+        if not generation.size:
+            raise RoundMismatch("round has an empty generation")
         if not np.array_equal(self.attention.columns, prompt):
             raise RoundMismatch("attention columns are not the prompt positions")
         if not np.array_equal(self.attention.gen_positions, generation):
@@ -117,6 +122,10 @@ class EpisodeRound:
         if shared.any():
             first = generation[int(shared.argmax())]
             raise RoundMismatch(f"position {first} is both a prompt and a generation position")
+        if generation[0] <= prompt[-1]:
+            raise RoundMismatch(
+                f"generation position {generation[0]} does not follow prompt position {prompt[-1]}"
+            )
         _, cached = locate(self.cache.positions, local)
         if not cached.all():
             raise RoundMismatch(f"position {local[int(cached.argmin())]} is not in the cache")

@@ -43,7 +43,6 @@ from .scoring import (
     GLOBAL,
     GRANULARITIES,
     AttentionRecord,
-    MassTable,
     aggregate_global,
     attention_mass_headwise,
     demand_sums,
@@ -203,15 +202,16 @@ class ObfTrace:
         }
 
 
-def h2o_select(table: MassTable, k: int) -> SelectionResult:
-    """Keep the ``min(k, |positions|)`` table positions of highest total mass.
+def h2o_select(masses: np.ndarray, k: int, positions) -> SelectionResult:
+    """Keep the ``min(k, |positions|)`` positions of highest total mass.
 
-    One shared ranking by :func:`aggregate_global`, ties toward the smaller
-    position.
+    ``masses`` is (layers, kv_heads, len(positions)), its last axis in
+    ``positions`` order. One shared ranking by :func:`aggregate_global`,
+    ties toward the smaller position.
     """
-    keep = top_k_indices(aggregate_global(table), k, table.positions)
-    _, kept = locate(keep, table.positions)
-    return SelectionResult(keep=keep, deleted=table.positions[~kept], budget=k)
+    keep = top_k_indices(aggregate_global(masses), k, positions)
+    _, kept = locate(keep, positions)
+    return SelectionResult(keep=keep, deleted=np.asarray(positions)[~kept], budget=k)
 
 
 def obf_residual(v_keep, v_del) -> tuple[np.ndarray, np.ndarray]:
@@ -228,15 +228,19 @@ def _orthogonal_backfill(
     block: KvCache,
     kept_slice: slice,
     selection: SelectionResult,
-    table: MassTable,
+    eligible: np.ndarray,
+    masses: np.ndarray,
     cfg: CompressionConfig,
 ) -> tuple[KvCache, ObfTrace]:
-    """Backfill the kept rows ``block.values[:, :, kept_slice]`` of an assembled block."""
+    """Backfill the kept rows ``block.values[:, :, kept_slice]`` of an assembled block.
+
+    ``masses`` are those of :func:`h2o_select`, last axis in ``eligible`` order.
+    """
     keep, deleted = selection.keep, selection.deleted
     if deleted.size and not keep.size:
         raise EmptyKeep("budget left no retained prompt rows to backfill into")
-    _, kept = locate(keep, table.positions)
-    demands, del_masses = demand_sums(table, kept)
+    _, kept = locate(keep, eligible)
+    demands, del_masses = demand_sums(masses, kept)
     deleted_values = select(local, deleted).values if deleted.size else None
     value_dim = local.value_dim
 
@@ -270,8 +274,8 @@ def _orthogonal_backfill(
             units[unit] = skipped(q.shape[1], residual_norm)
             continue
         rows = principal_subspace(residual, cfg.pca_rank)
-        masses = del_masses[layer, head]
-        weights = masses / (masses.sum() + cfg.epsilon)
+        unit_masses = del_masses[layer, head]
+        weights = unit_masses / (unit_masses.sum() + cfg.epsilon)
         summary = weights @ residual
         direction = (summary @ rows.T) @ rows
         injection = (del_mass / (keep_mass + cfg.epsilon)) * direction
@@ -325,12 +329,12 @@ def compress(
     if attn is None:
         raise ValueError("eviction methods need an attention record")
     k = cfg.round_budget(len(eligible))
-    table = attention_mass_headwise(attn, roles.generation, eligible)
-    selection = h2o_select(table, k)
+    masses = attention_mass_headwise(attn, roles.generation, eligible)
+    selection = h2o_select(masses, k, eligible)
 
     retained = select(local, np.concatenate([sink, selection.keep, roles.generation]))
     if cfg.method == "h2o":
         return retained, selection, ObfTrace()
     kept_slice = slice(len(sink), len(sink) + len(selection.keep))
-    retained, trace = _orthogonal_backfill(local, retained, kept_slice, selection, table, cfg)
+    retained, trace = _orthogonal_backfill(local, retained, kept_slice, selection, eligible, masses, cfg)
     return retained, selection, trace

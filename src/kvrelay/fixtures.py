@@ -216,13 +216,10 @@ def episode_round_to_dict(ep: EpisodeRound) -> dict:
 
 
 def episode_round_from_dict(doc: dict) -> EpisodeRound:
-    prompt = _positions(doc["prompt"], "prompt")
-    if not prompt:
-        raise ValueError("round has an empty prompt")
     return EpisodeRound(
         cache=kv_cache_from_dict(doc["cache"]),
         attention=attention_from_dict(doc["attention"]),
-        prompt=prompt,
+        prompt=_positions(doc["prompt"], "prompt"),
         generation=_positions(doc["generation"], "generation"),
         padding=_positions(doc.get("padding", ()), "padding"),
     )

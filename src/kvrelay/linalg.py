@@ -68,8 +68,6 @@ def project_out(x, q: np.ndarray) -> np.ndarray:
     x = _as_matrix(x)
     if x.shape[1] != q.shape[0]:
         raise DimensionMismatch(f"rows have dim {x.shape[1]} but basis lives in dim {q.shape[0]}")
-    if q.shape[1] == 0:
-        return x.copy()
     return x - (x @ q) @ q.T
 
 

@@ -173,7 +173,6 @@ def run_chain(
     rows: list[RoundReportRow] = []
     budgets: list[int] = []
     traces: list[ObfTrace] = []
-    total_gen = 0
 
     for round_i in range(1, chain.num_agents + 1):
         episode = source(round_i)
@@ -195,7 +194,7 @@ def run_chain(
         )
         message = RelayMessage(
             cache=cache,
-            sink=roles.sink if message is None else message.sink,
+            sink=roles.sink,
             rounds=(message.rounds if message is not None else ()) + (record,),
         )
         rows.append(
@@ -209,9 +208,9 @@ def run_chain(
         )
         budgets.append(selection.budget)
         traces.append(trace)
-        total_gen += len(roles.generation)
 
     total_prompt = sum(row.prompt_len for row in rows)
+    total_gen = sum(row.gen_len for row in rows)
     relayed = sum(row.kept_prompt for row in rows)
     if cfg.method == "full":
         r_eff = 1.0

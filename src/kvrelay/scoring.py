@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, MissingColumn, NumericalFailure
-from .kv import index_array, locate, read_only
+from .kv import freeze, index_array, locate, read_only
 
 # Ranking labels a run may carry. Eviction always ranks by the global
 # aggregate; a layer or head breakdown summed into one shared ranking is
@@ -98,30 +98,6 @@ class AttentionRecord:
         return self.num_query_heads // self.kv_group_size
 
 
-@dataclass(frozen=True, eq=False)
-class MassTable:
-    """Attention mass per (layer, kv head) and prompt position.
-
-    ``masses[layer, head, i]`` is the mass that position ``positions[i]``
-    received through kv head ``head`` of layer ``layer``. Both arrays are
-    read-only.
-    """
-
-    positions: np.ndarray
-    masses: np.ndarray  # (num_layers, num_kv_heads, len(positions))
-
-    def __post_init__(self):
-        positions = index_array(self.positions)
-        masses = read_only(self.masses)
-        if masses.ndim != 3 or masses.shape[2] != len(positions) or 0 in masses.shape[:2]:
-            raise ValueError(
-                f"masses of shape {masses.shape} are not (layers >= 1, kv_heads >= 1, "
-                f"{len(positions)} positions)"
-            )
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "masses", masses)
-
-
 def _as_run(indices: np.ndarray):
     """A slice if the strictly increasing ``indices`` are one run of consecutive integers."""
     if indices.size and indices[-1] - indices[0] == indices.size - 1:
@@ -129,12 +105,14 @@ def _as_run(indices: np.ndarray):
     return indices
 
 
-def attention_mass_headwise(attn: AttentionRecord, gen, prompt) -> MassTable:
+def attention_mass_headwise(attn: AttentionRecord, gen, prompt) -> np.ndarray:
     """Per-(layer, kv head) mass each prompt position collected over ``gen``.
 
     ``gen`` must be strictly increasing generation positions of ``attn``
     and ``prompt`` strictly increasing columns of it; both are found with
-    :func:`kv.locate`, columns first.
+    :func:`kv.locate`, columns first. Returns the read-only float64
+    (layers, kv_heads, len(prompt)) array whose ``[layer, head, i]`` is the
+    mass ``prompt[i]`` received through that kv head.
     """
     prompt = index_array(prompt)
     gen = index_array(gen)
@@ -149,7 +127,7 @@ def attention_mass_headwise(attn: AttentionRecord, gen, prompt) -> MassTable:
     if cols.size == 1:
         # One column: gather, then sum. When that leaves a single output,
         # numpy adds its rows pairwise instead of one by one, so summing
-        # whole rows first could round a one-column table differently.
+        # whole rows first could round a single column differently.
         per_query = attn.weights[:, :, rows[:, None], cols].sum(axis=2)
     else:
         # numpy adds the rows one by one for each column whether or not the
@@ -157,21 +135,21 @@ def attention_mass_headwise(attn: AttentionRecord, gen, prompt) -> MassTable:
         # gives the same bits without a (layers, heads, rows, columns) copy.
         per_query = attn.weights[:, :, _as_run(rows), :].sum(axis=2)[:, :, _as_run(cols)]
     grouped = per_query.reshape(attn.num_layers, attn.num_kv_heads, attn.kv_group_size, cols.size)
-    return MassTable(positions=prompt, masses=grouped.sum(axis=2))
+    return freeze(grouped.sum(axis=2))
 
 
-def aggregate_layerwise(table: MassTable) -> np.ndarray:
-    """(layers, positions): head masses summed within each layer."""
-    return table.masses.sum(axis=1)
+def aggregate_layerwise(masses: np.ndarray) -> np.ndarray:
+    """(layers, positions): the (layers, kv_heads, positions) masses summed within each layer."""
+    return masses.sum(axis=1)
 
 
-def aggregate_global(table: MassTable) -> np.ndarray:
+def aggregate_global(masses: np.ndarray) -> np.ndarray:
     """(positions,): masses summed over heads, then over layers.
 
     Summed in that order, head by head and then layer by layer, so the
     result is the layer aggregate summed once more, bit for bit.
     """
-    return aggregate_layerwise(table).sum(axis=0)
+    return aggregate_layerwise(masses).sum(axis=0)
 
 
 def _sum_in_order(masses: np.ndarray) -> np.ndarray:
@@ -182,19 +160,19 @@ def _sum_in_order(masses: np.ndarray) -> np.ndarray:
     return np.cumsum(masses, axis=2)[:, :, -1]
 
 
-def demand_sums(table: MassTable, kept) -> tuple[np.ndarray, np.ndarray]:
-    """Split ``table`` by a mask: per-unit totals and the masses of the rest.
+def demand_sums(masses: np.ndarray, kept) -> tuple[np.ndarray, np.ndarray]:
+    """Split (layers, kv_heads, positions) ``masses`` by a mask over their last axis.
 
-    ``kept`` is a boolean mask over ``table.positions``; anything else
+    ``kept`` is a boolean mask of length ``masses.shape[2]``; anything else
     raises :class:`DimensionMismatch`. Returns the (layers, kv_heads, 2)
-    total mass of the kept positions and of the rest, each added in table
-    order, and the (layers, kv_heads, |rest|) masses of the rest.
+    total mass of the kept positions and of the rest, each added in
+    position order, and the (layers, kv_heads, |rest|) masses of the rest.
     """
     kept = np.asarray(kept)
-    if kept.dtype != np.bool_ or kept.shape != (len(table.positions),):
+    if kept.dtype != np.bool_ or kept.shape != (masses.shape[2],):
         raise DimensionMismatch(
-            f"need a boolean mask over {len(table.positions)} positions, "
+            f"need a boolean mask over {masses.shape[2]} positions, "
             f"got {kept.dtype} of shape {kept.shape}"
         )
-    rest = table.masses[:, :, ~kept]
-    return np.stack([_sum_in_order(table.masses[:, :, kept]), _sum_in_order(rest)], axis=2), rest
+    rest = masses[:, :, ~kept]
+    return np.stack([_sum_in_order(masses[:, :, kept]), _sum_in_order(rest)], axis=2), rest

@@ -120,7 +120,6 @@ def test_criterion_03_subspace_matches_gram_oracle():
 
 def test_criterion_04_topk_matches_sort_oracle():
     from kvrelay.compress import h2o_select
-    from kvrelay.scoring import MassTable
 
     rng = np.random.default_rng(44)
     start = time.perf_counter()
@@ -130,13 +129,11 @@ def test_criterion_04_topk_matches_sort_oracle():
         eligible = tuple(sorted(rng.choice(300, size=n, replace=False).tolist()))
         scores = {p: float(rng.integers(0, 6)) / 4.0 for p in eligible}
         k = int(rng.integers(0, n + 3))
-        table = MassTable(positions=eligible, masses=[[[scores[p] for p in eligible]]])
-        result = h2o_select(table, k)
+        result = h2o_select(np.array([[[scores[p] for p in eligible]]]), k, eligible)
         if tuple(result.keep.tolist()) != oracles.topk(scores, k, eligible):
             mismatches += 1
     # explicit tie pile-up: every score equal -> lowest positions win
-    table = MassTable(positions=tuple(range(10, 30)), masses=np.ones((1, 1, 20)))
-    tie_ok = h2o_select(table, 5).keep.tolist() == [10, 11, 12, 13, 14]
+    tie_ok = h2o_select(np.ones((1, 1, 20)), 5, tuple(range(10, 30))).keep.tolist() == [10, 11, 12, 13, 14]
     elapsed = time.perf_counter() - start
     ok = mismatches == 0 and tie_ok and elapsed < 5.0
     check(4, "top-k vs full-sort oracle", ok, f"({elapsed:.2f}s)")
@@ -363,10 +360,10 @@ def test_criterion_10_attention_mass_conservation():
             # per query head, straight off the tensor
             per_query = attn.weights.sum(axis=(2, 3))
             worst = max(worst, float(np.abs(per_query - len(ep.generation)).max()))
-            # per kv head, through the mass table (folds the query-head group)
-            table = attention_mass_headwise(attn, ep.generation, ep.prompt)
+            # per kv head, through the mass array (folds the query-head group)
+            masses = attention_mass_headwise(attn, ep.generation, ep.prompt)
             expected = spec.kv_group_size * len(ep.generation)
-            totals = table.masses.sum(axis=2)
+            totals = masses.sum(axis=2)
             worst = max(worst, float(np.abs(totals - expected).max()))
     check(10, "attention mass conservation", worst <= 1e-5, f"(worst {worst:.2e})")
 

@@ -321,3 +321,23 @@ def test_episode_round_checks_its_labels():
     )
     with pytest.raises(RoundMismatch, match=f"position {prompt[-1]} is both"):
         rebuilt(generation=overlap.gen_positions, attention=overlap)
+
+    # each round below has attention labels that match its prompt and generation;
+    # its weights are either all of the round's or none
+    def relabelled(new_prompt, new_generation):
+        attention = AttentionRecord(
+            weights=ep.attention.weights[:, :, : len(new_generation), : len(new_prompt)],
+            gen_positions=new_generation,
+            columns=new_prompt,
+            kv_group_size=ep.attention.kv_group_size,
+        )
+        return rebuilt(prompt=new_prompt, generation=new_generation, attention=attention)
+
+    with pytest.raises(RoundMismatch, match="empty prompt"):
+        relabelled(prompt[:0], generation)
+    with pytest.raises(RoundMismatch, match="empty generation"):
+        relabelled(prompt, generation[:0])
+    # the same cache positions, generation labelled first
+    early, late = ep.cache.positions[: len(generation)], ep.cache.positions[len(generation):]
+    with pytest.raises(RoundMismatch, match=f"generation position {early[0]} does not follow prompt position {late[-1]}"):
+        relabelled(late, early)

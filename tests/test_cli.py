@@ -570,6 +570,31 @@ def _fractional_group_size(doc):
     return doc
 
 
+def _edit_round(doc, index, edit):
+    edit(doc["rounds"][index])
+    return doc
+
+
+# Each edit below changes one round in place and returns the exit code it
+# must give, so it also serves as a strategy of the random corruption test.
+def _empty_generation(round_doc, data=None):
+    attention = round_doc["attention"]
+    round_doc["generation"] = attention["generation_positions"] = []
+    attention["weights"]["shape"][2] = 0
+    attention["weights"]["float64_le_base64"] = ""
+    return 2
+
+
+def _generation_before_prompt(round_doc, data=None):
+    # the same cache positions, the generation labelled first
+    attention = round_doc["attention"]
+    positions = round_doc["cache"]["positions"]
+    gen_len = len(round_doc["generation"])
+    round_doc["generation"] = attention["generation_positions"] = positions[:gen_len]
+    round_doc["prompt"] = attention["columns"] = positions[gen_len:]
+    return 2
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -585,12 +610,15 @@ def _fractional_group_size(doc):
         lambda text: json.dumps(_shifted_columns(json.loads(text))),
         lambda text: json.dumps(_unsorted_generation_positions(json.loads(text))),
         lambda text: json.dumps(_fractional_group_size(json.loads(text))),
+        lambda text: json.dumps(_edit_round(json.loads(text), 1, _empty_generation)),
+        lambda text: json.dumps(_edit_round(json.loads(text), 0, _generation_before_prompt)),
     ],
     ids=[
         "missing_positions", "not_json", "empty_prompt", "negative_weight",
         "swapped_prompt", "fractional_generation", "fractional_cache_positions",
         "short_cache_positions", "prompt_reused_as_generation", "shifted_columns",
-        "unsorted_generation_positions", "fractional_group_size",
+        "unsorted_generation_positions", "fractional_group_size", "empty_generation",
+        "generation_before_prompt",
     ],
 )
 def test_simulate_malformed_fixture_exits_2(tmp_path, capsys, corrupt):
@@ -1003,7 +1031,7 @@ def _random_packed_non_finite(round_doc, data):
         _random_drop_key, _random_fractional_position, _random_swap_adjacent, _random_remove_cache_position,
         _random_reuse_prompt_position, _random_non_integer_group_size, _random_negative_weight, _random_non_finite,
         _random_invalid_base64, _random_wrong_byte_count, _random_bad_shape_entry, _random_drop_packed_key,
-        _random_packed_non_finite,
+        _random_packed_non_finite, _empty_generation, _generation_before_prompt,
     ]),
     round_i=st.integers(0, 2),
     method=st.sampled_from(ALL_METHODS),

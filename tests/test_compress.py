@@ -25,7 +25,6 @@ from kvrelay.scoring import (
     HEADWISE,
     LAYERWISE,
     AttentionRecord,
-    MassTable,
     attention_mass_headwise,
     demand_sums,
 )
@@ -104,35 +103,32 @@ def test_round_budget_fixed_and_ratio():
 # --- selection --------------------------------------------------------------
 
 
-def global_table(scores):
+def global_select(scores, k):
+    """h2o_select over one unit whose masses are ``scores`` (position -> mass)."""
     positions = sorted(scores)
-    return MassTable(positions=positions, masses=[[[scores[p] for p in positions]]])
+    return h2o_select(np.array([[[scores[p] for p in positions]]]), k, positions)
 
 
 def test_select_keeps_highest_mass_with_tie_toward_lower():
-    table = global_table({4: 0.9, 5: 0.1, 6: 0.5, 7: 0.5})
-    result = h2o_select(table, 2)
+    result = global_select({4: 0.9, 5: 0.1, 6: 0.5, 7: 0.5}, 2)
     assert result.keep.tolist() == [4, 6]
     assert result.deleted.tolist() == [5, 7]
     assert result.budget == 2
 
 
 def test_select_all_zero_masses_uses_position_cascade():
-    table = global_table({p: 0.0 for p in range(4, 10)})
-    assert h2o_select(table, 2).keep.tolist() == [4, 5]
+    assert global_select({p: 0.0 for p in range(4, 10)}, 2).keep.tolist() == [4, 5]
 
 
 def test_select_without_pressure_deletes_nothing():
-    table = global_table({4: 0.9, 5: 0.1})
-    result = h2o_select(table, 2)
+    result = global_select({4: 0.9, 5: 0.1}, 2)
     assert result.keep.tolist() == [4, 5]
     assert result.deleted.tolist() == []
 
 
 def test_select_packs_unit_rankings_by_summing():
     # two layers, one kv head each
-    table = MassTable(positions=(1, 2), masses=[[[0.9, 0.1]], [[0.2, 0.8]]])
-    result = h2o_select(table, 1)
+    result = h2o_select(np.array([[[0.9, 0.1]], [[0.2, 0.8]]]), 1, (1, 2))
     assert result.keep.tolist() == [1]  # 1.1 beats 0.9 on the summed ranking
     assert result.deleted.tolist() == [2]
 
@@ -150,7 +146,7 @@ def test_selection_budget_is_exact(seed):
     eligible = tuple(sorted(rng.choice(100, size=n, replace=False).tolist()))
     scores = {p: float(rng.integers(0, 4)) for p in eligible}
     k = int(rng.integers(0, n + 4))
-    result = h2o_select(global_table(scores), k)
+    result = global_select(scores, k)
     assert len(result.keep) == min(k, n)
     assert tuple(sorted(result.keep.tolist() + result.deleted.tolist())) == eligible
     assert tuple(result.keep.tolist()) == oracles.topk(scores, k, eligible)
@@ -163,10 +159,9 @@ def test_select_deleted_set_matches_set_loop(seed):
     n = int(rng.integers(1, 40))
     positions = tuple(sorted(rng.choice(500, size=n, replace=False).tolist()))
     masses = rng.integers(0, 3, size=(int(rng.integers(1, 3)), 2, n)).astype(float)
-    table = MassTable(positions=positions, masses=masses)
-    result = h2o_select(table, int(rng.integers(0, n + 3)))
+    result = h2o_select(masses, int(rng.integers(0, n + 3)), positions)
     keep_set = set(result.keep.tolist())
-    assert result.deleted.tolist() == [pos for pos in table.positions.tolist() if pos not in keep_set]
+    assert result.deleted.tolist() == [pos for pos in positions if pos not in keep_set]
     assert result.deleted.dtype == np.int64
 
 
@@ -531,15 +526,15 @@ def reference_h2o_obf(local, roles, attn, cfg):
     """
     eligible = roles.prompt.tolist()
     sink = roles.sink.tolist() if set(roles.sink.tolist()) <= set(local.positions.tolist()) else []
-    table = attention_mass_headwise(attn, roles.generation, eligible)
-    selection = h2o_select(table, cfg.round_budget(len(eligible)))
+    masses = attention_mass_headwise(attn, roles.generation, eligible)
+    selection = h2o_select(masses, cfg.round_budget(len(eligible)), eligible)
     keep, deleted = selection.keep.tolist(), selection.deleted.tolist()
     row_of = {pos: row for row, pos in enumerate(local.positions.tolist())}
     keep_rows = [row_of[pos] for pos in keep]
     del_rows = [row_of[pos] for pos in deleted]
-    col_of = {pos: col for col, pos in enumerate(table.positions.tolist())}
+    col_of = {pos: col for col, pos in enumerate(eligible)}
     del_cols = [col_of[pos] for pos in deleted]
-    demands, _ = demand_sums(table, np.isin(table.positions, keep))
+    demands, _ = demand_sums(masses, np.isin(eligible, keep))
     shifts = {}
     units = {}
     for unit in np.ndindex(demands.shape[:2]):
@@ -562,8 +557,8 @@ def reference_h2o_obf(local, roles, attn, cfg):
         rows = principal_subspace(residual, cfg.pca_rank)
         if rows.shape[0] == 0:
             continue
-        masses = table.masses[layer, head, del_cols]
-        weights = masses / (masses.sum() + cfg.epsilon)
+        unit_masses = masses[layer, head, del_cols]
+        weights = unit_masses / (unit_masses.sum() + cfg.epsilon)
         summary = weights @ residual
         direction = (summary @ rows.T) @ rows
         injection = (del_mass / (keep_mass + cfg.epsilon)) * direction

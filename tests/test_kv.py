@@ -26,7 +26,7 @@ from kvrelay.kv import (
 )
 from kvrelay.linalg import top_k_indices
 from kvrelay.relay import ChainConfig, RelayReport, RoundReportRow, run_chain
-from kvrelay.scoring import AttentionRecord, MassTable, attention_mass_headwise
+from kvrelay.scoring import AttentionRecord, attention_mass_headwise
 
 
 def make_cache(positions, layers=2, heads=2, key_dim=3, value_dim=2):
@@ -548,7 +548,6 @@ POSITION_CASES = {
         ("sink",),
     ),
     "AttentionRecord": (lambda w: _attention(w([5, 6]), w([1, 2])), ("gen_positions", "columns")),
-    "MassTable": (lambda w: MassTable(positions=w([1, 2]), masses=np.ones((1, 1, 2))), ("positions",)),
     "SelectionResult": (lambda w: SelectionResult(keep=w([1, 3]), deleted=w([2]), budget=2), ("keep", "deleted")),
     "EpisodeRound": (
         lambda w: EpisodeRound(
@@ -600,7 +599,7 @@ def test_positions_are_read_only_int64_arrays_the_caller_cannot_change(case):
 
 # Frozen dataclasses that hold arrays, directly or through another container.
 ARRAY_CONTAINERS = (
-    KvCache, RoleMap, RoundRecord, RelayMessage, AttentionRecord, MassTable, SelectionResult,
+    KvCache, RoleMap, RoundRecord, RelayMessage, AttentionRecord, SelectionResult,
     ObfUnitTrace, ObfTrace, EpisodeRound, RelayReport,
 )
 VALUE_CLASSES = {
@@ -627,10 +626,10 @@ def containers():
     (unit,) = trace.units.values()
     assert not unit.skipped
     ep = generate_episode(spec, 1)
-    table = attention_mass_headwise(ep.attention, ep.generation, ep.prompt)
+    masses = attention_mass_headwise(ep.attention, ep.generation, ep.prompt)
     found = [
         ep.cache, RoleMap(sink=ep.prompt[:1], history=(), prompt=ep.prompt[1:], generation=ep.generation),
-        message.rounds[0], message, ep.attention, table, h2o_select(table, 2), unit, trace, ep, report,
+        message.rounds[0], message, ep.attention, h2o_select(masses, 2, ep.prompt), unit, trace, ep, report,
     ]
     return {type(obj): obj for obj in found}
 

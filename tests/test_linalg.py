@@ -70,8 +70,9 @@ def test_project_out_removes_spanned_part():
 
 def test_project_out_with_empty_basis_is_identity():
     basis = orthonormal_basis(np.zeros((2, 3)))
-    x = np.array([[1.0, 2.0, 3.0]])
-    assert np.array_equal(project_out(x, basis), x)
+    x = np.array([[1.0, -0.0, 3.0], [0.0, 2.5, -7.0]])
+    got = project_out(x, basis)
+    assert got is not x and got.tobytes() == x.tobytes()  # -0.0 stays -0.0
 
 
 def test_project_out_dimension_check():

@@ -7,7 +7,6 @@ import oracles
 from kvrelay.errors import DimensionMismatch, MissingColumn, NumericalFailure
 from kvrelay.scoring import (
     AttentionRecord,
-    MassTable,
     aggregate_global,
     aggregate_layerwise,
     attention_mass_headwise,
@@ -53,22 +52,21 @@ def test_attention_record_rejects_non_finite_weights(bad):
 
 def test_mass_sums_over_generation_rows():
     attn = record([[[[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]]]], gen=(13, 14), columns=(10, 11, 12))
-    table = attention_mass_headwise(attn, (13, 14), (10, 11, 12))
-    assert table.positions.tolist() == [10, 11, 12]
-    assert table.masses.shape == (1, 1, 3)
-    assert table.masses[0, 0] == pytest.approx([0.6, 0.9, 0.5])
+    masses = attention_mass_headwise(attn, (13, 14), (10, 11, 12))
+    assert masses.shape == (1, 1, 3) and masses.dtype == np.float64
+    assert masses[0, 0] == pytest.approx([0.6, 0.9, 0.5])
 
 
 def test_mass_of_single_generation_row_is_that_row():
     attn = record([[[[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]]]], gen=(13, 14), columns=(10, 11, 12))
-    table = attention_mass_headwise(attn, (14,), (10, 11, 12))
-    assert table.masses[0, 0] == pytest.approx([0.1, 0.6, 0.3])
+    masses = attention_mass_headwise(attn, (14,), (10, 11, 12))
+    assert masses[0, 0] == pytest.approx([0.1, 0.6, 0.3])
 
 
 def test_uniform_attention_mass_is_gen_count_over_columns():
     attn = record(np.full((1, 1, 40, 4), 0.25), gen=range(100, 140), columns=range(4))
-    table = attention_mass_headwise(attn, tuple(range(100, 140)), tuple(range(4)))
-    assert np.all(table.masses == 10.0)
+    masses = attention_mass_headwise(attn, tuple(range(100, 140)), tuple(range(4)))
+    assert np.all(masses == 10.0)
 
 
 def test_query_heads_fold_into_kv_heads():
@@ -77,9 +75,17 @@ def test_query_heads_fold_into_kv_heads():
     w[0, 1, 0] = [0.5, 0.5]
     attn = record(w, gen=(7,), columns=(0, 1), group=2)
     assert attn.num_kv_heads == 1
-    table = attention_mass_headwise(attn, (7,), (0, 1))
-    assert table.masses.shape == (1, 1, 2)
-    assert table.masses[0, 0] == pytest.approx([1.25, 0.75])
+    masses = attention_mass_headwise(attn, (7,), (0, 1))
+    assert masses.shape == (1, 1, 2)
+    assert masses[0, 0] == pytest.approx([1.25, 0.75])
+
+
+def test_mass_array_is_read_only():
+    attn = record([[[[0.5, 0.5]]]], gen=(9,), columns=(0, 1))
+    masses = attention_mass_headwise(attn, (9,), (0, 1))
+    assert not masses.flags.writeable
+    with pytest.raises(ValueError):
+        masses[0, 0, 0] = 2.0
 
 
 def test_mass_requires_known_columns_and_rows():
@@ -95,22 +101,22 @@ def test_mass_requires_known_columns_and_rows():
 
 
 def test_layer_aggregation_sums_heads():
-    table = MassTable(positions=(7,), masses=[[[0.5], [1.5]], [[1.25], [2.25]]])
-    assert np.array_equal(aggregate_layerwise(table), [[2.0], [3.5]])
-    assert np.array_equal(aggregate_global(table), [5.5])
+    masses = np.array([[[0.5], [1.5]], [[1.25], [2.25]]])
+    assert np.array_equal(aggregate_layerwise(masses), [[2.0], [3.5]])
+    assert np.array_equal(aggregate_global(masses), [5.5])
 
 
 def test_single_head_aggregation_is_identity():
-    table = MassTable(positions=(3, 4), masses=[[[0.25, 0.5]]])
-    assert np.array_equal(aggregate_layerwise(table), [[0.25, 0.5]])
-    assert np.array_equal(aggregate_global(table), [0.25, 0.5])
+    masses = np.array([[[0.25, 0.5]]])
+    assert np.array_equal(aggregate_layerwise(masses), [[0.25, 0.5]])
+    assert np.array_equal(aggregate_global(masses), [0.25, 0.5])
 
 
 def test_global_is_aggregate_of_layerwise():
     rng = np.random.default_rng(11)
-    table = MassTable(positions=(2, 5, 6), masses=rng.random((3, 2, 3)))
-    layered = aggregate_layerwise(table)
-    direct = aggregate_global(table)
+    masses = rng.random((3, 2, 3))
+    layered = aggregate_layerwise(masses)
+    direct = aggregate_global(masses)
     recomposed = np.zeros(3)
     for layer_masses in layered:
         recomposed = recomposed + layer_masses
@@ -120,55 +126,32 @@ def test_global_is_aggregate_of_layerwise():
 def test_global_sums_heads_before_layers():
     # (1 + 0) + (6e-17 + 6e-17) rounds up to 1 + 2**-52; summing layers
     # first, (1 + 6e-17) + (0 + 6e-17), would round back down to 1.
-    table = MassTable(positions=(7,), masses=[[[1.0], [0.0]], [[6e-17], [6e-17]]])
-    assert aggregate_global(table)[0] == 1.0 + 2.0**-52
-
-
-def test_mass_table_validates_units_and_positions():
-    with pytest.raises(ValueError):
-        MassTable(positions=(1,), masses=np.ones((1, 1, 2)))  # one position, two columns
-    with pytest.raises(ValueError):
-        MassTable(positions=(1, 2), masses=np.ones((1, 2)))  # no head axis
-    with pytest.raises(ValueError):
-        MassTable(positions=(1,), masses=np.ones((0, 1, 1)))  # no units
-    with pytest.raises(ValueError):
-        MassTable(positions=(2, 1), masses=np.ones((1, 1, 2)))  # not increasing
-
-
-def test_mass_table_is_read_only():
-    source = np.ones((1, 1, 2))
-    table = MassTable(positions=(1, 2), masses=source)
-    source[0, 0, 0] = 5.0
-    assert table.masses[0, 0, 0] == 1.0
-    with pytest.raises(ValueError):
-        table.masses[0, 0, 0] = 2.0
+    masses = np.array([[[1.0], [0.0]], [[6e-17], [6e-17]]])
+    assert aggregate_global(masses)[0] == 1.0 + 2.0**-52
 
 
 def test_demand_sums_split_mass():
-    table = MassTable(positions=(1, 2, 3, 4), masses=[[[0.4, 0.2, 0.3, 0.1]]])
-    sums, rest = demand_sums(table, np.array([True, True, False, False]))
+    masses = np.array([[[0.4, 0.2, 0.3, 0.1]]])
+    sums, rest = demand_sums(masses, np.array([True, True, False, False]))
     assert sums[0, 0] == pytest.approx((0.6, 0.4))
     assert rest.tolist() == [[[0.3, 0.1]]]
-    sums, rest = demand_sums(table, np.ones(4, dtype=bool))
+    sums, rest = demand_sums(masses, np.ones(4, dtype=bool))
     assert sums[0, 0] == pytest.approx((1.0, 0.0))
     assert rest.shape == (1, 1, 0)
 
 
 def test_demand_sums_rejects_a_non_boolean_mask():
-    table = MassTable(positions=(1, 2), masses=[[[0.4, 0.6]]])
     with pytest.raises(DimensionMismatch):
-        demand_sums(table, np.array([1, 0]))
+        demand_sums(np.array([[[0.4, 0.6]]]), np.array([1, 0]))
 
 
 def test_demand_sums_rejects_a_mask_of_the_wrong_length():
-    table = MassTable(positions=(1, 2), masses=[[[0.4, 0.6]]])
-    with pytest.raises(DimensionMismatch):
-        demand_sums(table, np.array([True, False, False]))
+    with pytest.raises(DimensionMismatch, match="over 2 positions"):
+        demand_sums(np.array([[[0.4, 0.6]]]), np.array([True, False, False]))
 
 
 def test_demand_sums_per_unit():
-    table = MassTable(positions=(1, 2), masses=[[[1.0, 3.0], [2.0, 0.5]]])
-    sums, _ = demand_sums(table, np.array([True, False]))
+    sums, _ = demand_sums(np.array([[[1.0, 3.0], [2.0, 0.5]]]), np.array([True, False]))
     assert sums.shape == (1, 2, 2)
     assert sums[0, 0] == pytest.approx((1.0, 3.0))
     assert sums[0, 1] == pytest.approx((2.0, 0.5))
@@ -186,13 +169,13 @@ def test_demand_sums_add_left_to_right(units, kept, seed):
     # reduction of it, down to an all-kept or all-deleted split.
     rng = np.random.default_rng(seed)
     positions = tuple(np.cumsum(rng.integers(1, 5, size=len(kept))).tolist())
-    table = MassTable(positions=positions, masses=rng.random(units + (len(kept),)))
+    masses = rng.random(units + (len(kept),))
     keep = [p for p, k in zip(positions, kept) if k]
     deleted = [p for p, k in zip(positions, kept) if not k]
-    sums, rest = demand_sums(table, np.array(kept))
+    sums, rest = demand_sums(masses, np.array(kept))
     col_of = {pos: col for col, pos in enumerate(positions)}
     for layer, head in np.ndindex(units):
-        row = table.masses[layer, head]
+        row = masses[layer, head]
         assert sums[layer, head, 0] == sum(row[col_of[p]] for p in keep)
         assert sums[layer, head, 1] == sum(row[col_of[p]] for p in deleted)
         assert rest[layer, head].tolist() == [row[col_of[p]] for p in deleted]
@@ -209,11 +192,11 @@ def test_mass_conserves_generation_count(seed):
     cols = int(rng.integers(1, 15))
     w = softmax_weights(rng, layers, kv_heads * group, gen, cols)
     attn = record(w, gen=range(50, 50 + gen), columns=range(cols), group=group)
-    table = attention_mass_headwise(attn, tuple(range(50, 50 + gen)), tuple(range(cols)))
-    assert np.allclose(table.masses.sum(axis=2), group * gen, rtol=0.0, atol=1e-9)
+    masses = attention_mass_headwise(attn, tuple(range(50, 50 + gen)), tuple(range(cols)))
+    assert np.allclose(masses.sum(axis=2), group * gen, rtol=0.0, atol=1e-9)
     # and the tensor-reduction oracle agrees entry by entry
     expected = oracles.headwise_mass(w, list(range(gen)), list(range(cols)), group)
-    assert np.allclose(table.masses, expected, rtol=0.0, atol=1e-12)
+    assert np.allclose(masses, expected, rtol=0.0, atol=1e-12)
 
 
 def test_mass_rejects_repeated_generation_positions():
@@ -259,9 +242,9 @@ def test_mass_matches_two_step_gather_bit_for_bit(seed, rows_kind, cols_kind):
         prompt = columns[int(rng.integers(0, cols)):]
     else:
         prompt = (columns[int(rng.integers(0, cols))],)
-    table = attention_mass_headwise(attn, rows, prompt)
-    assert table.positions.tolist() == list(prompt)
-    assert np.array_equal(table.masses, _mass_two_step(attn, rows, prompt))
+    masses = attention_mass_headwise(attn, rows, prompt)
+    assert masses.shape[2] == len(prompt)
+    assert np.array_equal(masses, _mass_two_step(attn, rows, prompt))
 
 
 def test_mass_of_one_column_matches_two_step_gather_for_a_single_unit():
@@ -271,8 +254,8 @@ def test_mass_of_one_column_matches_two_step_gather_for_a_single_unit():
     w = softmax_weights(rng, 1, 1, 40, 30)
     attn = record(w, gen=range(100, 140), columns=range(30))
     for col in range(30):
-        table = attention_mass_headwise(attn, tuple(range(100, 140)), (col,))
-        assert np.array_equal(table.masses, _mass_two_step(attn, range(100, 140), (col,)))
+        masses = attention_mass_headwise(attn, tuple(range(100, 140)), (col,))
+        assert np.array_equal(masses, _mass_two_step(attn, range(100, 140), (col,)))
 
 
 def test_record_copies_a_writeable_array():

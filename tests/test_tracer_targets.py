@@ -33,6 +33,6 @@ def test_tracer_mass_counter_reads_positional_arguments():
     scoring = importlib.import_module("kvrelay.scoring")
     ep = generate_episode(EpisodeSpec(num_layers=2, num_kv_heads=3, kv_group_size=1, prompt_lens=(9,), gen_len=3), 1)
     args = (ep.attention, ep.generation, ep.prompt)
-    table = scoring.attention_mass_headwise(*args)
-    counted = tracer.TARGETS[("scoring", "attention_mass_headwise")](args, table)
-    assert counted == {"scoring.mass_entries": table.masses.size}
+    masses = scoring.attention_mass_headwise(*args)
+    counted = tracer.TARGETS[("scoring", "attention_mass_headwise")](args, masses)
+    assert counted == {"scoring.mass_entries": masses.size}
