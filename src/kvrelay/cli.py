@@ -17,19 +17,20 @@ one chain whose report is relabelled per alias. It writes one report per
 (method, episode) plus a comparison summary, only after every chain
 succeeded, so ``--emit-fixtures`` holds every generated episode's rounds
 until then (2.0 MB of arrays for a default ``EpisodeSpec``). Outputs are
-byte-identical for identical config and seed, on every platform: reports,
-CSVs and fixtures are written as bytes with LF line ends. Exit codes follow
-the error type: 0 on success, 3 on :class:`NumericalFailure` (non-finite
-input, or an SVD that did not converge), 2 on every other error. A fixture
-that does not load as an episode (including one whose generation positions
-are not strictly increasing), one with fewer rounds than agents, a chain
-that rejects an episode (such as a sink longer than the first prompt), a
-config that is not UTF-8 YAML or nests collections more than 32 deep, a
-fixture nested too deep for the JSON parser or whose decimal float arrays
-hold anything but numbers, an integer field given a float, string or
-bool, a bool or non-finite ``epsilon``, empty ``methods``, a ``verbosity``
-outside 0-2, and an output directory that cannot be created or written all
-exit 2 with one ``error:`` line.
+byte-identical for identical config and seed on one BLAS kernel (report
+floats pass through BLAS and LAPACK): reports, CSVs and fixtures are
+written as bytes with LF line ends. Exit codes follow the error type: 0 on
+success, 3 on :class:`NumericalFailure` (non-finite input, or an SVD that
+did not converge), 2 on every other error. A fixture that does not load as
+an episode (including one whose generation positions are not strictly
+increasing), one with fewer rounds than agents, a chain that rejects an
+episode (such as a sink longer than the first prompt, or a padding position
+outside its round's prompt), a config that is not UTF-8 YAML or nests
+collections more than 32 deep, a fixture nested too deep for the JSON
+parser or whose decimal float arrays hold anything but numbers, an integer
+field given a float, string or bool, a bool or non-finite ``epsilon``,
+empty ``methods``, a ``verbosity`` outside 0-2, and an output directory
+that cannot be created or written all exit 2 with one ``error:`` line.
 """
 
 from __future__ import annotations

@@ -242,56 +242,42 @@ def _orthogonal_backfill(
     _, kept = locate(keep, eligible)
     demands, del_masses = demand_sums(masses, kept)
     deleted_values = select(local, deleted).values if deleted.size else None
-    value_dim = local.value_dim
 
     values: np.ndarray | None = None
     units: dict[tuple[int, int], ObfUnitTrace] = {}
     for unit in np.ndindex(demands.shape[:2]):
         layer, head = unit
         keep_mass, del_mass = demands[unit].tolist()
-
-        def skipped(basis_rank=0, residual_norm=0.0) -> ObfUnitTrace:
-            return ObfUnitTrace(
-                layer=layer,
-                head=head,
-                basis_rank=basis_rank,
-                residual_norm=residual_norm,
-                subspace_rank=0,
-                keep_mass=keep_mass,
-                del_mass=del_mass,
-                injection=np.zeros(value_dim),
-                skipped=True,
-            )
-
-        if not deleted.size:
-            units[unit] = skipped()
-            continue
-        v_keep = block.values[layer, head, kept_slice]
-        v_del = deleted_values[layer, head]
-        q, residual = obf_residual(v_keep, v_del)
-        residual_norm = float(np.linalg.norm(residual))
-        if residual_norm <= RESIDUAL_NEGLIGIBLE * (1.0 + float(np.linalg.norm(v_del))):
-            units[unit] = skipped(q.shape[1], residual_norm)
-            continue
-        rows = principal_subspace(residual, cfg.pca_rank)
-        unit_masses = del_masses[layer, head]
-        weights = unit_masses / (unit_masses.sum() + cfg.epsilon)
-        summary = weights @ residual
-        direction = (summary @ rows.T) @ rows
-        injection = (del_mass / (keep_mass + cfg.epsilon)) * direction
-        if values is None:
-            values = np.array(block.values)
-        values[layer, head, kept_slice] = v_keep + injection
+        # With nothing deleted a unit has no basis, no residual and no subspace.
+        basis_rank, residual_norm, rows = 0, 0.0, None
+        if deleted_values is not None:
+            v_keep = block.values[layer, head, kept_slice]
+            v_del = deleted_values[layer, head]
+            q, residual = obf_residual(v_keep, v_del)
+            basis_rank, residual_norm = q.shape[1], float(np.linalg.norm(residual))
+            if residual_norm > RESIDUAL_NEGLIGIBLE * (1.0 + float(np.linalg.norm(v_del))):
+                rows = principal_subspace(residual, cfg.pca_rank)
+        weights = summary = direction = None
+        injection = np.zeros(local.value_dim)
+        if rows is not None:
+            unit_masses = del_masses[layer, head]
+            weights = unit_masses / (unit_masses.sum() + cfg.epsilon)
+            summary = weights @ residual
+            direction = (summary @ rows.T) @ rows
+            injection = (del_mass / (keep_mass + cfg.epsilon)) * direction
+            if values is None:
+                values = np.array(block.values)
+            values[layer, head, kept_slice] = v_keep + injection
         units[unit] = ObfUnitTrace(
             layer=layer,
             head=head,
-            basis_rank=q.shape[1],
+            basis_rank=basis_rank,
             residual_norm=residual_norm,
-            subspace_rank=rows.shape[0],
+            subspace_rank=0 if rows is None else rows.shape[0],
             keep_mass=keep_mass,
             del_mass=del_mass,
             injection=injection,
-            skipped=False,
+            skipped=rows is None,
             weights=weights,
             summary=summary,
             direction=direction,
@@ -317,24 +303,19 @@ def compress(
     """
     eligible = roles.prompt
     sink = roles.sink if locate(local.positions, roles.sink)[1].all() else roles.sink[:0]
-
     if cfg.method == "full":
         selection = SelectionResult(keep=eligible, deleted=(), budget=len(eligible))
-        return select(local, np.concatenate([sink, eligible, roles.generation])), selection, ObfTrace()
-
-    if cfg.method == "streaming":
+    elif cfg.method == "streaming":
         selection = SelectionResult(keep=(), deleted=eligible, budget=0)
-        return select(local, np.concatenate([sink, roles.generation])), selection, ObfTrace()
+    else:
+        if attn is None:
+            raise ValueError("eviction methods need an attention record")
+        masses = attention_mass_headwise(attn, roles.generation, eligible)
+        selection = h2o_select(masses, cfg.round_budget(len(eligible)), eligible)
 
-    if attn is None:
-        raise ValueError("eviction methods need an attention record")
-    k = cfg.round_budget(len(eligible))
-    masses = attention_mass_headwise(attn, roles.generation, eligible)
-    selection = h2o_select(masses, k, eligible)
-
-    retained = select(local, np.concatenate([sink, selection.keep, roles.generation]))
-    if cfg.method == "h2o":
-        return retained, selection, ObfTrace()
+    block = select(local, np.concatenate([sink, selection.keep, roles.generation]))
+    if cfg.method != "h2o_obf":
+        return block, selection, ObfTrace()
     kept_slice = slice(len(sink), len(sink) + len(selection.keep))
-    retained, trace = _orthogonal_backfill(local, retained, kept_slice, selection, eligible, masses, cfg)
-    return retained, selection, trace
+    block, trace = _orthogonal_backfill(local, block, kept_slice, selection, eligible, masses, cfg)
+    return block, selection, trace

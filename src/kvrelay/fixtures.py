@@ -190,14 +190,11 @@ def attention_to_dict(attn: AttentionRecord) -> dict:
 
 
 def attention_from_dict(doc: dict) -> AttentionRecord:
-    group = doc["kv_group_size"]
-    if type(group) is not int:
-        raise ValueError(f"attention kv_group_size must be an integer, got {group!r}")
     attn = AttentionRecord(
         weights=_float_array(doc["weights"], "attention weights"),
         gen_positions=_positions(doc["generation_positions"], "attention generation_positions"),
         columns=_positions(doc["columns"], "attention columns"),
-        kv_group_size=group,
+        kv_group_size=doc["kv_group_size"],
     )
     declared = (doc["num_layers"], doc["num_query_heads"])
     if (attn.num_layers, attn.num_query_heads) != tuple(declared):

@@ -3,10 +3,9 @@
 A cache is a dense stack of per-(layer, kv-head) key/value matrices plus an
 ordered list of global token positions. Selection and concatenation never
 renumber those positions, so any retained cache stays an index-selected
-subsequence of the states that produced it. ``decompose`` splits the
-positions visible to one agent round into sink / inherited history /
-current prompt / current generation roles, with padding tracked separately
-and excluded from everything.
+subsequence of the states that produced it. ``decompose`` assigns one
+agent round the three roles its relayed block is built from: the sink,
+the current prompt (without padding) and the current generation.
 
 All types are frozen. They hold keys, values and weights as read-only
 float64 arrays and every list of global positions as a strictly
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailure, PositionOverlap, ShapeMismatch, SinkTooLarge, UnknownPosition
+from .errors import NumericalFailure, PositionOverlap, RoundMismatch, ShapeMismatch, SinkTooLarge, UnknownPosition
 
 
 def index_array(indices) -> np.ndarray:
@@ -194,19 +193,17 @@ def concat(a: KvCache, b: KvCache) -> KvCache:
 
 @dataclass(frozen=True, eq=False)
 class RoleMap:
-    """Disjoint split of one round's visible positions into cache roles."""
+    """Disjoint split of the positions one round relays from into cache roles."""
 
     sink: np.ndarray
-    history: np.ndarray
     prompt: np.ndarray
     generation: np.ndarray
-    padding: np.ndarray = ()
 
     def __post_init__(self):
-        names = ("sink", "history", "prompt", "generation", "padding")
+        names = ("sink", "prompt", "generation")
         parts = [index_array(getattr(self, name)) for name in names]
         # Each role is strictly increasing, so a position two roles share
-        # is an adjacent equal pair once all five are sorted together.
+        # is an adjacent equal pair once all three are sorted together.
         flat = np.concatenate(parts)
         ranked = np.sort(flat, kind="stable")
         same = ranked[1:] == ranked[:-1]
@@ -232,15 +229,12 @@ class RoundRecord:
     round_index: int
     kept_prompt: np.ndarray
     generation: np.ndarray
-    prompt_len: int
 
     def __post_init__(self):
         object.__setattr__(self, "kept_prompt", index_array(self.kept_prompt))
         object.__setattr__(self, "generation", index_array(self.generation))
         if self.round_index < 1:
             raise ValueError("round_index starts at 1")
-        if self.prompt_len < 0:
-            raise ValueError("prompt_len must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,11 +274,13 @@ def decompose(
     sink_size: int,
     padding=(),
 ) -> RoleMap:
-    """Assign roles to every position visible at round ``round_i``.
+    """Assign the sink, prompt and generation roles of round ``round_i``.
 
     Round 1 carves the sink out of the first ``sink_size`` non-padding
     prompt positions. Later rounds inherit the sink unchanged from the
-    message and classify every other inherited position as history.
+    message, and their whole non-padding prompt is eligible. Every
+    ``padding`` position must be a local prompt position; any other raises
+    :class:`RoundMismatch`.
     """
     if round_i < 1:
         raise ValueError("rounds are numbered from 1")
@@ -300,9 +296,12 @@ def decompose(
     if clash.any():
         pos = local[np.argmax(clash)]
         raise PositionOverlap(f"local position {pos} already exists in the message")
+    pad_rows, in_prompt = locate(local_prompt, padding)
+    if not in_prompt.all():
+        pos = padding[np.argmin(in_prompt)]
+        raise RoundMismatch(f"padding position {pos} is not a prompt position of round {round_i}")
 
-    _, is_pad = locate(padding, local_prompt)
-    non_pad = local_prompt[~is_pad]
+    non_pad = np.delete(local_prompt, pad_rows)
     if round_i == 1:
         if inherited.size:
             raise ValueError("round 1 cannot carry an inherited message")
@@ -310,21 +309,9 @@ def decompose(
             raise SinkTooLarge(
                 f"sink of {sink_size} exceeds the {non_pad.size} usable prompt positions"
             )
-        sink = non_pad[:sink_size]
-        prompt = non_pad[sink_size:]
-        history = non_pad[:0]
+        sink, prompt = non_pad[:sink_size], non_pad[sink_size:]
     else:
         if message is None:
             raise ValueError("rounds after the first need the inherited message")
-        sink = message.sink
-        _, in_sink = locate(sink, inherited)
-        history = inherited[~in_sink]
-        prompt = non_pad
-
-    return RoleMap(
-        sink=sink,
-        history=history,
-        prompt=prompt,
-        generation=local_generation,
-        padding=padding,
-    )
+        sink, prompt = message.sink, non_pad
+    return RoleMap(sink=sink, prompt=prompt, generation=local_generation)

@@ -190,7 +190,6 @@ def run_chain(
             round_index=round_i,
             kept_prompt=selection.keep,
             generation=roles.generation,
-            prompt_len=len(episode.prompt),
         )
         message = RelayMessage(
             cache=cache,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, MissingColumn, NumericalFailure
+from .errors import DimensionMismatch, MissingColumn, NumericalFailure, require_int
 from .kv import freeze, index_array, locate, read_only
 
 # Ranking labels a run may carry. Eviction always ranks by the global
@@ -38,7 +38,7 @@ class AttentionRecord:
             increasing.
         columns: global position of each attended column, strictly
             increasing.
-        kv_group_size: query heads per kv head.
+        kv_group_size: query heads per kv head, an ``int`` (not ``bool``).
 
     A read-only ``weights`` (float64) or position (int64) array that owns
     its buffer is kept as is; any other array is copied, so writing to the
@@ -52,6 +52,7 @@ class AttentionRecord:
     kv_group_size: int
 
     def __post_init__(self):
+        require_int(self.kv_group_size, "kv_group_size")
         weights = read_only(self.weights)
         if weights.ndim != 4:
             raise ValueError("weights must be (layers, query_heads, gen_steps, columns)")

@@ -15,12 +15,20 @@ in ``CHANGES.md``::
     PYTHONPATH=src python tests/golden_cases.py --overwrite
 
 Without ``--overwrite`` the script refuses to replace existing golden files.
+
+Report floats pass through BLAS and LAPACK, and OpenBLAS picks its kernel
+per CPU (``OPENBLAS_CORETYPE`` overrides the pick), so the bytes hold per
+kernel. The golden files were made on :data:`GOLDEN_BLAS_CORE` (numpy
+2.4.6, OpenBLAS 0.3.31); under ``Haswell``, the kernel of an x86-64 CPU
+without AVX-512, the backfill floats of the ``h2o_obf`` reports differ.
+:func:`blas_core` names the kernel a run uses.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import io
 import shutil
@@ -28,6 +36,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from kvrelay import cli
@@ -35,6 +44,24 @@ from kvrelay import cli
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = sorted(path.stem for path in GOLDEN.glob("*.yaml"))
 DIGESTS = "SHA256SUMS"
+GOLDEN_BLAS_CORE = "SkylakeX"
+
+
+def blas_core() -> str:
+    """The OpenBLAS kernel numpy runs on, such as "SkylakeX", or "unknown".
+
+    Read from the OpenBLAS that numpy's wheels bundle; a numpy without it
+    gives "unknown".
+    """
+    package = Path(np.__file__).parent
+    for lib in sorted([*package.parent.glob("numpy.libs/*openblas*"), *package.glob(".dylibs/*openblas*")]):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
 
 
 def _simulate(config: Path, out: Path, *extra: str) -> None:

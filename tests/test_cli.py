@@ -705,6 +705,50 @@ def test_simulate_chain_rejecting_the_episode_exits_2(tmp_path, capsys, edit, me
     assert capsys.readouterr().err == message
 
 
+PADDING_CONFIG = textwrap.dedent(
+    """\
+    chain:
+      num_agents: 3
+      latent_steps: 4
+      compression:
+        budget_k: 4
+        sink_size: 2
+    episodes:
+      - prompt_lens: [10, 9, 8]
+        num_layers: 1
+        num_kv_heads: 1
+        kv_group_size: 1
+        key_dim: 4
+        value_dim: 6
+    methods: [h2o_global]
+    """
+)
+
+
+@pytest.mark.parametrize("where", ["past_the_episode", "generation"])
+def test_simulate_padding_outside_the_prompt_exits_2(tmp_path, capsys, where):
+    emitted = tmp_path / "emitted"
+    config = write_config(tmp_path, PADDING_CONFIG)
+    assert main(["simulate", "--config", str(config), "--out", str(emitted), "--emit-fixtures"]) == 0
+    fixture = emitted / "fixtures" / "ep000.json"
+    doc = json.loads(fixture.read_text())
+    round_doc = doc["rounds"][1]
+    stray = 10_000 if where == "past_the_episode" else round_doc["generation"][0]
+    round_doc["padding"] = [stray]
+    fixture.write_text(json.dumps(doc))
+    replay = yaml.safe_load(PADDING_CONFIG)
+    replay["episodes"] = [{"fixture": str(fixture)}]
+    config = write_config(tmp_path, yaml.safe_dump(replay), name="replay.yaml")
+    capsys.readouterr()
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "error: episode ep000.json cannot run h2o_global "
+        f"(RoundMismatch: padding position {stray} is not a prompt position of round 2)\n"
+    )
+
+
 def test_config_accepts_and_echoes_every_dataclass_field(tmp_path):
     episode = dict(
         seed=11, num_layers=1, num_kv_heads=1, kv_group_size=2, key_dim=3, value_dim=5,

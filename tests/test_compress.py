@@ -181,7 +181,7 @@ def hand_round(prompt_values, masses, budget_k):
     gen_row = np.zeros((heads, 1, d))
     values = np.concatenate([prompt_values, gen_row], axis=1)[None]
     local = KvCache(keys=np.zeros((1, heads, p + 1, 1)), values=values, positions=range(p + 1))
-    roles = RoleMap(sink=(), history=(), prompt=range(p), generation=(p,))
+    roles = RoleMap(sink=(), prompt=range(p), generation=(p,))
     attn = AttentionRecord(
         weights=np.asarray(masses, dtype=np.float64)[None, :, None, :],
         gen_positions=(p,), columns=range(p), kv_group_size=1,
@@ -386,7 +386,7 @@ def test_streaming_keeps_sink_and_generation_only():
 
 def test_streaming_later_round_is_generation_only():
     ep, _ = one_round()
-    roles = RoleMap(sink=(900, 901), history=(), prompt=ep.prompt, generation=ep.generation)
+    roles = RoleMap(sink=(900, 901), prompt=ep.prompt, generation=ep.generation)
     cfg = CompressionConfig(method="streaming", sink_size=2)
     retained, _, _ = compress(ep.cache, roles, None, cfg)
     assert np.array_equal(retained.positions, ep.generation)
@@ -615,7 +615,7 @@ def backfill_case(case, seed):
         roles = decompose(None, 1, ep.prompt, ep.generation, sink_size)
     else:
         # the round-1 sink lives in the message, not in this round's cache
-        roles = RoleMap(sink=(0, 1), history=(), prompt=ep.prompt, generation=ep.generation)
+        roles = RoleMap(sink=(0, 1), prompt=ep.prompt, generation=ep.generation)
     eligible = len(roles.prompt)
     if opts.get("one_deleted"):
         budget = dict(budget_k=eligible - 1)

@@ -1,16 +1,17 @@
 """Reports, CSVs, summaries and emitted fixtures stay byte-identical.
 
-Bytes must match exactly, on every platform the suite runs on: report
-floats pass through BLAS and LAPACK, so a CPU whose kernels round
-differently fails here, and that is a finding to report, not a reason to
-compare with a tolerance. See ``golden_cases.py`` for the cases and how to
-regenerate them.
+Bytes must match exactly on the BLAS kernel the golden files were made on
+(see ``golden_cases.py``): report floats pass through BLAS and LAPACK, so
+a kernel that rounds differently fails here, and the failure names the
+kernel. That is a finding to report, not a reason to compare with a
+tolerance. See ``golden_cases.py`` for the cases and how to regenerate
+them.
 """
 
 import pytest
 import yaml
 
-from golden_cases import CASES, DIGESTS, GOLDEN, expected_files, run_case
+from golden_cases import CASES, DIGESTS, GOLDEN, GOLDEN_BLAS_CORE, blas_core, expected_files, run_case
 
 
 def test_every_case_has_golden_files():
@@ -25,7 +26,8 @@ def _assert_golden_bytes(case, work):
         changed.remove(DIGESTS)
         want = set(expected[DIGESTS].decode().splitlines())
         changed += [line.split("  ", 1)[1] for line in got[DIGESTS].decode().splitlines() if line not in want]
-    assert not changed, f"{case}: these outputs differ from the golden bytes: {changed}"
+    kernels = f"run on the {blas_core()} BLAS kernel, golden bytes made on {GOLDEN_BLAS_CORE}"
+    assert not changed, f"{case}: these outputs differ from the golden bytes ({kernels}): {changed}"
 
 
 @pytest.mark.parametrize("case", CASES)

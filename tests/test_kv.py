@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 from kvrelay.backbone import EpisodeRound, EpisodeSpec, episode_source, generate_episode
 from kvrelay.compress import CompressionConfig, ObfTrace, ObfUnitTrace, SelectionResult, h2o_select
-from kvrelay.errors import NumericalFailure, PositionOverlap, ShapeMismatch, SinkTooLarge, UnknownPosition
+from kvrelay.errors import (
+    NumericalFailure,
+    PositionOverlap,
+    RoundMismatch,
+    ShapeMismatch,
+    SinkTooLarge,
+    UnknownPosition,
+)
 from kvrelay.kv import (
     KvCache,
     RelayMessage,
@@ -120,7 +127,7 @@ def empty_cache(layers, heads, key_dim, value_dim):
 
 
 def role_positions(roles):
-    parts = (roles.sink, roles.history, roles.prompt, roles.generation, roles.padding)
+    parts = (roles.sink, roles.prompt, roles.generation)
     return tuple(sorted(np.concatenate(parts).tolist()))
 
 
@@ -196,24 +203,22 @@ def test_caches_equal_detects_value_changes():
 
 def test_role_map_rejects_shared_positions():
     with pytest.raises(PositionOverlap):
-        RoleMap(sink=(0, 1), history=(), prompt=(1, 2), generation=(3,))
+        RoleMap(sink=(0, 1), prompt=(1, 2), generation=(3,))
 
 
 def test_role_map_all_positions():
-    roles = RoleMap(sink=(0,), history=(4,), prompt=(1, 2), generation=(7,), padding=(3,))
-    assert role_positions(roles) == (0, 1, 2, 3, 4, 7)
+    roles = RoleMap(sink=(0,), prompt=(1, 2), generation=(7,))
+    assert role_positions(roles) == (0, 1, 2, 7)
 
 
 def test_round_record_validation():
     with pytest.raises(ValueError):
-        RoundRecord(round_index=0, kept_prompt=(), generation=(1,), prompt_len=1)
-    with pytest.raises(ValueError):
-        RoundRecord(round_index=1, kept_prompt=(), generation=(1,), prompt_len=-1)
+        RoundRecord(round_index=0, kept_prompt=(), generation=(1,))
 
 
 def test_relay_message_checks_row_accounting():
     cache = make_cache((0, 1, 2, 3, 4))
-    record = RoundRecord(round_index=1, kept_prompt=(2, 3), generation=(4,), prompt_len=4)
+    record = RoundRecord(round_index=1, kept_prompt=(2, 3), generation=(4,))
     message = RelayMessage(cache=cache, sink=(0, 1), rounds=(record,))
     assert message.cache.num_tokens == 5
     with pytest.raises(ShapeMismatch):
@@ -222,8 +227,8 @@ def test_relay_message_checks_row_accounting():
 
 def test_relay_message_orders_rounds():
     cache = make_cache((0, 1))
-    r1 = RoundRecord(round_index=2, kept_prompt=(0,), generation=(1,), prompt_len=1)
-    r0 = RoundRecord(round_index=1, kept_prompt=(), generation=(), prompt_len=0)
+    r1 = RoundRecord(round_index=2, kept_prompt=(0,), generation=(1,))
+    r0 = RoundRecord(round_index=1, kept_prompt=(), generation=())
     with pytest.raises(ValueError):
         RelayMessage(cache=cache, sink=(), rounds=(r1, r0))
 
@@ -232,15 +237,14 @@ def test_decompose_first_round_carves_sink():
     roles = decompose(None, 1, tuple(range(10)), (10, 11), sink_size=4)
     assert roles.sink.tolist() == [0, 1, 2, 3]
     assert roles.prompt.tolist() == [4, 5, 6, 7, 8, 9]
-    assert roles.history.tolist() == []
     assert roles.generation.tolist() == [10, 11]
 
 
 def test_decompose_skips_padding_when_carving():
     roles = decompose(None, 1, tuple(range(8)), (8,), sink_size=3, padding=(0, 2))
-    assert roles.padding.tolist() == [0, 2]
     assert roles.sink.tolist() == [1, 3, 4]
     assert roles.prompt.tolist() == [5, 6, 7]
+    assert role_positions(roles) == (1, 3, 4, 5, 6, 7, 8)  # padding takes no role
 
 
 def test_decompose_sink_too_large():
@@ -256,7 +260,7 @@ def test_decompose_round_one_rejects_inherited_message():
     message = RelayMessage(
         cache=cache,
         sink=(0,),
-        rounds=(RoundRecord(round_index=1, kept_prompt=(), generation=(1,), prompt_len=1),),
+        rounds=(RoundRecord(round_index=1, kept_prompt=(), generation=(1,)),),
     )
     with pytest.raises(ValueError):
         decompose(message, 1, (2, 3), (4,), sink_size=1)
@@ -268,14 +272,14 @@ def test_decompose_later_round_inherits_sink_and_history():
         cache=cache,
         sink=(0, 1),
         rounds=(
-            RoundRecord(round_index=1, kept_prompt=(5,), generation=(6,), prompt_len=3),
+            RoundRecord(round_index=1, kept_prompt=(5,), generation=(6,)),
         ),
     )
     roles = decompose(message, 2, (7, 8, 9), (10, 11), sink_size=2)
     assert roles.sink.tolist() == [0, 1]
-    assert roles.history.tolist() == [5, 6]
     assert roles.prompt.tolist() == [7, 8, 9]
     assert roles.generation.tolist() == [10, 11]
+    assert role_positions(roles) == (0, 1, 7, 8, 9, 10, 11)  # the inherited 5 and 6 take no role
 
 
 def test_decompose_rejects_reused_positions():
@@ -283,7 +287,7 @@ def test_decompose_rejects_reused_positions():
     message = RelayMessage(
         cache=cache,
         sink=(0,),
-        rounds=(RoundRecord(round_index=1, kept_prompt=(), generation=(1,), prompt_len=1),),
+        rounds=(RoundRecord(round_index=1, kept_prompt=(), generation=(1,)),),
     )
     with pytest.raises(PositionOverlap):
         decompose(message, 2, (1, 2), (3,), sink_size=1)
@@ -292,6 +296,28 @@ def test_decompose_rejects_reused_positions():
 def test_decompose_needs_message_after_round_one():
     with pytest.raises(ValueError):
         decompose(None, 2, (5, 6), (7,), sink_size=1)
+
+
+@pytest.mark.parametrize(
+    "round_i, padding, stray",
+    [
+        (1, (3, 10_000), 10_000),  # past the round
+        (1, (11,), 11),  # a generation position
+        (2, (1, 8), 1),  # the inherited sink
+        (2, (6, 8), 6),  # an inherited generation position
+        (2, (8, 12), 12),  # a generation position
+    ],
+)
+def test_decompose_rejects_padding_outside_the_prompt(round_i, padding, stray):
+    if round_i == 1:
+        message, prompt, generation = None, (2, 3, 4, 5), (11,)
+    else:
+        record = RoundRecord(round_index=1, kept_prompt=(), generation=(6,))
+        message = RelayMessage(cache=make_cache((0, 1, 6)), sink=(0, 1), rounds=(record,))
+        prompt, generation = (7, 8, 9, 10), (11, 12)
+    with pytest.raises(RoundMismatch) as err:
+        decompose(message, round_i, prompt, generation, sink_size=1, padding=padding)
+    assert str(err.value) == f"padding position {stray} is not a prompt position of round {round_i}"
 
 
 positions_lists = st.lists(st.integers(0, 400), min_size=1, max_size=24, unique=True).map(
@@ -341,16 +367,14 @@ def test_decompose_partitions_first_round(base, prompt_len, gen_len, sink_size, 
         return
     roles = decompose(None, 1, prompt, gen, sink_size, padding=padding)
     assert len(roles.sink) == sink_size
-    assert roles.history.tolist() == []
-    # the roles cover exactly the visible positions, with no double booking
-    assert role_positions(roles) == tuple(sorted(prompt + gen))
+    # the roles cover exactly the visible positions but padding, with no double booking
+    assert role_positions(roles) == tuple(p for p in prompt + gen if p not in padding)
     assert set(roles.sink.tolist()).isdisjoint(roles.prompt.tolist())
-    assert set(roles.padding.tolist()) == set(padding)
 
 
 # --- array lookups against the dict and set loops they replace --------------
 
-ROLES = ("sink", "history", "prompt", "generation", "padding")
+ROLES = ("sink", "prompt", "generation")
 
 
 def _select_loop(cache, indices):
@@ -391,22 +415,22 @@ def _decompose_loop(message, round_i, local_prompt, local_generation, sink_size,
     for pos in local_prompt + local_generation:
         if pos in inherited_set:
             raise PositionOverlap(f"local position {pos} already exists in the message")
+    for pos in padding:
+        if pos not in local_prompt:
+            raise RoundMismatch(f"padding position {pos} is not a prompt position of round {round_i}")
     if round_i == 1:
         if inherited:
             raise ValueError("round 1 cannot carry an inherited message")
         non_pad = tuple(p for p in local_prompt if p not in pad_set)
         if sink_size > len(non_pad):
             raise SinkTooLarge(f"sink of {sink_size} exceeds the {len(non_pad)} usable prompt positions")
-        sink, prompt, history = non_pad[:sink_size], non_pad[sink_size:], ()
+        sink, prompt = non_pad[:sink_size], non_pad[sink_size:]
     else:
         if message is None:
             raise ValueError("rounds after the first need the inherited message")
         sink = tuple(message.sink.tolist())
-        history = tuple(p for p in inherited if p not in set(sink))
         prompt = tuple(p for p in local_prompt if p not in pad_set)
-    return _role_map_loop(
-        sink=sink, history=history, prompt=prompt, generation=local_generation, padding=padding
-    )
+    return _role_map_loop(sink=sink, prompt=prompt, generation=local_generation)
 
 
 def _same_outcome(reference, call):
@@ -458,17 +482,20 @@ def test_role_map_matches_dict_loop(parts, unsorted_role, data):
     prompt=increasing_lists.map(lambda xs: tuple(x + 10 for x in xs)),
     generation=increasing_lists.map(lambda xs: tuple(x + 10 for x in xs)),
     padding=increasing_lists.map(lambda xs: tuple(x + 10 for x in xs)),
+    stray_padding=st.booleans(),
     sink_size=st.integers(0, 6),
 )
 @settings(max_examples=400, deadline=None)
 def test_decompose_matches_set_loop(
-    inherited, sink_len, round_i, with_message, prompt, generation, padding, sink_size
+    inherited, sink_len, round_i, with_message, prompt, generation, padding, stray_padding, sink_size
 ):
+    if not stray_padding:  # most padding lists name prompt positions only
+        padding = tuple(p for p in padding if p in prompt)
     message = None
     if with_message:
         sink = tuple(inherited[:sink_len])
         rest = tuple(inherited[len(sink):])
-        record = RoundRecord(round_index=1, kept_prompt=(), generation=rest, prompt_len=0)
+        record = RoundRecord(round_index=1, kept_prompt=(), generation=rest)
         message = RelayMessage(cache=make_cache(inherited, layers=1, heads=1), sink=sink, rounds=(record,))
     args = (message, round_i, prompt, generation, sink_size, padding)
     expected, got = _same_outcome(lambda: _decompose_loop(*args), lambda: decompose(*args))
@@ -532,18 +559,18 @@ POSITION_CASES = {
         ("positions",),
     ),
     "RoleMap": (
-        lambda w: RoleMap(sink=w([0, 1]), history=w([2]), prompt=w([3, 4]), generation=w([5]), padding=w([6])),
-        ("sink", "history", "prompt", "generation", "padding"),
+        lambda w: RoleMap(sink=w([0, 1]), prompt=w([3, 4]), generation=w([5])),
+        ("sink", "prompt", "generation"),
     ),
     "RoundRecord": (
-        lambda w: RoundRecord(round_index=1, kept_prompt=w([3, 4]), generation=w([5]), prompt_len=2),
+        lambda w: RoundRecord(round_index=1, kept_prompt=w([3, 4]), generation=w([5])),
         ("kept_prompt", "generation"),
     ),
     "RelayMessage": (
         lambda w: RelayMessage(
             cache=make_cache((0, 1, 2, 3)),
             sink=w([0, 1]),
-            rounds=(RoundRecord(round_index=1, kept_prompt=(2,), generation=(3,), prompt_len=1),),
+            rounds=(RoundRecord(round_index=1, kept_prompt=(2,), generation=(3,)),),
         ),
         ("sink",),
     ),
@@ -628,7 +655,7 @@ def containers():
     ep = generate_episode(spec, 1)
     masses = attention_mass_headwise(ep.attention, ep.generation, ep.prompt)
     found = [
-        ep.cache, RoleMap(sink=ep.prompt[:1], history=(), prompt=ep.prompt[1:], generation=ep.generation),
+        ep.cache, RoleMap(sink=ep.prompt[:1], prompt=ep.prompt[1:], generation=ep.generation),
         message.rounds[0], message, ep.attention, h2o_select(masses, 2, ep.prompt), unit, trace, ep, report,
     ]
     return {type(obj): obj for obj in found}

@@ -43,7 +43,7 @@ def small_chain(method="h2o", granularity=GLOBAL, **comp):
 
 def record_lists(message):
     """Each round record of ``message`` as plain Python values."""
-    return [(r.round_index, r.kept_prompt.tolist(), r.generation.tolist(), r.prompt_len) for r in message.rounds]
+    return [(r.round_index, r.kept_prompt.tolist(), r.generation.tolist()) for r in message.rounds]
 
 
 def small_spec(**over):

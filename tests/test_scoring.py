@@ -42,6 +42,9 @@ def test_attention_record_validates_rows():
         record([[[[0.5, 0.5]]]], gen=(9, 9), columns=(0, 1))
     with pytest.raises(ValueError):
         record(np.full((1, 3, 1, 2), 0.5), gen=(9,), columns=(0, 1), group=2)
+    for group in (2.0, True):  # an int-valued float and a bool are not ints
+        with pytest.raises(TypeError, match="kv_group_size must be an integer"):
+            record(np.full((1, 2, 1, 2), 0.5), gen=(9,), columns=(0, 1), group=group)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
