@@ -41,7 +41,11 @@ _STREAM_QUERIES = 3
 
 @dataclass(frozen=True)
 class EpisodeSpec:
-    """Shape, seed and structure of one synthetic multi-round episode; integer fields take ``int`` only."""
+    """Shape, seed and structure of one synthetic multi-round episode; integer fields take ``int`` only.
+
+    ``planted_in_span`` generates bit-identical episodes to ``low_rank`` with
+    the same seed and ``value_rank``.
+    """
 
     seed: int = 0
     num_layers: int = 2
@@ -93,8 +97,9 @@ class EpisodeRound:
 
     The attention columns must equal ``prompt`` and its rows
     ``generation``; prompt and generation must be non-empty cache
-    positions, every generation position after every prompt position. Any
-    other round raises :class:`RoundMismatch`.
+    positions, every generation position after every prompt position, and
+    every ``padding`` position a prompt position. Any other round raises
+    :class:`RoundMismatch`.
     """
 
     cache: KvCache
@@ -115,6 +120,9 @@ class EpisodeRound:
             raise RoundMismatch("attention columns are not the prompt positions")
         if not np.array_equal(self.attention.gen_positions, generation):
             raise RoundMismatch("attention rows are not the generation positions")
+        _, padded = locate(prompt, self.padding)
+        if not padded.all():
+            raise RoundMismatch(f"padding position {self.padding[int(padded.argmin())]} is not a prompt position")
         local = np.concatenate([prompt, generation])
         if np.array_equal(self.cache.positions, local):
             return  # a generated round: its cache holds exactly these positions

@@ -23,9 +23,10 @@ written as bytes with LF line ends. Exit codes follow the error type: 0 on
 success, 3 on :class:`NumericalFailure` (non-finite input, or an SVD that
 did not converge), 2 on every other error. A fixture that does not load as
 an episode (including one whose generation positions are not strictly
-increasing), one with fewer rounds than agents, a chain that rejects an
-episode (such as a sink longer than the first prompt, or a padding position
-outside its round's prompt), a config that is not UTF-8 YAML or nests
+increasing, or one with a padding position outside its round's prompt),
+one with fewer rounds than agents, a chain that rejects an episode (such
+as a sink longer than the first prompt), an episode too large to
+allocate, a config that is not UTF-8 YAML or nests
 collections more than 32 deep, a fixture nested too deep for the JSON
 parser or whose decimal float arrays hold anything but numbers, an integer
 field given a float, string or bool, a bool or non-finite ``epsilon``,
@@ -378,6 +379,9 @@ def cmd_simulate(
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: episode {episode.label} does not fit in memory ({exc})", file=sys.stderr)
+        return 2
 
     try:
         summary = _write_outputs(cfg, results, emitted)

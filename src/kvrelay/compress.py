@@ -36,17 +36,11 @@ from typing import Mapping
 
 import numpy as np
 
+from .backbone import EpisodeRound
 from .errors import BudgetUnset, EmptyKeep, require_int
 from .kv import KvCache, RoleMap, freeze, index_array, locate, read_only, select
 from .linalg import orthonormal_basis, principal_subspace, project_out, top_k_indices
-from .scoring import (
-    GLOBAL,
-    GRANULARITIES,
-    AttentionRecord,
-    aggregate_global,
-    attention_mass_headwise,
-    demand_sums,
-)
+from .scoring import GLOBAL, GRANULARITIES, aggregate_global, attention_mass_headwise, demand_sums
 
 METHODS = ("full", "streaming", "h2o", "h2o_obf")
 EVICTION_METHODS = ("h2o", "h2o_obf")
@@ -288,32 +282,28 @@ def _orthogonal_backfill(
 
 
 def compress(
-    local: KvCache,
-    roles: RoleMap,
-    attn: AttentionRecord | None,
-    cfg: CompressionConfig,
+    episode: EpisodeRound, roles: RoleMap, cfg: CompressionConfig
 ) -> tuple[KvCache, SelectionResult, ObfTrace]:
-    """Build the block this round appends to the relay message.
+    """Build the block ``episode`` appends to the relay message.
 
-    The block is sink (first round only, when the sink still lives in the
-    local cache) followed by retained prompt rows followed by all
-    generation rows. Keys are bit-exact row selections of the input for
-    every method; only ``h2o_obf`` modifies retained prompt values.
-    Eviction ranks by total mass whatever ``cfg.granularity`` says.
+    The block is the sink (only while it lives in the round's own cache,
+    that is at the first round) followed by the retained ``roles.prompt``
+    rows followed by every generation row. Keys are bit-exact row
+    selections of the round's cache for every method; only ``h2o_obf``
+    modifies retained prompt values. Eviction ranks by the mass of the
+    round's attention record, totalled whatever ``cfg.granularity`` says.
     """
-    eligible = roles.prompt
+    local, eligible, generation = episode.cache, roles.prompt, episode.generation
     sink = roles.sink if locate(local.positions, roles.sink)[1].all() else roles.sink[:0]
     if cfg.method == "full":
         selection = SelectionResult(keep=eligible, deleted=(), budget=len(eligible))
     elif cfg.method == "streaming":
         selection = SelectionResult(keep=(), deleted=eligible, budget=0)
     else:
-        if attn is None:
-            raise ValueError("eviction methods need an attention record")
-        masses = attention_mass_headwise(attn, roles.generation, eligible)
+        masses = attention_mass_headwise(episode.attention, generation, eligible)
         selection = h2o_select(masses, cfg.round_budget(len(eligible)), eligible)
 
-    block = select(local, np.concatenate([sink, selection.keep, roles.generation]))
+    block = select(local, np.concatenate([sink, selection.keep, generation]))
     if cfg.method != "h2o_obf":
         return block, selection, ObfTrace()
     kept_slice = slice(len(sink), len(sink) + len(selection.keep))

@@ -4,8 +4,8 @@ A cache is a dense stack of per-(layer, kv-head) key/value matrices plus an
 ordered list of global token positions. Selection and concatenation never
 renumber those positions, so any retained cache stays an index-selected
 subsequence of the states that produced it. ``decompose`` assigns one
-agent round the three roles its relayed block is built from: the sink,
-the current prompt (without padding) and the current generation.
+agent round the two roles its relayed block takes from the round besides
+its generation: the sink and the eligible prompt (without padding).
 
 All types are frozen. They hold keys, values and weights as read-only
 float64 arrays and every list of global positions as a strictly
@@ -25,10 +25,14 @@ to it afterwards leaves the container unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import NumericalFailure, PositionOverlap, RoundMismatch, ShapeMismatch, SinkTooLarge, UnknownPosition
+from .errors import NumericalFailure, PositionOverlap, ShapeMismatch, SinkTooLarge, UnknownPosition
+
+if TYPE_CHECKING:  # backbone imports this module
+    from .backbone import EpisodeRound
 
 
 def index_array(indices) -> np.ndarray:
@@ -193,33 +197,18 @@ def concat(a: KvCache, b: KvCache) -> KvCache:
 
 @dataclass(frozen=True, eq=False)
 class RoleMap:
-    """Disjoint split of the positions one round relays from into cache roles."""
+    """The sink and the eligible prompt one round relays from; they share no position."""
 
     sink: np.ndarray
     prompt: np.ndarray
-    generation: np.ndarray
 
     def __post_init__(self):
-        names = ("sink", "prompt", "generation")
-        parts = [index_array(getattr(self, name)) for name in names]
-        # Each role is strictly increasing, so a position two roles share
-        # is an adjacent equal pair once all three are sorted together.
-        flat = np.concatenate(parts)
-        ranked = np.sort(flat, kind="stable")
-        same = ranked[1:] == ranked[:-1]
-        if np.count_nonzero(same):
-            # The stable order keeps equal positions in role order. Report
-            # the clash of the earliest later role, at its smallest position.
-            role = np.repeat(np.arange(len(names)), [part.size for part in parts])
-            role = role[flat.argsort(kind="stable")]
-            clashes = np.flatnonzero(same)
-            first = clashes[role[clashes + 1].argmin()]
-            raise PositionOverlap(
-                f"position {ranked[first]} assigned to both "
-                f"{names[role[first]]} and {names[role[first + 1]]}"
-            )
-        for name, part in zip(names, parts):
-            object.__setattr__(self, name, part)
+        sink, prompt = index_array(self.sink), index_array(self.prompt)
+        _, shared = locate(sink, prompt)
+        if shared.any():
+            raise PositionOverlap(f"position {prompt[int(shared.argmax())]} assigned to both sink and prompt")
+        object.__setattr__(self, "sink", sink)
+        object.__setattr__(self, "prompt", prompt)
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,52 +255,24 @@ class RelayMessage:
             )
 
 
-def decompose(
-    message: RelayMessage | None,
-    round_i: int,
-    local_prompt,
-    local_generation,
-    sink_size: int,
-    padding=(),
-) -> RoleMap:
-    """Assign the sink, prompt and generation roles of round ``round_i``.
+def decompose(message: RelayMessage | None, episode: EpisodeRound, sink_size: int) -> RoleMap:
+    """Assign the sink and prompt roles of ``episode``, the round after ``message``.
 
-    Round 1 carves the sink out of the first ``sink_size`` non-padding
-    prompt positions. Later rounds inherit the sink unchanged from the
-    message, and their whole non-padding prompt is eligible. Every
-    ``padding`` position must be a local prompt position; any other raises
-    :class:`RoundMismatch`.
+    Without a message the round is the first: its sink is the first
+    ``sink_size`` non-padding prompt positions. Later rounds inherit the
+    sink unchanged from the message, and their whole non-padding prompt is
+    eligible. A prompt or generation position the message already holds
+    raises :class:`PositionOverlap`.
     """
-    if round_i < 1:
-        raise ValueError("rounds are numbered from 1")
     if sink_size < 0:
         raise ValueError("sink_size must be non-negative")
-    local_prompt = index_array(local_prompt)
-    local_generation = index_array(local_generation)
-    padding = index_array(padding)
-
-    inherited = np.asarray(message.cache.positions if message is not None else (), dtype=np.int64)
-    local = np.concatenate([local_prompt, local_generation])
-    _, clash = locate(inherited, local)
+    prompt = np.delete(episode.prompt, locate(episode.prompt, episode.padding)[0])
+    if message is None:
+        if sink_size > prompt.size:
+            raise SinkTooLarge(f"sink of {sink_size} exceeds the {prompt.size} usable prompt positions")
+        return RoleMap(sink=prompt[:sink_size], prompt=prompt[sink_size:])
+    local = np.concatenate([episode.prompt, episode.generation])
+    _, clash = locate(message.cache.positions, local)
     if clash.any():
-        pos = local[np.argmax(clash)]
-        raise PositionOverlap(f"local position {pos} already exists in the message")
-    pad_rows, in_prompt = locate(local_prompt, padding)
-    if not in_prompt.all():
-        pos = padding[np.argmin(in_prompt)]
-        raise RoundMismatch(f"padding position {pos} is not a prompt position of round {round_i}")
-
-    non_pad = np.delete(local_prompt, pad_rows)
-    if round_i == 1:
-        if inherited.size:
-            raise ValueError("round 1 cannot carry an inherited message")
-        if sink_size > non_pad.size:
-            raise SinkTooLarge(
-                f"sink of {sink_size} exceeds the {non_pad.size} usable prompt positions"
-            )
-        sink, prompt = non_pad[:sink_size], non_pad[sink_size:]
-    else:
-        if message is None:
-            raise ValueError("rounds after the first need the inherited message")
-        sink, prompt = message.sink, non_pad
-    return RoleMap(sink=sink, prompt=prompt, generation=local_generation)
+        raise PositionOverlap(f"local position {local[int(clash.argmax())]} already exists in the message")
+    return RoleMap(sink=message.sink, prompt=prompt)

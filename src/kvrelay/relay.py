@@ -176,20 +176,13 @@ def run_chain(
 
     for round_i in range(1, chain.num_agents + 1):
         episode = source(round_i)
-        roles = decompose(
-            message,
-            round_i,
-            episode.prompt,
-            episode.generation,
-            cfg.sink_size,
-            padding=episode.padding,
-        )
-        retained, selection, trace = compress(episode.cache, roles, episode.attention, cfg)
+        roles = decompose(message, episode, cfg.sink_size)
+        retained, selection, trace = compress(episode, roles, cfg)
         cache = retained if message is None else concat(message.cache, retained)
         record = RoundRecord(
             round_index=round_i,
             kept_prompt=selection.keep,
-            generation=roles.generation,
+            generation=episode.generation,
         )
         message = RelayMessage(
             cache=cache,
@@ -201,7 +194,7 @@ def run_chain(
                 round=round_i,
                 prompt_len=len(episode.prompt),
                 kept_prompt=len(selection.keep),
-                gen_len=len(roles.generation),
+                gen_len=len(episode.generation),
                 message_len=cache.num_tokens,
             )
         )

@@ -744,9 +744,23 @@ def test_simulate_padding_outside_the_prompt_exits_2(tmp_path, capsys, where):
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err == (
-        "error: episode ep000.json cannot run h2o_global "
-        f"(RoundMismatch: padding position {stray} is not a prompt position of round 2)\n"
+        f"error: fixture ep000.json is malformed (RoundMismatch: padding position {stray} is not a prompt position)\n"
     )
+
+
+def test_simulate_episode_too_large_to_allocate_exits_2(tmp_path, capsys):
+    # 2.73 PiB of keys, beyond any address space, so numpy refuses before allocating
+    doc = {
+        "chain": {"num_agents": 1, "latent_steps": 4},
+        "episodes": [{"prompt_lens": [8], "num_layers": 10**12}],
+        "methods": ["h2o_global"],
+    }
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", str(write_config(tmp_path, yaml.safe_dump(doc))), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: episode spec0 does not fit in memory (Unable to allocate 2.73 PiB")
+    assert err.count("\n") == 1
 
 
 def test_config_accepts_and_echoes_every_dataclass_field(tmp_path):

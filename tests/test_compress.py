@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from kvrelay.backbone import EpisodeSpec, generate_episode
+from kvrelay.backbone import EpisodeRound, EpisodeSpec, generate_episode
 from kvrelay.compress import (
     CompressionConfig,
     ObfTrace,
@@ -43,8 +43,7 @@ def one_round(sink_size=0, **spec_overrides):
     )
     fields.update(spec_overrides)
     ep = generate_episode(EpisodeSpec(**fields), 1)
-    roles = decompose(None, 1, ep.prompt, ep.generation, sink_size, padding=ep.padding)
-    return ep, roles
+    return ep, decompose(None, ep, sink_size)
 
 
 # --- configuration ---------------------------------------------------------
@@ -181,13 +180,13 @@ def hand_round(prompt_values, masses, budget_k):
     gen_row = np.zeros((heads, 1, d))
     values = np.concatenate([prompt_values, gen_row], axis=1)[None]
     local = KvCache(keys=np.zeros((1, heads, p + 1, 1)), values=values, positions=range(p + 1))
-    roles = RoleMap(sink=(), prompt=range(p), generation=(p,))
     attn = AttentionRecord(
         weights=np.asarray(masses, dtype=np.float64)[None, :, None, :],
         gen_positions=(p,), columns=range(p), kv_group_size=1,
     )
+    episode = EpisodeRound(cache=local, prompt=range(p), generation=(p,), attention=attn)
     cfg = CompressionConfig(method="h2o_obf", budget_k=budget_k, sink_size=0)
-    block, _, trace = compress(local, roles, attn, cfg)
+    block, _, trace = compress(episode, RoleMap(sink=(), prompt=range(p)), cfg)
     return local, block, trace, cfg
 
 
@@ -368,10 +367,10 @@ def test_trace_skip_statistics():
 def test_full_method_relays_everything():
     ep, roles = one_round(sink_size=2)
     cfg = CompressionConfig(method="full", sink_size=2)
-    retained, selection, trace = compress(ep.cache, roles, None, cfg)
+    retained, selection, trace = compress(ep, roles, cfg)
     assert np.array_equal(selection.keep, roles.prompt)
     assert selection.deleted.tolist() == []
-    assert np.array_equal(retained.positions, np.concatenate([roles.sink, roles.prompt, roles.generation]))
+    assert np.array_equal(retained.positions, np.concatenate([roles.sink, roles.prompt, ep.generation]))
     assert caches_rows_match(ep.cache, retained)
     assert trace.total == 0
 
@@ -379,23 +378,17 @@ def test_full_method_relays_everything():
 def test_streaming_keeps_sink_and_generation_only():
     ep, roles = one_round(sink_size=2)
     cfg = CompressionConfig(method="streaming", sink_size=2)
-    retained, selection, _ = compress(ep.cache, roles, None, cfg)
+    retained, selection, _ = compress(ep, roles, cfg)
     assert selection.keep.tolist() == []
-    assert np.array_equal(retained.positions, np.concatenate([roles.sink, roles.generation]))
+    assert np.array_equal(retained.positions, np.concatenate([roles.sink, ep.generation]))
 
 
 def test_streaming_later_round_is_generation_only():
     ep, _ = one_round()
-    roles = RoleMap(sink=(900, 901), prompt=ep.prompt, generation=ep.generation)
+    roles = RoleMap(sink=(900, 901), prompt=ep.prompt)
     cfg = CompressionConfig(method="streaming", sink_size=2)
-    retained, _, _ = compress(ep.cache, roles, None, cfg)
+    retained, _, _ = compress(ep, roles, cfg)
     assert np.array_equal(retained.positions, ep.generation)
-
-
-def test_eviction_without_attention_fails():
-    ep, roles = one_round()
-    with pytest.raises(ValueError):
-        compress(ep.cache, roles, None, CompressionConfig(method="h2o", budget_k=3))
 
 
 def caches_rows_match(source, retained):
@@ -408,23 +401,23 @@ def caches_rows_match(source, retained):
 def test_h2o_budget_and_key_preservation(granularity):
     ep, roles = one_round(num_layers=2, num_kv_heads=2, kv_group_size=2, prompt_lens=(9,))
     cfg = CompressionConfig(method="h2o", budget_k=4, granularity=granularity, sink_size=0)
-    retained, selection, _ = compress(ep.cache, roles, ep.attention, cfg)
+    retained, selection, _ = compress(ep, roles, cfg)
     assert len(selection.keep) == 4
-    assert np.array_equal(retained.positions, np.concatenate([selection.keep, roles.generation]))
+    assert np.array_equal(retained.positions, np.concatenate([selection.keep, ep.generation]))
     assert caches_rows_match(ep.cache, retained)
 
 
 def test_h2o_saturates_at_eligible_count():
     ep, roles = one_round()
     cfg = CompressionConfig(method="h2o", budget_k=50, sink_size=0)
-    _, selection, _ = compress(ep.cache, roles, ep.attention, cfg)
+    _, selection, _ = compress(ep, roles, cfg)
     assert np.array_equal(selection.keep, roles.prompt)
 
 
 def test_h2o_selection_agrees_with_mass_oracle():
     ep, roles = one_round(num_layers=2, num_kv_heads=2, kv_group_size=2, prompt_lens=(8,))
     cfg = CompressionConfig(method="h2o", budget_k=3, granularity=GLOBAL, sink_size=0)
-    _, selection, _ = compress(ep.cache, roles, ep.attention, cfg)
+    _, selection, _ = compress(ep, roles, cfg)
     mass = oracles.headwise_mass(
         ep.attention.weights, list(range(len(ep.generation))), list(range(len(ep.prompt))), 2
     ).sum(axis=(0, 1))
@@ -436,8 +429,8 @@ def test_backfill_modifies_only_kept_prompt_values():
     ep, roles = one_round(sink_size=1, prompt_lens=(7,), value_dim=12)
     base = CompressionConfig(method="h2o", budget_k=3, sink_size=1)
     shifted = CompressionConfig(method="h2o_obf", budget_k=3, sink_size=1)
-    plain, selection, _ = compress(ep.cache, roles, ep.attention, base)
-    backed, selection2, trace = compress(ep.cache, roles, ep.attention, shifted)
+    plain, selection, _ = compress(ep, roles, base)
+    backed, selection2, trace = compress(ep, roles, shifted)
     assert np.array_equal(selection.keep, selection2.keep)
     assert np.array_equal(plain.keys, backed.keys)
     unit = trace.units[(0, 0)]
@@ -453,10 +446,8 @@ def test_backfill_modifies_only_kept_prompt_values():
 def test_backfill_without_deletion_matches_plain_h2o_bitwise():
     ep, roles = one_round()
     k = len(roles.prompt)  # budget covers everything
-    plain, _, _ = compress(ep.cache, roles, ep.attention, CompressionConfig(method="h2o", budget_k=k))
-    backed, _, trace = compress(
-        ep.cache, roles, ep.attention, CompressionConfig(method="h2o_obf", budget_k=k)
-    )
+    plain, _, _ = compress(ep, roles, CompressionConfig(method="h2o", budget_k=k))
+    backed, _, trace = compress(ep, roles, CompressionConfig(method="h2o_obf", budget_k=k))
     assert np.array_equal(plain.values, backed.values)
     assert np.array_equal(plain.keys, backed.keys)
     assert trace.skipped_count == trace.total
@@ -466,7 +457,7 @@ def test_backfill_without_deletion_matches_plain_h2o_bitwise():
 def test_backfill_skips_when_deleted_values_in_retained_span():
     ep, roles = one_round(value_structure="planted_in_span", value_rank=2, prompt_lens=(8,))
     cfg = CompressionConfig(method="h2o_obf", budget_k=4, sink_size=0)
-    _, _, trace = compress(ep.cache, roles, ep.attention, cfg)
+    _, _, trace = compress(ep, roles, cfg)
     assert trace.skipped_count == trace.total
     for unit in trace.units.values():
         assert unit.residual_norm <= 1e-8
@@ -476,13 +467,13 @@ def test_backfill_needs_retained_rows():
     ep, roles = one_round()
     cfg = CompressionConfig(method="h2o_obf", budget_k=0, sink_size=0)
     with pytest.raises(EmptyKeep):
-        compress(ep.cache, roles, ep.attention, cfg)
+        compress(ep, roles, cfg)
 
 
 def test_h2o_with_zero_budget_keeps_nothing():
     ep, roles = one_round()
     cfg = CompressionConfig(method="h2o", budget_k=0, sink_size=0)
-    retained, selection, _ = compress(ep.cache, roles, ep.attention, cfg)
+    retained, selection, _ = compress(ep, roles, cfg)
     assert selection.keep.tolist() == []
     assert np.array_equal(retained.positions, ep.generation)
 
@@ -491,7 +482,7 @@ def test_sink_block_included_for_every_method_at_round_one():
     ep, roles = one_round(sink_size=2)
     for method in ("full", "streaming", "h2o", "h2o_obf"):
         cfg = CompressionConfig(method=method, budget_k=3, sink_size=2)
-        retained, _, _ = compress(ep.cache, roles, ep.attention, cfg)
+        retained, _, _ = compress(ep, roles, cfg)
         assert np.array_equal(retained.positions[:2], roles.sink)
         block = select(ep.cache, roles.sink)
         assert np.array_equal(retained.values[:, :, :2, :], block.values)
@@ -502,7 +493,7 @@ def test_sink_block_included_for_every_method_at_round_one():
 def test_backfill_injection_is_uniform_across_kept_rows(seed):
     ep, roles = one_round(seed=seed, prompt_lens=(7,), value_dim=10)
     cfg = CompressionConfig(method="h2o_obf", budget_k=4, sink_size=0)
-    backed, selection, trace = compress(ep.cache, roles, ep.attention, cfg)
+    backed, selection, trace = compress(ep, roles, cfg)
     unit = trace.units[(0, 0)]
     row_of = {pos: row for row, pos in enumerate(ep.cache.positions)}
     original = ep.cache.values[0, 0, [row_of[p] for p in selection.keep], :]
@@ -515,7 +506,7 @@ def test_backfill_injection_is_uniform_across_kept_rows(seed):
 # --- reference: backfill by per-position row gathers ------------------------
 
 
-def reference_h2o_obf(local, roles, attn, cfg):
+def reference_h2o_obf(ep, roles, cfg):
     """h2o_obf built the long way: gather rows through a position dict, collect
     one injection per active unit, then shift the kept slice of a fresh block.
     Only the linalg kernels are shared with the code under test; every step
@@ -524,9 +515,9 @@ def reference_h2o_obf(local, roles, attn, cfg):
     Returns (positions, keys, values, units) with each unit's trace fields in
     a dict.
     """
-    eligible = roles.prompt.tolist()
+    local, eligible = ep.cache, roles.prompt.tolist()
     sink = roles.sink.tolist() if set(roles.sink.tolist()) <= set(local.positions.tolist()) else []
-    masses = attention_mass_headwise(attn, roles.generation, eligible)
+    masses = attention_mass_headwise(ep.attention, ep.generation, eligible)
     selection = h2o_select(masses, cfg.round_budget(len(eligible)), eligible)
     keep, deleted = selection.keep.tolist(), selection.deleted.tolist()
     row_of = {pos: row for row, pos in enumerate(local.positions.tolist())}
@@ -568,7 +559,7 @@ def reference_h2o_obf(local, roles, attn, cfg):
             zero_keep_demand=keep_mass == 0.0, weights=tuple(float(w) for w in weights),
             summary=summary, direction=direction,
         )
-    order = index_array(sink + keep + roles.generation.tolist())
+    order = index_array(sink + keep + ep.generation.tolist())
     block = select(local, order)
     values = np.array(block.values)
     kept_slice = slice(len(sink), len(sink) + len(keep))
@@ -612,10 +603,10 @@ def backfill_case(case, seed):
     ep = generate_episode(spec, round_i)
     sink_size = 2
     if round_i == 1:
-        roles = decompose(None, 1, ep.prompt, ep.generation, sink_size)
+        roles = decompose(None, ep, sink_size)
     else:
         # the round-1 sink lives in the message, not in this round's cache
-        roles = RoleMap(sink=(0, 1), prompt=ep.prompt, generation=ep.generation)
+        roles = RoleMap(sink=(0, 1), prompt=ep.prompt)
     eligible = len(roles.prompt)
     if opts.get("one_deleted"):
         budget = dict(budget_k=eligible - 1)
@@ -632,8 +623,8 @@ def backfill_case(case, seed):
 @settings(max_examples=25, deadline=None)
 def test_backfill_matches_row_gather_reference(case, seed):
     ep, roles, cfg = backfill_case(case, seed)
-    retained, selection, trace = compress(ep.cache, roles, ep.attention, cfg)
-    positions, keys, values, units = reference_h2o_obf(ep.cache, roles, ep.attention, cfg)
+    retained, selection, trace = compress(ep, roles, cfg)
+    positions, keys, values, units = reference_h2o_obf(ep, roles, cfg)
 
     if BACKFILL_CASES[case].get("one_deleted"):
         assert len(selection.deleted) == 1
@@ -661,7 +652,7 @@ def test_basis_signs_are_unobservable(case, seed, flips):
     bit-for-bit invariant and the kernels need no sign convention.
     """
     ep, roles, cfg = backfill_case(case, seed)
-    plain_block, selection, plain = compress(ep.cache, roles, ep.attention, cfg)
+    plain_block, selection, plain = compress(ep, roles, cfg)
     svd = linalg._svd
     calls = []
 
@@ -674,7 +665,7 @@ def test_basis_signs_are_unobservable(case, seed, flips):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "_svd", flipped_svd)
-        block, _, trace = compress(ep.cache, roles, ep.attention, cfg)
+        block, _, trace = compress(ep, roles, cfg)
     assert calls or not selection.deleted.size
     assert np.array_equal(block.values, plain_block.values)
     assert sorted(trace.units) == sorted(plain.units)

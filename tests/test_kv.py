@@ -127,8 +127,19 @@ def empty_cache(layers, heads, key_dim, value_dim):
 
 
 def role_positions(roles):
-    parts = (roles.sink, roles.prompt, roles.generation)
-    return tuple(sorted(np.concatenate(parts).tolist()))
+    return tuple(sorted(np.concatenate([roles.sink, roles.prompt]).tolist()))
+
+
+def local_round(prompt, generation, padding=()):
+    """An episode round whose cache holds exactly its prompt and generation positions."""
+    prompt, generation = tuple(prompt), tuple(generation)
+    return EpisodeRound(
+        cache=make_cache(prompt + generation, layers=1, heads=1),
+        prompt=prompt,
+        generation=generation,
+        attention=_attention(generation, prompt),
+        padding=padding,
+    )
 
 
 def test_cache_layout():
@@ -203,12 +214,12 @@ def test_caches_equal_detects_value_changes():
 
 def test_role_map_rejects_shared_positions():
     with pytest.raises(PositionOverlap):
-        RoleMap(sink=(0, 1), prompt=(1, 2), generation=(3,))
+        RoleMap(sink=(0, 1), prompt=(1, 2))
 
 
 def test_role_map_all_positions():
-    roles = RoleMap(sink=(0,), prompt=(1, 2), generation=(7,))
-    assert role_positions(roles) == (0, 1, 2, 7)
+    roles = RoleMap(sink=(0,), prompt=(1, 2))
+    assert role_positions(roles) == (0, 1, 2)
 
 
 def test_round_record_validation():
@@ -234,36 +245,24 @@ def test_relay_message_orders_rounds():
 
 
 def test_decompose_first_round_carves_sink():
-    roles = decompose(None, 1, tuple(range(10)), (10, 11), sink_size=4)
+    roles = decompose(None, local_round(range(10), (10, 11)), sink_size=4)
     assert roles.sink.tolist() == [0, 1, 2, 3]
     assert roles.prompt.tolist() == [4, 5, 6, 7, 8, 9]
-    assert roles.generation.tolist() == [10, 11]
 
 
 def test_decompose_skips_padding_when_carving():
-    roles = decompose(None, 1, tuple(range(8)), (8,), sink_size=3, padding=(0, 2))
+    roles = decompose(None, local_round(range(8), (8,), padding=(0, 2)), sink_size=3)
     assert roles.sink.tolist() == [1, 3, 4]
     assert roles.prompt.tolist() == [5, 6, 7]
-    assert role_positions(roles) == (1, 3, 4, 5, 6, 7, 8)  # padding takes no role
+    assert role_positions(roles) == (1, 3, 4, 5, 6, 7)  # padding takes no role
 
 
 def test_decompose_sink_too_large():
     with pytest.raises(SinkTooLarge):
-        decompose(None, 1, (0, 1, 2), (3,), sink_size=4)
+        decompose(None, local_round((0, 1, 2), (3,)), sink_size=4)
     # padding does not count toward the positions a sink can use
     with pytest.raises(SinkTooLarge):
-        decompose(None, 1, (0, 1, 2), (3,), sink_size=3, padding=(1,))
-
-
-def test_decompose_round_one_rejects_inherited_message():
-    cache = make_cache((0, 1))
-    message = RelayMessage(
-        cache=cache,
-        sink=(0,),
-        rounds=(RoundRecord(round_index=1, kept_prompt=(), generation=(1,)),),
-    )
-    with pytest.raises(ValueError):
-        decompose(message, 1, (2, 3), (4,), sink_size=1)
+        decompose(None, local_round((0, 1, 2), (3,), padding=(1,)), sink_size=3)
 
 
 def test_decompose_later_round_inherits_sink_and_history():
@@ -275,11 +274,10 @@ def test_decompose_later_round_inherits_sink_and_history():
             RoundRecord(round_index=1, kept_prompt=(5,), generation=(6,)),
         ),
     )
-    roles = decompose(message, 2, (7, 8, 9), (10, 11), sink_size=2)
+    roles = decompose(message, local_round((7, 8, 9), (10, 11)), sink_size=2)
     assert roles.sink.tolist() == [0, 1]
     assert roles.prompt.tolist() == [7, 8, 9]
-    assert roles.generation.tolist() == [10, 11]
-    assert role_positions(roles) == (0, 1, 7, 8, 9, 10, 11)  # the inherited 5 and 6 take no role
+    assert role_positions(roles) == (0, 1, 7, 8, 9)  # the inherited 5 and 6 take no role
 
 
 def test_decompose_rejects_reused_positions():
@@ -290,12 +288,7 @@ def test_decompose_rejects_reused_positions():
         rounds=(RoundRecord(round_index=1, kept_prompt=(), generation=(1,)),),
     )
     with pytest.raises(PositionOverlap):
-        decompose(message, 2, (1, 2), (3,), sink_size=1)
-
-
-def test_decompose_needs_message_after_round_one():
-    with pytest.raises(ValueError):
-        decompose(None, 2, (5, 6), (7,), sink_size=1)
+        decompose(message, local_round((1, 2), (3,)), sink_size=1)
 
 
 @pytest.mark.parametrize(
@@ -309,6 +302,7 @@ def test_decompose_needs_message_after_round_one():
     ],
 )
 def test_decompose_rejects_padding_outside_the_prompt(round_i, padding, stray):
+    """Stray padding stops the round before ``decompose``: the round itself rejects it."""
     if round_i == 1:
         message, prompt, generation = None, (2, 3, 4, 5), (11,)
     else:
@@ -316,8 +310,8 @@ def test_decompose_rejects_padding_outside_the_prompt(round_i, padding, stray):
         message = RelayMessage(cache=make_cache((0, 1, 6)), sink=(0, 1), rounds=(record,))
         prompt, generation = (7, 8, 9, 10), (11, 12)
     with pytest.raises(RoundMismatch) as err:
-        decompose(message, round_i, prompt, generation, sink_size=1, padding=padding)
-    assert str(err.value) == f"padding position {stray} is not a prompt position of round {round_i}"
+        decompose(message, local_round(prompt, generation, padding), sink_size=1)
+    assert str(err.value) == f"padding position {stray} is not a prompt position"
 
 
 positions_lists = st.lists(st.integers(0, 400), min_size=1, max_size=24, unique=True).map(
@@ -360,21 +354,22 @@ def test_decompose_partitions_first_round(base, prompt_len, gen_len, sink_size, 
     gen = tuple(range(base + prompt_len, base + prompt_len + gen_len))
     pad_mask = data.draw(st.lists(st.booleans(), min_size=prompt_len, max_size=prompt_len))
     padding = tuple(p for p, pad in zip(prompt, pad_mask) if pad)
+    episode = local_round(prompt, gen, padding)
     usable = prompt_len - len(padding)
     if sink_size > usable:
         with pytest.raises(SinkTooLarge):
-            decompose(None, 1, prompt, gen, sink_size, padding=padding)
+            decompose(None, episode, sink_size)
         return
-    roles = decompose(None, 1, prompt, gen, sink_size, padding=padding)
+    roles = decompose(None, episode, sink_size)
     assert len(roles.sink) == sink_size
-    # the roles cover exactly the visible positions but padding, with no double booking
-    assert role_positions(roles) == tuple(p for p in prompt + gen if p not in padding)
+    # the roles cover exactly the prompt positions but padding, with no double booking
+    assert role_positions(roles) == tuple(p for p in prompt if p not in padding)
     assert set(roles.sink.tolist()).isdisjoint(roles.prompt.tolist())
 
 
 # --- array lookups against the dict and set loops they replace --------------
 
-ROLES = ("sink", "prompt", "generation")
+ROLES = ("sink", "prompt")
 
 
 def _select_loop(cache, indices):
@@ -400,37 +395,21 @@ def _role_map_loop(**given):
     return parts
 
 
-def _decompose_loop(message, round_i, local_prompt, local_generation, sink_size, padding=()):
+def _decompose_loop(message, episode, sink_size):
     """Reference: the role assignment with sets and per-position loops."""
-    if round_i < 1:
-        raise ValueError("rounds are numbered from 1")
     if sink_size < 0:
         raise ValueError("sink_size must be non-negative")
-    local_prompt = _index_list_loop(local_prompt)
-    local_generation = _index_list_loop(local_generation)
-    padding = _index_list_loop(padding)
-    pad_set = set(padding)
-    inherited = tuple(message.cache.positions.tolist()) if message is not None else ()
-    inherited_set = set(inherited)
-    for pos in local_prompt + local_generation:
-        if pos in inherited_set:
-            raise PositionOverlap(f"local position {pos} already exists in the message")
-    for pos in padding:
-        if pos not in local_prompt:
-            raise RoundMismatch(f"padding position {pos} is not a prompt position of round {round_i}")
-    if round_i == 1:
-        if inherited:
-            raise ValueError("round 1 cannot carry an inherited message")
-        non_pad = tuple(p for p in local_prompt if p not in pad_set)
+    pad_set = set(episode.padding.tolist())
+    non_pad = tuple(p for p in episode.prompt.tolist() if p not in pad_set)
+    if message is None:
         if sink_size > len(non_pad):
             raise SinkTooLarge(f"sink of {sink_size} exceeds the {len(non_pad)} usable prompt positions")
-        sink, prompt = non_pad[:sink_size], non_pad[sink_size:]
-    else:
-        if message is None:
-            raise ValueError("rounds after the first need the inherited message")
-        sink = tuple(message.sink.tolist())
-        prompt = tuple(p for p in local_prompt if p not in pad_set)
-    return _role_map_loop(sink=sink, prompt=prompt, generation=local_generation)
+        return _role_map_loop(sink=non_pad[:sink_size], prompt=non_pad[sink_size:])
+    inherited_set = set(message.cache.positions.tolist())
+    for pos in episode.prompt.tolist() + episode.generation.tolist():
+        if pos in inherited_set:
+            raise PositionOverlap(f"local position {pos} already exists in the message")
+    return _role_map_loop(sink=tuple(message.sink.tolist()), prompt=non_pad)
 
 
 def _same_outcome(reference, call):
@@ -477,30 +456,41 @@ def test_role_map_matches_dict_loop(parts, unsorted_role, data):
 @given(
     inherited=st.lists(st.integers(0, 40), max_size=10, unique=True).map(sorted),
     sink_len=st.integers(0, 4),
-    round_i=st.integers(1, 3),
     with_message=st.booleans(),
-    prompt=increasing_lists.map(lambda xs: tuple(x + 10 for x in xs)),
-    generation=increasing_lists.map(lambda xs: tuple(x + 10 for x in xs)),
-    padding=increasing_lists.map(lambda xs: tuple(x + 10 for x in xs)),
-    stray_padding=st.booleans(),
+    prompt=st.lists(st.integers(10, 40), min_size=1, max_size=8, unique=True).map(sorted),
+    gen_steps=st.lists(st.integers(1, 8), min_size=1, max_size=4, unique=True).map(sorted),
+    data=st.data(),
     sink_size=st.integers(0, 6),
 )
 @settings(max_examples=400, deadline=None)
-def test_decompose_matches_set_loop(
-    inherited, sink_len, round_i, with_message, prompt, generation, padding, stray_padding, sink_size
-):
-    if not stray_padding:  # most padding lists name prompt positions only
-        padding = tuple(p for p in padding if p in prompt)
+def test_decompose_matches_set_loop(inherited, sink_len, with_message, prompt, gen_steps, data, sink_size):
+    padding = data.draw(st.lists(st.sampled_from(prompt), unique=True).map(sorted))
+    episode = local_round(prompt, [prompt[-1] + step for step in gen_steps], padding)
     message = None
     if with_message:
         sink = tuple(inherited[:sink_len])
         rest = tuple(inherited[len(sink):])
         record = RoundRecord(round_index=1, kept_prompt=(), generation=rest)
         message = RelayMessage(cache=make_cache(inherited, layers=1, heads=1), sink=sink, rounds=(record,))
-    args = (message, round_i, prompt, generation, sink_size, padding)
+    args = (message, episode, sink_size)
     expected, got = _same_outcome(lambda: _decompose_loop(*args), lambda: decompose(*args))
     if expected is not None:
         assert {name: tuple(getattr(got, name).tolist()) for name in ROLES} == expected
+
+
+@given(
+    prompt=st.lists(st.integers(10, 40), min_size=1, max_size=8, unique=True).map(sorted),
+    padding=increasing_lists.map(lambda xs: tuple(x + 10 for x in xs)),
+)
+@settings(max_examples=200, deadline=None)
+def test_episode_round_padding_matches_set_loop(prompt, padding):
+    stray = [pos for pos in padding if pos not in set(prompt)]
+    if stray:
+        with pytest.raises(RoundMismatch) as err:
+            local_round(prompt, (prompt[-1] + 1,), padding)
+        assert str(err.value) == f"padding position {stray[0]} is not a prompt position"
+    else:
+        assert local_round(prompt, (prompt[-1] + 1,), padding).padding.tolist() == list(padding)
 
 
 # --- array ownership --------------------------------------------------------
@@ -559,8 +549,8 @@ POSITION_CASES = {
         ("positions",),
     ),
     "RoleMap": (
-        lambda w: RoleMap(sink=w([0, 1]), prompt=w([3, 4]), generation=w([5])),
-        ("sink", "prompt", "generation"),
+        lambda w: RoleMap(sink=w([0, 1]), prompt=w([3, 4])),
+        ("sink", "prompt"),
     ),
     "RoundRecord": (
         lambda w: RoundRecord(round_index=1, kept_prompt=w([3, 4]), generation=w([5])),
@@ -582,7 +572,7 @@ POSITION_CASES = {
             prompt=w([0, 1]),
             generation=w([2]),
             attention=_attention((2,), (0, 1)),
-            padding=w([7]),
+            padding=w([1]),
         ),
         ("prompt", "generation", "padding"),
     ),
@@ -655,7 +645,7 @@ def containers():
     ep = generate_episode(spec, 1)
     masses = attention_mass_headwise(ep.attention, ep.generation, ep.prompt)
     found = [
-        ep.cache, RoleMap(sink=ep.prompt[:1], prompt=ep.prompt[1:], generation=ep.generation),
+        ep.cache, RoleMap(sink=ep.prompt[:1], prompt=ep.prompt[1:]),
         message.rounds[0], message, ep.attention, h2o_select(masses, 2, ep.prompt), unit, trace, ep, report,
     ]
     return {type(obj): obj for obj in found}
