@@ -10,13 +10,11 @@ therefore be regenerated on its own.
 
 Value structures:
 
-  gaussian         iid standard normal value rows
-  low_rank         per-head product of (tokens x value_rank) coefficients
-                   and a (value_rank x value_dim) basis
-  planted_in_span  same low-rank construction; with a retention budget of
-                   at least ``value_rank`` generic rows, deleted value rows
-                   lie in the span of the retained ones, so backfill must
-                   take its skip path
+  gaussian  iid standard normal value rows
+  low_rank  per-head product of (tokens x value_rank) coefficients and a
+            (value_rank x value_dim) basis; when at least ``value_rank``
+            generic rows are kept, the deleted value rows lie in the span
+            of the kept ones, so backfill takes its skip path
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from .errors import DimensionMismatch, EmptyInput, RoundMismatch, require_int
 from .kv import KvCache, freeze, index_array, locate
 from .scoring import AttentionRecord
 
-VALUE_STRUCTURES = ("gaussian", "low_rank", "planted_in_span")
+VALUE_STRUCTURES = ("gaussian", "low_rank")
 
 _STREAM_KEYS = 0
 _STREAM_VALUES = 1
@@ -43,8 +41,9 @@ _STREAM_QUERIES = 3
 class EpisodeSpec:
     """Shape, seed and structure of one synthetic multi-round episode; integer fields take ``int`` only.
 
-    ``planted_in_span`` generates bit-identical episodes to ``low_rank`` with
-    the same seed and ``value_rank``.
+    A ``low_rank`` episode kept with at least ``value_rank`` generic rows
+    puts the deleted value rows in the span of the kept ones, so backfill
+    takes its skip path.
     """
 
     seed: int = 0

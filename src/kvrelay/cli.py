@@ -24,14 +24,15 @@ success, 3 on :class:`NumericalFailure` (non-finite input, or an SVD that
 did not converge), 2 on every other error. A fixture that does not load as
 an episode (including one whose generation positions are not strictly
 increasing, or one with a padding position outside its round's prompt),
-one with fewer rounds than agents, a chain that rejects an episode (such
-as a sink longer than the first prompt), an episode too large to
-allocate, a config that is not UTF-8 YAML or nests
-collections more than 32 deep, a fixture nested too deep for the JSON
-parser or whose decimal float arrays hold anything but numbers, an integer
-field given a float, string or bool, a bool or non-finite ``epsilon``,
-empty ``methods``, a ``verbosity`` outside 0-2, and an output directory
-that cannot be created or written all exit 2 with one ``error:`` line.
+one with fewer rounds than agents, a fixture that cannot be read, a
+chain that rejects an episode (such as a sink longer than the first
+prompt), an episode too large to allocate, a config that is not UTF-8,
+is not valid YAML or nests collections more than 32 deep, a fixture
+nested too deep for the JSON parser or whose decimal float arrays hold
+anything but numbers, an integer field given a float, string or bool, a
+bool or non-finite ``epsilon``, empty ``methods``, a ``verbosity``
+outside 0-2, and an output directory that cannot be created or written
+all exit 2 with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -88,9 +89,9 @@ class _Episode:
     def rounds(self) -> tuple[EpisodeRound, ...]:
         """Every round of the episode: generated from the spec, or parsed from the fixture.
 
-        A fixture that is not a well-formed episode document raises
-        :class:`ConfigError`; a :class:`NumericalFailure` (a non-finite
-        value) propagates unchanged.
+        A fixture that cannot be read or is not a well-formed episode
+        document raises :class:`ConfigError`; a :class:`NumericalFailure`
+        (a non-finite value) propagates unchanged.
         """
         if self.spec is not None:
             return tuple(generate_episode(self.spec, i) for i in range(1, self.spec.num_rounds + 1))
@@ -101,6 +102,10 @@ class _Episode:
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ConfigError(
                 f"fixture {self.label} is malformed ({type(exc).__name__}: {exc})"
+            ) from exc
+        except OSError as exc:
+            raise ConfigError(
+                f"fixture {self.label} cannot be read ({type(exc).__name__}: {exc})"
             ) from exc
 
 
@@ -202,6 +207,19 @@ def _build_episodes(doc: dict, chain: ChainConfig, config_dir: Path) -> list[_Ep
     return episodes
 
 
+def _yaml_problem(exc: yaml.YAMLError) -> str:
+    """One line for a YAML error: the problem and its line and column, without the source excerpt.
+
+    An error without a position (a character the reader rejects) gives the
+    first line of its own message.
+    """
+    if isinstance(exc, yaml.MarkedYAMLError):
+        mark = exc.problem_mark or exc.context_mark
+        where = f" (line {mark.line + 1}, column {mark.column + 1})" if mark is not None else ""
+        return f"{exc.problem or exc.context}{where}"
+    return str(exc).splitlines()[0]
+
+
 def load_run_config(config_path, method_overrides=(), seed: int | None = None, out=None) -> RunConfig:
     """Parse and validate a simulate configuration file (UTF-8 YAML).
 
@@ -227,7 +245,9 @@ def load_run_config(config_path, method_overrides=(), seed: int | None = None, o
             elif isinstance(event, yaml.CollectionEndEvent):
                 depth -= 1
         doc = yaml.load(text, Loader=loader)
-    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"cannot parse {path}: {_yaml_problem(exc)}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     doc = _require_mapping(doc, "config document")
     _reject_unknown(doc, _TOP_KEYS, "config document")

@@ -34,7 +34,13 @@ BENCHMARK_PROMPT_LENGTHS = {
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """How many agent rounds to run and how to compress each boundary; integer fields take ``int`` only."""
+    """How many agent rounds to run and how to compress each boundary; integer fields take ``int`` only.
+
+    :func:`run_chain` reads only ``num_agents`` and ``compression``.
+    ``latent_steps`` and ``seed`` are read only by the CLI: they are the
+    defaults of each configured episode's ``gen_len`` (which must equal
+    ``latent_steps``) and ``seed`` (``seed`` plus the episode index).
+    """
 
     num_agents: int = 3
     latent_steps: int = 40

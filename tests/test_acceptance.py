@@ -187,8 +187,9 @@ def test_criterion_05_backfill_closed_form_and_skip():
                 worst = max(worst, float(np.abs(unit.injection - delta).max()))
     closed_form_ok = worst <= 1e-10
 
-    # values planted inside the retained span must force the skip path and
-    # leave the output bit-identical to plain eviction
+    # rank-3 values kept with 6 rows put the deleted rows inside the retained
+    # span, which must force the skip path and leave the output
+    # bit-identical to plain eviction
     spec = EpisodeSpec(
         seed=77,
         num_layers=2,
@@ -198,7 +199,7 @@ def test_criterion_05_backfill_closed_form_and_skip():
         value_dim=10,
         prompt_lens=(12, 10, 11),
         gen_len=4,
-        value_structure="planted_in_span",
+        value_structure="low_rank",
         value_rank=3,
     )
     source = lambda i: generate_episode(spec, i)
@@ -222,7 +223,7 @@ def test_criterion_05_backfill_closed_form_and_skip():
             for unit in trace.units.values()
         )
     )
-    check(5, "backfill closed form + planted skip", closed_form_ok and skip_ok,
+    check(5, "backfill closed form + low-rank skip", closed_form_ok and skip_ok,
           f"(worst {worst:.2e})")
 
 
@@ -239,7 +240,7 @@ def _random_specs(rng, count):
                 value_dim=6,
                 prompt_lens=tuple(int(x) for x in rng.integers(5, 11, size=3)),
                 gen_len=3,
-                value_structure=("gaussian", "low_rank", "planted_in_span")[idx % 3],
+                value_structure="gaussian" if idx % 3 == 0 else "low_rank",
                 value_rank=2,
             )
         )

@@ -382,6 +382,76 @@ def test_simulate_deep_fixture_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_simulate_unreadable_fixture_exits_2(tmp_path, capsys, monkeypatch):
+    # a mode-000 fixture raises PermissionError for every user but root,
+    # which ignores the mode, so the error is injected
+    config = _spec_and_fixture_config(tmp_path)
+    fixture = tmp_path / "ep.json"
+    read_bytes = Path.read_bytes
+
+    def refuse(path):
+        if path == fixture:
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", refuse)
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"error: fixture ep.json cannot be read (PermissionError: [Errno 13] Permission denied: '{fixture}')\n"
+    )
+
+
+# (config text, libyaml's problem, the pure-Python parser's problem)
+INVALID_YAML = [
+    (
+        "chain: [",
+        "did not find expected node content (line 2, column 1)",
+        "expected the node content, but found '<stream end>' (line 1, column 9)",
+    ),
+    ("? [1]\n: 2\n", "found unhashable key (line 1, column 3)", "found unhashable key (line 1, column 3)"),
+    (
+        "chain:\n\tnum_agents: 3\n",
+        "found character that cannot start any token (line 2, column 1)",
+        "found character '\\t' that cannot start any token (line 2, column 1)",
+    ),
+    (
+        "chain: \x01\n",
+        "unacceptable character #x0001: control characters are not allowed",
+        "unacceptable character #x0001: special characters are not allowed",
+    ),
+]
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure_python"])
+@pytest.mark.parametrize(
+    "text, libyaml_problem, python_problem", INVALID_YAML,
+    ids=["open_flow", "unhashable_key", "tab", "control_char"],
+)
+def test_simulate_invalid_yaml_exits_2_with_one_line(
+    tmp_path, capsys, monkeypatch, libyaml, text, libyaml_problem, python_problem
+):
+    if libyaml and not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML was built without libyaml")
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    config = write_config(tmp_path, text)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "runs")]) == 2
+    problem = libyaml_problem if libyaml else python_problem
+    assert capsys.readouterr().err == f"error: cannot parse {config}: {problem}\n"
+
+
+def test_simulate_removed_value_structure_exits_2(tmp_path, capsys):
+    doc = yaml.safe_load(BASE_CONFIG)
+    doc["episodes"][0]["value_structure"] = "planted_in_span"
+    config = write_config(tmp_path, yaml.safe_dump(doc))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "runs")]) == 2
+    assert capsys.readouterr().err == (
+        "error: episode 0: unknown value_structure 'planted_in_span', expected one of ('gaussian', 'low_rank')\n"
+    )
+
+
 def test_load_config_rejects_non_integer_verbosity(tmp_path):
     path = write_config(tmp_path, BASE_CONFIG + "verbosity: loud\n")
     with pytest.raises(ConfigError, match="verbosity"):

@@ -455,7 +455,7 @@ def test_backfill_without_deletion_matches_plain_h2o_bitwise():
 
 
 def test_backfill_skips_when_deleted_values_in_retained_span():
-    ep, roles = one_round(value_structure="planted_in_span", value_rank=2, prompt_lens=(8,))
+    ep, roles = one_round(value_structure="low_rank", value_rank=2, prompt_lens=(8,))
     cfg = CompressionConfig(method="h2o_obf", budget_k=4, sink_size=0)
     _, _, trace = compress(ep, roles, cfg)
     assert trace.skipped_count == trace.total
@@ -573,7 +573,7 @@ BACKFILL_CASES = {
     "round2_no_sink": dict(round_i=2),
     "budget_ratio": dict(budget=dict(budget_k=None, budget_ratio=0.3)),
     "low_rank": dict(spec=dict(value_structure="low_rank", value_rank=3)),
-    "planted_in_span": dict(spec=dict(value_structure="planted_in_span", value_rank=2)),
+    "low_rank_2": dict(spec=dict(value_structure="low_rank", value_rank=2)),
     "one_deleted_row": dict(one_deleted=True),
     "pca_rank_1": dict(pca_rank=1),
 }
