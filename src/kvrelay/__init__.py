@@ -29,7 +29,6 @@ from .compress import (
 from .kv import (
     KvCache,
     RelayMessage,
-    RoleMap,
     RoundRecord,
     caches_equal,
     concat,
@@ -81,7 +80,6 @@ __all__ = [
     "ObfUnitTrace",
     "RelayMessage",
     "RelayReport",
-    "RoleMap",
     "RoundRecord",
     "RoundReportRow",
     "SelectionResult",

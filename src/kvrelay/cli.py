@@ -26,8 +26,9 @@ an episode (including one whose generation positions are not strictly
 increasing, or one with a padding position outside its round's prompt),
 one with fewer rounds than agents, a fixture that cannot be read, a
 chain that rejects an episode (such as a sink longer than the first
-prompt), an episode too large to allocate, a config that is not UTF-8,
-is not valid YAML or nests collections more than 32 deep, a fixture
+prompt, or a round that starts before the previous round's relayed
+message ends), an episode too large to allocate, a config that is not
+UTF-8, is not valid YAML or nests collections more than 32 deep, a fixture
 nested too deep for the JSON parser or whose decimal float arrays hold
 anything but numbers, an integer field given a float, string or bool, a
 bool or non-finite ``epsilon``, empty ``methods``, a ``verbosity``

@@ -7,10 +7,10 @@ Four methods share one entry point:
   h2o         keep the top-k prompt states by attention mass
   h2o_obf     h2o plus orthogonal-backfill value compensation
 
-Every method first assembles the block it relays (sink, kept prompt rows,
-generation rows). Orthogonal backfill then edits the kept slice of that
-block, per (layer, kv head), in six array operations written once in
-``_orthogonal_backfill``:
+Every method first assembles the block it relays (the sink, which only
+the first round has, kept prompt rows, generation rows). Orthogonal
+backfill then edits the kept slice of that block, per (layer, kv head),
+in six array operations written once in ``_orthogonal_backfill``:
 
   residual   = v_del - (v_del Q) Q^T       Q: orthonormal basis of span(v_keep)
   C          = the residual's top right singular directions, at most ``pca_rank``
@@ -22,8 +22,9 @@ block, per (layer, kv head), in six array operations written once in
 where ``m_del`` are the deleted rows' attention masses through that head
 and ``keep_mass``/``del_mass`` the kept and deleted totals. Keys are never
 modified, and the whole step is skipped for a unit when there is nothing
-deleted or the residual norm is negligible (<= 1e-10 * (1 + ||v_del||_F));
-a skipped unit's rows keep their exact bits. Any larger residual has a
+deleted or the residual norm is negligible (<= 1e-10 * (1 + ||v_del||_F),
+both norms rescaled by the largest entry when squaring overflows); a
+skipped unit's rows keep their exact bits. Any larger residual has a
 nonzero largest singular value, which the rank tolerance always counts, so
 it has at least one principal direction.
 """
@@ -38,7 +39,7 @@ import numpy as np
 
 from .backbone import EpisodeRound
 from .errors import BudgetUnset, EmptyKeep, require_int
-from .kv import KvCache, RoleMap, freeze, index_array, locate, read_only, select
+from .kv import KvCache, freeze, index_array, locate, read_only, select
 from .linalg import orthonormal_basis, principal_subspace, project_out, top_k_indices
 from .scoring import GLOBAL, GRANULARITIES, aggregate_global, attention_mass_headwise, demand_sums
 
@@ -217,6 +218,16 @@ def obf_residual(v_keep, v_del) -> tuple[np.ndarray, np.ndarray]:
     return q, project_out(np.asarray(v_del, dtype=np.float64), q)
 
 
+def _norm(m: np.ndarray) -> float:
+    """Frobenius norm of ``m``, taken on ``m`` over its largest magnitude only if the plain one overflows."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(m))
+    if norm == math.inf:
+        scale = float(np.abs(m).max())
+        norm = scale * float(np.linalg.norm(m / scale))
+    return norm
+
+
 def _orthogonal_backfill(
     local: KvCache,
     block: KvCache,
@@ -248,8 +259,8 @@ def _orthogonal_backfill(
             v_keep = block.values[layer, head, kept_slice]
             v_del = deleted_values[layer, head]
             q, residual = obf_residual(v_keep, v_del)
-            basis_rank, residual_norm = q.shape[1], float(np.linalg.norm(residual))
-            if residual_norm > RESIDUAL_NEGLIGIBLE * (1.0 + float(np.linalg.norm(v_del))):
+            basis_rank, residual_norm = q.shape[1], _norm(residual)
+            if residual_norm > RESIDUAL_NEGLIGIBLE * (1.0 + _norm(v_del)):
                 rows = principal_subspace(residual, cfg.pca_rank)
         weights = summary = direction = None
         injection = np.zeros(local.value_dim)
@@ -282,19 +293,20 @@ def _orthogonal_backfill(
 
 
 def compress(
-    episode: EpisodeRound, roles: RoleMap, cfg: CompressionConfig
+    episode: EpisodeRound, sink, eligible, cfg: CompressionConfig
 ) -> tuple[KvCache, SelectionResult, ObfTrace]:
     """Build the block ``episode`` appends to the relay message.
 
-    The block is the sink (only while it lives in the round's own cache,
-    that is at the first round) followed by the retained ``roles.prompt``
-    rows followed by every generation row. Keys are bit-exact row
-    selections of the round's cache for every method; only ``h2o_obf``
-    modifies retained prompt values. Eviction ranks by the mass of the
-    round's attention record, totalled whatever ``cfg.granularity`` says.
+    ``sink`` and ``eligible`` are the positions :func:`~kvrelay.kv.decompose`
+    gives the round; the sink is empty after the first round. The block is
+    the sink followed by the retained ``eligible`` rows followed by every
+    generation row. Keys are bit-exact row selections of the round's cache
+    for every method; only ``h2o_obf`` modifies retained prompt values.
+    Eviction ranks by the mass of the round's attention record, totalled
+    whatever ``cfg.granularity`` says.
     """
-    local, eligible, generation = episode.cache, roles.prompt, episode.generation
-    sink = roles.sink if locate(local.positions, roles.sink)[1].all() else roles.sink[:0]
+    local, generation = episode.cache, episode.generation
+    sink, eligible = index_array(sink), index_array(eligible)
     if cfg.method == "full":
         selection = SelectionResult(keep=eligible, deleted=(), budget=len(eligible))
     elif cfg.method == "streaming":

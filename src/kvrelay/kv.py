@@ -3,9 +3,9 @@
 A cache is a dense stack of per-(layer, kv-head) key/value matrices plus an
 ordered list of global token positions. Selection and concatenation never
 renumber those positions, so any retained cache stays an index-selected
-subsequence of the states that produced it. ``decompose`` assigns one
-agent round the two roles its relayed block takes from the round besides
-its generation: the sink and the eligible prompt (without padding).
+subsequence of the states that produced it. ``decompose`` splits one
+agent round's prompt (without padding) into the sink the round relays,
+which is empty after the first round, and the eligible prompt.
 
 All types are frozen. They hold keys, values and weights as read-only
 float64 arrays and every list of global positions as a strictly
@@ -196,43 +196,24 @@ def concat(a: KvCache, b: KvCache) -> KvCache:
 
 
 @dataclass(frozen=True, eq=False)
-class RoleMap:
-    """The sink and the eligible prompt one round relays from; they share no position."""
-
-    sink: np.ndarray
-    prompt: np.ndarray
-
-    def __post_init__(self):
-        sink, prompt = index_array(self.sink), index_array(self.prompt)
-        _, shared = locate(sink, prompt)
-        if shared.any():
-            raise PositionOverlap(f"position {prompt[int(shared.argmax())]} assigned to both sink and prompt")
-        object.__setattr__(self, "sink", sink)
-        object.__setattr__(self, "prompt", prompt)
-
-
-@dataclass(frozen=True, eq=False)
 class RoundRecord:
-    """What one round contributed to a relay message."""
+    """What one round contributed to a relay message besides the sink."""
 
-    round_index: int
     kept_prompt: np.ndarray
     generation: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "kept_prompt", index_array(self.kept_prompt))
         object.__setattr__(self, "generation", index_array(self.generation))
-        if self.round_index < 1:
-            raise ValueError("round_index starts at 1")
 
 
 @dataclass(frozen=True, eq=False)
 class RelayMessage:
-    """The cache handed from one agent to the next, with per-round records.
+    """The cache handed from one agent to the next, with one record per round in round order.
 
-    The shared sink is tracked once, outside the per-round records, so the
-    cache length always equals the sink length plus the sum over rounds of
-    retained prompt and generation lengths.
+    Only the first round relays a sink, and it is tracked once, outside the
+    per-round records, so the cache length always equals the sink length
+    plus the sum over rounds of retained prompt and generation lengths.
     """
 
     cache: KvCache
@@ -242,9 +223,6 @@ class RelayMessage:
     def __post_init__(self):
         object.__setattr__(self, "sink", index_array(self.sink))
         object.__setattr__(self, "rounds", tuple(self.rounds))
-        for a, b in zip(self.rounds, self.rounds[1:]):
-            if b.round_index <= a.round_index:
-                raise ValueError("round records must be ordered by round index")
         expected = len(self.sink) + sum(
             len(r.kept_prompt) + len(r.generation) for r in self.rounds
         )
@@ -255,24 +233,27 @@ class RelayMessage:
             )
 
 
-def decompose(message: RelayMessage | None, episode: EpisodeRound, sink_size: int) -> RoleMap:
-    """Assign the sink and prompt roles of ``episode``, the round after ``message``.
+def decompose(
+    message: RelayMessage | None, episode: EpisodeRound, sink_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sink ``episode``, the round after ``message``, relays and its eligible prompt.
 
-    Without a message the round is the first: its sink is the first
-    ``sink_size`` non-padding prompt positions. Later rounds inherit the
-    sink unchanged from the message, and their whole non-padding prompt is
-    eligible. A prompt or generation position the message already holds
-    raises :class:`PositionOverlap`.
+    Both are read-only int64 arrays of positions, and padding is in
+    neither. Without a message the round is the first: its sink is the
+    first ``sink_size`` non-padding prompt positions and the rest are
+    eligible. A later round relays no sink (the message already holds the
+    first round's), so its whole non-padding prompt is eligible. Its
+    prompt must start after the message ends (with the previous round's
+    generation), or :class:`PositionOverlap` is raised.
     """
     if sink_size < 0:
         raise ValueError("sink_size must be non-negative")
-    prompt = np.delete(episode.prompt, locate(episode.prompt, episode.padding)[0])
+    prompt = freeze(np.delete(episode.prompt, locate(episode.prompt, episode.padding)[0]))
     if message is None:
         if sink_size > prompt.size:
             raise SinkTooLarge(f"sink of {sink_size} exceeds the {prompt.size} usable prompt positions")
-        return RoleMap(sink=prompt[:sink_size], prompt=prompt[sink_size:])
-    local = np.concatenate([episode.prompt, episode.generation])
-    _, clash = locate(message.cache.positions, local)
-    if clash.any():
-        raise PositionOverlap(f"local position {local[int(clash.argmax())]} already exists in the message")
-    return RoleMap(sink=message.sink, prompt=prompt)
+        return prompt[:sink_size], prompt[sink_size:]
+    start, end = episode.prompt[0], message.cache.positions[-1:]  # no end if the message is empty
+    if end.size and start <= end[0]:
+        raise PositionOverlap(f"round starts at {start} but the message ends at {end[0]}")
+    return prompt[:0], prompt

@@ -1,8 +1,10 @@
 """Multi-round relay driver and retention metrics.
 
 ``run_chain`` feeds per-round caches from an episode source through the
-configured compression method, growing one relay message: each round the
-retained block (sink at round 1, kept prompt rows, all generation rows) is
+configured compression method, growing one relay message. ``decompose``
+says what each round relays: the first round its sink and eligible
+prompt, every later round an empty sink and its whole eligible prompt.
+The retained block (that sink, kept prompt rows, all generation rows) is
 appended to the inherited message, so the message length satisfies
 |M_i| = |M_{i-1}| + kept_i + gen_i with |M_0| equal to the sink length.
 """
@@ -182,26 +184,24 @@ def run_chain(
 
     for round_i in range(1, chain.num_agents + 1):
         episode = source(round_i)
-        roles = decompose(message, episode, cfg.sink_size)
-        retained, selection, trace = compress(episode, roles, cfg)
-        cache = retained if message is None else concat(message.cache, retained)
-        record = RoundRecord(
-            round_index=round_i,
-            kept_prompt=selection.keep,
-            generation=episode.generation,
-        )
-        message = RelayMessage(
-            cache=cache,
-            sink=roles.sink,
-            rounds=(message.rounds if message is not None else ()) + (record,),
-        )
+        sink, eligible = decompose(message, episode, cfg.sink_size)
+        retained, selection, trace = compress(episode, sink, eligible, cfg)
+        record = RoundRecord(kept_prompt=selection.keep, generation=episode.generation)
+        if message is None:
+            message = RelayMessage(cache=retained, sink=sink, rounds=(record,))
+        else:
+            message = RelayMessage(
+                cache=concat(message.cache, retained),
+                sink=message.sink,
+                rounds=message.rounds + (record,),
+            )
         rows.append(
             RoundReportRow(
                 round=round_i,
                 prompt_len=len(episode.prompt),
                 kept_prompt=len(selection.keep),
                 gen_len=len(episode.generation),
-                message_len=cache.num_tokens,
+                message_len=message.cache.num_tokens,
             )
         )
         budgets.append(selection.budget)

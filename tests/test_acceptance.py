@@ -159,11 +159,11 @@ def test_criterion_05_backfill_closed_form_and_skip():
             gen_len=3,
         )
         ep = generate_episode(spec, 1)
-        roles = decompose(None, ep, sink_size=0)
+        sink, eligible = decompose(None, ep, sink_size=0)
         cfg = CompressionConfig(
             method="h2o_obf", budget_k=n - 1, granularity=granularity, sink_size=0
         )
-        _, selection, trace = compress(ep, roles, cfg)
+        _, selection, trace = compress(ep, sink, eligible, cfg)
         assert len(selection.deleted) == 1
         mass = oracles.headwise_mass(
             ep.attention.weights, list(range(3)), list(range(n)), group

@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -333,6 +334,44 @@ def test_simulate_bad_decimal_leaf_exits_2(tmp_path, capsys, leaf):
     assert code == 2
     assert err.startswith("error: fixture ep.json is malformed") and "cache values" in err
     assert err.count("\n") == 1
+
+
+def test_simulate_fixture_with_values_whose_squares_overflow_exits_0(tmp_path, capsys):
+    """Cache values of 1e200 keep every backfill decision and report finite norms."""
+    spec = EpisodeSpec(
+        seed=3, num_layers=1, num_kv_heads=1, kv_group_size=1,
+        key_dim=8, value_dim=8, prompt_lens=(12, 10, 11), gen_len=4,
+    )
+    rounds = [generate_episode(spec, i) for i in (1, 2, 3)]
+    scaled = [
+        dataclasses.replace(ep, cache=dataclasses.replace(ep.cache, values=ep.cache.values * 1e200))
+        for ep in rounds
+    ]
+    units = {}
+    for name, episode in (("plain", rounds), ("scaled", scaled)):
+        save_episode_fixture(tmp_path / f"{name}.json", episode)
+        text = textwrap.dedent(
+            f"""\
+            chain:
+              num_agents: 3
+              latent_steps: 4
+              compression:
+                budget_k: 4
+                sink_size: 2
+            episodes:
+              - fixture: {name}.json
+            methods: [h2o_obf_global]
+            verbosity: 1
+            """
+        )
+        out = tmp_path / name
+        assert main(["simulate", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "h2o_obf_global__ep000.json").read_text())
+        units[name] = [unit for r in report["obf"]["per_round"] for unit in r["units"]]
+    assert [u["skipped"] for u in units["scaled"]] == [u["skipped"] for u in units["plain"]]
+    assert not any(u["skipped"] for u in units["plain"])
+    assert all(math.isfinite(u["residual_norm"]) for u in units["scaled"])
 
 
 DEEP_CONFIG = "chain: " + "[" * 50_000 + "\n"

@@ -1,5 +1,8 @@
 """Compression methods: eviction, value backfill, and their kernels."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +21,7 @@ from kvrelay.compress import (
 )
 from kvrelay import linalg
 from kvrelay.errors import BudgetUnset, EmptyKeep
-from kvrelay.kv import KvCache, RoleMap, decompose, index_array, select
+from kvrelay.kv import KvCache, decompose, index_array, select
 from kvrelay.linalg import orthonormal_basis, principal_subspace, project_out
 from kvrelay.scoring import (
     GLOBAL,
@@ -43,7 +46,7 @@ def one_round(sink_size=0, **spec_overrides):
     )
     fields.update(spec_overrides)
     ep = generate_episode(EpisodeSpec(**fields), 1)
-    return ep, decompose(None, ep, sink_size)
+    return (ep, *decompose(None, ep, sink_size))
 
 
 # --- configuration ---------------------------------------------------------
@@ -186,7 +189,7 @@ def hand_round(prompt_values, masses, budget_k):
     )
     episode = EpisodeRound(cache=local, prompt=range(p), generation=(p,), attention=attn)
     cfg = CompressionConfig(method="h2o_obf", budget_k=budget_k, sink_size=0)
-    block, _, trace = compress(episode, RoleMap(sink=(), prompt=range(p)), cfg)
+    block, _, trace = compress(episode, (), range(p), cfg)
     return local, block, trace, cfg
 
 
@@ -365,29 +368,28 @@ def test_trace_skip_statistics():
 
 
 def test_full_method_relays_everything():
-    ep, roles = one_round(sink_size=2)
+    ep, sink, eligible = one_round(sink_size=2)
     cfg = CompressionConfig(method="full", sink_size=2)
-    retained, selection, trace = compress(ep, roles, cfg)
-    assert np.array_equal(selection.keep, roles.prompt)
+    retained, selection, trace = compress(ep, sink, eligible, cfg)
+    assert np.array_equal(selection.keep, eligible)
     assert selection.deleted.tolist() == []
-    assert np.array_equal(retained.positions, np.concatenate([roles.sink, roles.prompt, ep.generation]))
+    assert np.array_equal(retained.positions, np.concatenate([sink, eligible, ep.generation]))
     assert caches_rows_match(ep.cache, retained)
     assert trace.total == 0
 
 
 def test_streaming_keeps_sink_and_generation_only():
-    ep, roles = one_round(sink_size=2)
+    ep, sink, eligible = one_round(sink_size=2)
     cfg = CompressionConfig(method="streaming", sink_size=2)
-    retained, selection, _ = compress(ep, roles, cfg)
+    retained, selection, _ = compress(ep, sink, eligible, cfg)
     assert selection.keep.tolist() == []
-    assert np.array_equal(retained.positions, np.concatenate([roles.sink, ep.generation]))
+    assert np.array_equal(retained.positions, np.concatenate([sink, ep.generation]))
 
 
 def test_streaming_later_round_is_generation_only():
-    ep, _ = one_round()
-    roles = RoleMap(sink=(900, 901), prompt=ep.prompt)
+    ep, _, _ = one_round()
     cfg = CompressionConfig(method="streaming", sink_size=2)
-    retained, _, _ = compress(ep, roles, cfg)
+    retained, _, _ = compress(ep, ep.prompt[:0], ep.prompt, cfg)
     assert np.array_equal(retained.positions, ep.generation)
 
 
@@ -399,38 +401,38 @@ def caches_rows_match(source, retained):
 
 @pytest.mark.parametrize("granularity", [GLOBAL, LAYERWISE, HEADWISE])
 def test_h2o_budget_and_key_preservation(granularity):
-    ep, roles = one_round(num_layers=2, num_kv_heads=2, kv_group_size=2, prompt_lens=(9,))
+    ep, sink, eligible = one_round(num_layers=2, num_kv_heads=2, kv_group_size=2, prompt_lens=(9,))
     cfg = CompressionConfig(method="h2o", budget_k=4, granularity=granularity, sink_size=0)
-    retained, selection, _ = compress(ep, roles, cfg)
+    retained, selection, _ = compress(ep, sink, eligible, cfg)
     assert len(selection.keep) == 4
     assert np.array_equal(retained.positions, np.concatenate([selection.keep, ep.generation]))
     assert caches_rows_match(ep.cache, retained)
 
 
 def test_h2o_saturates_at_eligible_count():
-    ep, roles = one_round()
+    ep, sink, eligible = one_round()
     cfg = CompressionConfig(method="h2o", budget_k=50, sink_size=0)
-    _, selection, _ = compress(ep, roles, cfg)
-    assert np.array_equal(selection.keep, roles.prompt)
+    _, selection, _ = compress(ep, sink, eligible, cfg)
+    assert np.array_equal(selection.keep, eligible)
 
 
 def test_h2o_selection_agrees_with_mass_oracle():
-    ep, roles = one_round(num_layers=2, num_kv_heads=2, kv_group_size=2, prompt_lens=(8,))
+    ep, sink, eligible = one_round(num_layers=2, num_kv_heads=2, kv_group_size=2, prompt_lens=(8,))
     cfg = CompressionConfig(method="h2o", budget_k=3, granularity=GLOBAL, sink_size=0)
-    _, selection, _ = compress(ep, roles, cfg)
+    _, selection, _ = compress(ep, sink, eligible, cfg)
     mass = oracles.headwise_mass(
         ep.attention.weights, list(range(len(ep.generation))), list(range(len(ep.prompt))), 2
     ).sum(axis=(0, 1))
     scores = {pos: mass[i] for i, pos in enumerate(ep.prompt.tolist())}
-    assert tuple(selection.keep.tolist()) == oracles.topk(scores, 3, roles.prompt.tolist())
+    assert tuple(selection.keep.tolist()) == oracles.topk(scores, 3, eligible.tolist())
 
 
 def test_backfill_modifies_only_kept_prompt_values():
-    ep, roles = one_round(sink_size=1, prompt_lens=(7,), value_dim=12)
+    ep, sink, eligible = one_round(sink_size=1, prompt_lens=(7,), value_dim=12)
     base = CompressionConfig(method="h2o", budget_k=3, sink_size=1)
     shifted = CompressionConfig(method="h2o_obf", budget_k=3, sink_size=1)
-    plain, selection, _ = compress(ep, roles, base)
-    backed, selection2, trace = compress(ep, roles, shifted)
+    plain, selection, _ = compress(ep, sink, eligible, base)
+    backed, selection2, trace = compress(ep, sink, eligible, shifted)
     assert np.array_equal(selection.keep, selection2.keep)
     assert np.array_equal(plain.keys, backed.keys)
     unit = trace.units[(0, 0)]
@@ -444,10 +446,10 @@ def test_backfill_modifies_only_kept_prompt_values():
 
 
 def test_backfill_without_deletion_matches_plain_h2o_bitwise():
-    ep, roles = one_round()
-    k = len(roles.prompt)  # budget covers everything
-    plain, _, _ = compress(ep, roles, CompressionConfig(method="h2o", budget_k=k))
-    backed, _, trace = compress(ep, roles, CompressionConfig(method="h2o_obf", budget_k=k))
+    ep, sink, eligible = one_round()
+    k = len(eligible)  # budget covers everything
+    plain, _, _ = compress(ep, sink, eligible, CompressionConfig(method="h2o", budget_k=k))
+    backed, _, trace = compress(ep, sink, eligible, CompressionConfig(method="h2o_obf", budget_k=k))
     assert np.array_equal(plain.values, backed.values)
     assert np.array_equal(plain.keys, backed.keys)
     assert trace.skipped_count == trace.total
@@ -455,45 +457,66 @@ def test_backfill_without_deletion_matches_plain_h2o_bitwise():
 
 
 def test_backfill_skips_when_deleted_values_in_retained_span():
-    ep, roles = one_round(value_structure="low_rank", value_rank=2, prompt_lens=(8,))
+    ep, sink, eligible = one_round(value_structure="low_rank", value_rank=2, prompt_lens=(8,))
     cfg = CompressionConfig(method="h2o_obf", budget_k=4, sink_size=0)
-    _, _, trace = compress(ep, roles, cfg)
+    _, _, trace = compress(ep, sink, eligible, cfg)
     assert trace.skipped_count == trace.total
     for unit in trace.units.values():
         assert unit.residual_norm <= 1e-8
 
 
 def test_backfill_needs_retained_rows():
-    ep, roles = one_round()
+    ep, sink, eligible = one_round()
     cfg = CompressionConfig(method="h2o_obf", budget_k=0, sink_size=0)
     with pytest.raises(EmptyKeep):
-        compress(ep, roles, cfg)
+        compress(ep, sink, eligible, cfg)
 
 
 def test_h2o_with_zero_budget_keeps_nothing():
-    ep, roles = one_round()
+    ep, sink, eligible = one_round()
     cfg = CompressionConfig(method="h2o", budget_k=0, sink_size=0)
-    retained, selection, _ = compress(ep, roles, cfg)
+    retained, selection, _ = compress(ep, sink, eligible, cfg)
     assert selection.keep.tolist() == []
     assert np.array_equal(retained.positions, ep.generation)
 
 
 def test_sink_block_included_for_every_method_at_round_one():
-    ep, roles = one_round(sink_size=2)
+    ep, sink, eligible = one_round(sink_size=2)
     for method in ("full", "streaming", "h2o", "h2o_obf"):
         cfg = CompressionConfig(method=method, budget_k=3, sink_size=2)
-        retained, _, _ = compress(ep, roles, cfg)
-        assert np.array_equal(retained.positions[:2], roles.sink)
-        block = select(ep.cache, roles.sink)
+        retained, _, _ = compress(ep, sink, eligible, cfg)
+        assert np.array_equal(retained.positions[:2], sink)
+        block = select(ep.cache, sink)
         assert np.array_equal(retained.values[:, :, :2, :], block.values)
+
+
+@pytest.mark.parametrize("structure", ["gaussian", "low_rank"])
+def test_backfill_skip_decisions_survive_values_whose_squares_overflow(structure):
+    """Values of 1e200 overflow a plain Frobenius norm; every unit must still skip as it does at scale 1."""
+    ep, sink, eligible = one_round(
+        sink_size=2, key_dim=8, value_dim=8, prompt_lens=(12,), value_structure=structure, value_rank=2
+    )
+    cfg = CompressionConfig(method="h2o_obf", budget_k=4, sink_size=2)
+    cache = ep.cache
+    scaled = dataclasses.replace(
+        ep, cache=KvCache(keys=cache.keys, values=cache.values * 1e200, positions=cache.positions)
+    )
+    _, _, plain = compress(ep, sink, eligible, cfg)
+    _, _, big = compress(scaled, sink, eligible, cfg)
+    assert plain.skipped_count == (plain.total if structure == "low_rank" else 0)
+    for key, unit in plain.units.items():
+        assert big.units[key].skipped == unit.skipped
+        assert math.isfinite(big.units[key].residual_norm)
+        if not unit.skipped:
+            assert big.units[key].residual_norm == pytest.approx(unit.residual_norm * 1e200, rel=1e-12)
 
 
 @given(seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=30, deadline=None)
 def test_backfill_injection_is_uniform_across_kept_rows(seed):
-    ep, roles = one_round(seed=seed, prompt_lens=(7,), value_dim=10)
+    ep, sink, eligible = one_round(seed=seed, prompt_lens=(7,), value_dim=10)
     cfg = CompressionConfig(method="h2o_obf", budget_k=4, sink_size=0)
-    backed, selection, trace = compress(ep, roles, cfg)
+    backed, selection, trace = compress(ep, sink, eligible, cfg)
     unit = trace.units[(0, 0)]
     row_of = {pos: row for row, pos in enumerate(ep.cache.positions)}
     original = ep.cache.values[0, 0, [row_of[p] for p in selection.keep], :]
@@ -506,7 +529,7 @@ def test_backfill_injection_is_uniform_across_kept_rows(seed):
 # --- reference: backfill by per-position row gathers ------------------------
 
 
-def reference_h2o_obf(ep, roles, cfg):
+def reference_h2o_obf(ep, sink, eligible, cfg):
     """h2o_obf built the long way: gather rows through a position dict, collect
     one injection per active unit, then shift the kept slice of a fresh block.
     Only the linalg kernels are shared with the code under test; every step
@@ -515,8 +538,7 @@ def reference_h2o_obf(ep, roles, cfg):
     Returns (positions, keys, values, units) with each unit's trace fields in
     a dict.
     """
-    local, eligible = ep.cache, roles.prompt.tolist()
-    sink = roles.sink.tolist() if set(roles.sink.tolist()) <= set(local.positions.tolist()) else []
+    local, sink, eligible = ep.cache, sink.tolist(), eligible.tolist()
     masses = attention_mass_headwise(ep.attention, ep.generation, eligible)
     selection = h2o_select(masses, cfg.round_budget(len(eligible)), eligible)
     keep, deleted = selection.keep.tolist(), selection.deleted.tolist()
@@ -584,7 +606,7 @@ def same_vector(a, b):
 
 
 def backfill_case(case, seed):
-    """One round of ``BACKFILL_CASES[case]``: (episode round, roles, h2o_obf config)."""
+    """One round of ``BACKFILL_CASES[case]``: (episode round, sink, eligible prompt, h2o_obf config)."""
     opts = BACKFILL_CASES[case]
     rng = np.random.default_rng(seed)
     value_dim = int(rng.integers(2, 10))
@@ -603,28 +625,27 @@ def backfill_case(case, seed):
     ep = generate_episode(spec, round_i)
     sink_size = 2
     if round_i == 1:
-        roles = decompose(None, ep, sink_size)
+        sink, eligible = decompose(None, ep, sink_size)
     else:
-        # the round-1 sink lives in the message, not in this round's cache
-        roles = RoleMap(sink=(0, 1), prompt=ep.prompt)
-    eligible = len(roles.prompt)
+        # a later round relays no sink: the message holds the first round's
+        sink, eligible = ep.prompt[:0], ep.prompt
     if opts.get("one_deleted"):
-        budget = dict(budget_k=eligible - 1)
+        budget = dict(budget_k=len(eligible) - 1)
     else:
         budget = opts.get("budget", dict(budget_k=int(rng.integers(1, value_dim + 1))))
     cfg = CompressionConfig(
         method="h2o_obf", sink_size=sink_size, pca_rank=opts.get("pca_rank", 8), **budget
     )
-    return ep, roles, cfg
+    return ep, sink, eligible, cfg
 
 
 @pytest.mark.parametrize("case", sorted(BACKFILL_CASES))
 @given(seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_backfill_matches_row_gather_reference(case, seed):
-    ep, roles, cfg = backfill_case(case, seed)
-    retained, selection, trace = compress(ep, roles, cfg)
-    positions, keys, values, units = reference_h2o_obf(ep, roles, cfg)
+    ep, sink, eligible, cfg = backfill_case(case, seed)
+    retained, selection, trace = compress(ep, sink, eligible, cfg)
+    positions, keys, values, units = reference_h2o_obf(ep, sink, eligible, cfg)
 
     if BACKFILL_CASES[case].get("one_deleted"):
         assert len(selection.deleted) == 1
@@ -651,8 +672,8 @@ def test_basis_signs_are_unobservable(case, seed, flips):
     as ``(s C^T) C``; negation is exact in IEEE arithmetic, so both are
     bit-for-bit invariant and the kernels need no sign convention.
     """
-    ep, roles, cfg = backfill_case(case, seed)
-    plain_block, selection, plain = compress(ep, roles, cfg)
+    ep, sink, eligible, cfg = backfill_case(case, seed)
+    plain_block, selection, plain = compress(ep, sink, eligible, cfg)
     svd = linalg._svd
     calls = []
 
@@ -665,7 +686,7 @@ def test_basis_signs_are_unobservable(case, seed, flips):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "_svd", flipped_svd)
-        block, _, trace = compress(ep, roles, cfg)
+        block, _, trace = compress(ep, sink, eligible, cfg)
     assert calls or not selection.deleted.size
     assert np.array_equal(block.values, plain_block.values)
     assert sorted(trace.units) == sorted(plain.units)

@@ -23,7 +23,6 @@ from kvrelay.errors import (
 from kvrelay.kv import (
     KvCache,
     RelayMessage,
-    RoleMap,
     RoundRecord,
     caches_equal,
     concat,
@@ -126,8 +125,8 @@ def empty_cache(layers, heads, key_dim, value_dim):
     )
 
 
-def role_positions(roles):
-    return tuple(sorted(np.concatenate([roles.sink, roles.prompt]).tolist()))
+def role_positions(parts):
+    return tuple(sorted(np.concatenate(parts).tolist()))
 
 
 def local_round(prompt, generation, padding=()):
@@ -212,49 +211,27 @@ def test_caches_equal_detects_value_changes():
     assert not caches_equal(a, b)
 
 
-def test_role_map_rejects_shared_positions():
-    with pytest.raises(PositionOverlap):
-        RoleMap(sink=(0, 1), prompt=(1, 2))
-
-
-def test_role_map_all_positions():
-    roles = RoleMap(sink=(0,), prompt=(1, 2))
-    assert role_positions(roles) == (0, 1, 2)
-
-
-def test_round_record_validation():
-    with pytest.raises(ValueError):
-        RoundRecord(round_index=0, kept_prompt=(), generation=(1,))
-
-
 def test_relay_message_checks_row_accounting():
     cache = make_cache((0, 1, 2, 3, 4))
-    record = RoundRecord(round_index=1, kept_prompt=(2, 3), generation=(4,))
+    record = RoundRecord(kept_prompt=(2, 3), generation=(4,))
     message = RelayMessage(cache=cache, sink=(0, 1), rounds=(record,))
     assert message.cache.num_tokens == 5
     with pytest.raises(ShapeMismatch):
         RelayMessage(cache=cache, sink=(0,), rounds=(record,))
 
 
-def test_relay_message_orders_rounds():
-    cache = make_cache((0, 1))
-    r1 = RoundRecord(round_index=2, kept_prompt=(0,), generation=(1,))
-    r0 = RoundRecord(round_index=1, kept_prompt=(), generation=())
-    with pytest.raises(ValueError):
-        RelayMessage(cache=cache, sink=(), rounds=(r1, r0))
-
-
 def test_decompose_first_round_carves_sink():
-    roles = decompose(None, local_round(range(10), (10, 11)), sink_size=4)
-    assert roles.sink.tolist() == [0, 1, 2, 3]
-    assert roles.prompt.tolist() == [4, 5, 6, 7, 8, 9]
+    sink, eligible = decompose(None, local_round(range(10), (10, 11)), sink_size=4)
+    assert sink.tolist() == [0, 1, 2, 3]
+    assert eligible.tolist() == [4, 5, 6, 7, 8, 9]
+    assert not sink.flags.writeable and not eligible.flags.writeable
 
 
 def test_decompose_skips_padding_when_carving():
-    roles = decompose(None, local_round(range(8), (8,), padding=(0, 2)), sink_size=3)
-    assert roles.sink.tolist() == [1, 3, 4]
-    assert roles.prompt.tolist() == [5, 6, 7]
-    assert role_positions(roles) == (1, 3, 4, 5, 6, 7)  # padding takes no role
+    sink, eligible = decompose(None, local_round(range(8), (8,), padding=(0, 2)), sink_size=3)
+    assert sink.tolist() == [1, 3, 4]
+    assert eligible.tolist() == [5, 6, 7]
+    assert role_positions((sink, eligible)) == (1, 3, 4, 5, 6, 7)  # padding takes no role
 
 
 def test_decompose_sink_too_large():
@@ -266,29 +243,25 @@ def test_decompose_sink_too_large():
 
 
 def test_decompose_later_round_inherits_sink_and_history():
+    """The message keeps the first round's sink; a later round relays none of its own."""
     cache = make_cache((0, 1, 5, 6))
-    message = RelayMessage(
-        cache=cache,
-        sink=(0, 1),
-        rounds=(
-            RoundRecord(round_index=1, kept_prompt=(5,), generation=(6,)),
-        ),
-    )
-    roles = decompose(message, local_round((7, 8, 9), (10, 11)), sink_size=2)
-    assert roles.sink.tolist() == [0, 1]
-    assert roles.prompt.tolist() == [7, 8, 9]
-    assert role_positions(roles) == (0, 1, 7, 8, 9)  # the inherited 5 and 6 take no role
+    message = RelayMessage(cache=cache, sink=(0, 1), rounds=(RoundRecord(kept_prompt=(5,), generation=(6,)),))
+    sink, eligible = decompose(message, local_round((7, 8, 9), (10, 11)), sink_size=2)
+    assert sink.tolist() == []
+    assert eligible.tolist() == [7, 8, 9]  # the inherited 0, 1, 5 and 6 take no role
 
 
 def test_decompose_rejects_reused_positions():
-    cache = make_cache((0, 1))
+    """A round must start after the message, whether or not the message still holds the reused position."""
     message = RelayMessage(
-        cache=cache,
+        cache=make_cache((0, 1, 5, 6)),
         sink=(0,),
-        rounds=(RoundRecord(round_index=1, kept_prompt=(), generation=(1,)),),
+        rounds=(RoundRecord(kept_prompt=(1, 5), generation=(6,)),),
     )
-    with pytest.raises(PositionOverlap):
-        decompose(message, local_round((1, 2), (3,)), sink_size=1)
+    for prompt, start in (((1, 7), 1), ((3, 7), 3), ((6, 7), 6)):  # relayed, evicted, generated
+        with pytest.raises(PositionOverlap) as err:
+            decompose(message, local_round(prompt, (8,)), sink_size=1)
+        assert str(err.value) == f"round starts at {start} but the message ends at 6"
 
 
 @pytest.mark.parametrize(
@@ -306,7 +279,7 @@ def test_decompose_rejects_padding_outside_the_prompt(round_i, padding, stray):
     if round_i == 1:
         message, prompt, generation = None, (2, 3, 4, 5), (11,)
     else:
-        record = RoundRecord(round_index=1, kept_prompt=(), generation=(6,))
+        record = RoundRecord(kept_prompt=(), generation=(6,))
         message = RelayMessage(cache=make_cache((0, 1, 6)), sink=(0, 1), rounds=(record,))
         prompt, generation = (7, 8, 9, 10), (11, 12)
     with pytest.raises(RoundMismatch) as err:
@@ -360,17 +333,14 @@ def test_decompose_partitions_first_round(base, prompt_len, gen_len, sink_size, 
         with pytest.raises(SinkTooLarge):
             decompose(None, episode, sink_size)
         return
-    roles = decompose(None, episode, sink_size)
-    assert len(roles.sink) == sink_size
+    sink, eligible = decompose(None, episode, sink_size)
+    assert len(sink) == sink_size
     # the roles cover exactly the prompt positions but padding, with no double booking
-    assert role_positions(roles) == tuple(p for p in prompt if p not in padding)
-    assert set(roles.sink.tolist()).isdisjoint(roles.prompt.tolist())
+    assert role_positions((sink, eligible)) == tuple(p for p in prompt if p not in padding)
+    assert set(sink.tolist()).isdisjoint(eligible.tolist())
 
 
 # --- array lookups against the dict and set loops they replace --------------
-
-ROLES = ("sink", "prompt")
-
 
 def _select_loop(cache, indices):
     """Reference: a position -> row dict and one fancy-index gather."""
@@ -383,20 +353,8 @@ def _select_loop(cache, indices):
     return KvCache(keys=cache.keys[:, :, rows, :], values=cache.values[:, :, rows, :], positions=idx)
 
 
-def _role_map_loop(**given):
-    """Reference: the role split checked position by position through one dict."""
-    parts = {name: _index_list_loop(given.get(name, ())) for name in ROLES}
-    seen = {}
-    for name, part in parts.items():
-        for pos in part:
-            if pos in seen:
-                raise PositionOverlap(f"position {pos} assigned to both {seen[pos]} and {name}")
-            seen[pos] = name
-    return parts
-
-
 def _decompose_loop(message, episode, sink_size):
-    """Reference: the role assignment with sets and per-position loops."""
+    """Reference: the round split with a set and plain loops over positions."""
     if sink_size < 0:
         raise ValueError("sink_size must be non-negative")
     pad_set = set(episode.padding.tolist())
@@ -404,12 +362,12 @@ def _decompose_loop(message, episode, sink_size):
     if message is None:
         if sink_size > len(non_pad):
             raise SinkTooLarge(f"sink of {sink_size} exceeds the {len(non_pad)} usable prompt positions")
-        return _role_map_loop(sink=non_pad[:sink_size], prompt=non_pad[sink_size:])
-    inherited_set = set(message.cache.positions.tolist())
+        return non_pad[:sink_size], non_pad[sink_size:]
+    end = max(message.cache.positions.tolist(), default=None)
     for pos in episode.prompt.tolist() + episode.generation.tolist():
-        if pos in inherited_set:
-            raise PositionOverlap(f"local position {pos} already exists in the message")
-    return _role_map_loop(sink=tuple(message.sink.tolist()), prompt=non_pad)
+        if end is not None and pos <= end:
+            raise PositionOverlap(f"round starts at {pos} but the message ends at {end}")
+    return (), non_pad
 
 
 def _same_outcome(reference, call):
@@ -440,20 +398,6 @@ def test_select_matches_dict_loop(positions, indices):
 
 
 @given(
-    parts=st.fixed_dictionaries({name: increasing_lists for name in ROLES}),
-    unsorted_role=st.sampled_from(ROLES + (None,) * 5),
-    data=st.data(),
-)
-@settings(max_examples=300, deadline=None)
-def test_role_map_matches_dict_loop(parts, unsorted_role, data):
-    if unsorted_role is not None:
-        parts[unsorted_role] = data.draw(raw_lists)
-    expected, got = _same_outcome(lambda: _role_map_loop(**parts), lambda: RoleMap(**parts))
-    if expected is not None:
-        assert {name: tuple(getattr(got, name).tolist()) for name in ROLES} == expected
-
-
-@given(
     inherited=st.lists(st.integers(0, 40), max_size=10, unique=True).map(sorted),
     sink_len=st.integers(0, 4),
     with_message=st.booleans(),
@@ -470,12 +414,12 @@ def test_decompose_matches_set_loop(inherited, sink_len, with_message, prompt, g
     if with_message:
         sink = tuple(inherited[:sink_len])
         rest = tuple(inherited[len(sink):])
-        record = RoundRecord(round_index=1, kept_prompt=(), generation=rest)
+        record = RoundRecord(kept_prompt=(), generation=rest)
         message = RelayMessage(cache=make_cache(inherited, layers=1, heads=1), sink=sink, rounds=(record,))
     args = (message, episode, sink_size)
     expected, got = _same_outcome(lambda: _decompose_loop(*args), lambda: decompose(*args))
     if expected is not None:
-        assert {name: tuple(getattr(got, name).tolist()) for name in ROLES} == expected
+        assert tuple(tuple(part.tolist()) for part in got) == expected
 
 
 @given(
@@ -548,19 +492,15 @@ POSITION_CASES = {
         lambda w: KvCache(keys=np.zeros((1, 1, 3, 2)), values=np.zeros((1, 1, 3, 2)), positions=w([1, 2, 3])),
         ("positions",),
     ),
-    "RoleMap": (
-        lambda w: RoleMap(sink=w([0, 1]), prompt=w([3, 4])),
-        ("sink", "prompt"),
-    ),
     "RoundRecord": (
-        lambda w: RoundRecord(round_index=1, kept_prompt=w([3, 4]), generation=w([5])),
+        lambda w: RoundRecord(kept_prompt=w([3, 4]), generation=w([5])),
         ("kept_prompt", "generation"),
     ),
     "RelayMessage": (
         lambda w: RelayMessage(
             cache=make_cache((0, 1, 2, 3)),
             sink=w([0, 1]),
-            rounds=(RoundRecord(round_index=1, kept_prompt=(2,), generation=(3,)),),
+            rounds=(RoundRecord(kept_prompt=(2,), generation=(3,)),),
         ),
         ("sink",),
     ),
@@ -616,7 +556,7 @@ def test_positions_are_read_only_int64_arrays_the_caller_cannot_change(case):
 
 # Frozen dataclasses that hold arrays, directly or through another container.
 ARRAY_CONTAINERS = (
-    KvCache, RoleMap, RoundRecord, RelayMessage, AttentionRecord, SelectionResult,
+    KvCache, RoundRecord, RelayMessage, AttentionRecord, SelectionResult,
     ObfUnitTrace, ObfTrace, EpisodeRound, RelayReport,
 )
 VALUE_CLASSES = {
@@ -645,8 +585,7 @@ def containers():
     ep = generate_episode(spec, 1)
     masses = attention_mass_headwise(ep.attention, ep.generation, ep.prompt)
     found = [
-        ep.cache, RoleMap(sink=ep.prompt[:1], prompt=ep.prompt[1:]),
-        message.rounds[0], message, ep.attention, h2o_select(masses, 2, ep.prompt), unit, trace, ep, report,
+        ep.cache, message.rounds[0], message, ep.attention, h2o_select(masses, 2, ep.prompt), unit, trace, ep, report,
     ]
     return {type(obj): obj for obj in found}
 

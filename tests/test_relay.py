@@ -1,12 +1,14 @@
 """Chain driver, message recursion arithmetic and retention metrics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from kvrelay.backbone import EpisodeSpec, episode_source
-from kvrelay.compress import CompressionConfig
-from kvrelay.errors import ChainEmpty, EmptyList, ZeroLength
-from kvrelay.kv import caches_equal
+from kvrelay.backbone import EpisodeRound, EpisodeSpec, episode_source
+from kvrelay.compress import METHODS, CompressionConfig
+from kvrelay.errors import ChainEmpty, EmptyList, PositionOverlap, ZeroLength
+from kvrelay.kv import KvCache, caches_equal, decompose
 from kvrelay.relay import (
     BENCHMARK_PROMPT_LENGTHS,
     ChainConfig,
@@ -14,7 +16,7 @@ from kvrelay.relay import (
     effective_retention_ratio,
     run_chain,
 )
-from kvrelay.scoring import GLOBAL, HEADWISE, LAYERWISE
+from kvrelay.scoring import GLOBAL, HEADWISE, LAYERWISE, AttentionRecord
 
 METHOD_CONFIGS = [
     ("full", GLOBAL),
@@ -43,7 +45,7 @@ def small_chain(method="h2o", granularity=GLOBAL, **comp):
 
 def record_lists(message):
     """Each round record of ``message`` as plain Python values."""
-    return [(r.round_index, r.kept_prompt.tolist(), r.generation.tolist()) for r in message.rounds]
+    return [(r.kept_prompt.tolist(), r.generation.tolist()) for r in message.rounds]
 
 
 def small_spec(**over):
@@ -278,3 +280,47 @@ def test_message_lengths_never_shrink():
         lens = [row.message_len for row in report.rounds]
         assert lens == sorted(lens)
         assert 0.0 <= report.rho_achieved <= 1.0
+
+
+@pytest.mark.parametrize("sink_size", range(4))
+@pytest.mark.parametrize("method", METHODS)
+def test_message_is_the_first_sink_then_each_round_in_order(method, sink_size):
+    source = episode_source(small_spec())
+    chain = small_chain(method, sink_size=sink_size)
+    message, _ = run_chain(source, chain)
+    first_sink, _ = decompose(None, source(1), sink_size)
+    assert np.array_equal(message.sink, first_sink)
+    parts = [message.sink] + [part for r in message.rounds for part in (r.kept_prompt, r.generation)]
+    assert np.array_equal(message.cache.positions, np.concatenate(parts))
+    for round_i in (2, 3):
+        earlier, _ = run_chain(source, dataclasses.replace(chain, num_agents=round_i - 1))
+        sink, eligible = decompose(earlier, source(round_i), sink_size)
+        assert sink.size == 0
+        assert np.array_equal(eligible, source(round_i).prompt)
+
+
+def hand_round(prompt, generation, hot):
+    """A one-head round whose generation rows attend only to the ``hot`` prompt positions."""
+    prompt, generation = list(prompt), list(generation)
+    rng = np.random.default_rng(len(prompt))
+    shape = (1, 1, len(prompt) + len(generation), 4)
+    cache = KvCache(keys=rng.standard_normal(shape), values=rng.standard_normal(shape), positions=prompt + generation)
+    weights = np.zeros((1, 1, len(generation), len(prompt)))
+    weights[..., [prompt.index(pos) for pos in hot]] = 1.0 / len(hot)
+    attention = AttentionRecord(weights=weights, gen_positions=generation, columns=prompt, kv_group_size=1)
+    return EpisodeRound(cache=cache, prompt=prompt, generation=generation, attention=attention)
+
+
+@pytest.mark.parametrize("hot", [(5,), (28, 29)], ids=["reused_hot", "reused_cold"])
+@pytest.mark.parametrize("method", METHODS)
+def test_round_reusing_an_earlier_position_fails_for_every_method(method, hot):
+    """Round 2 reuses position 5, which round 1 relays under full and evicts under the others."""
+    rounds = (
+        hand_round(range(10), (10, 11), hot=(8, 9)),
+        hand_round([5, *range(20, 30)], (30, 31), hot=hot),
+    )
+    comp = CompressionConfig(method=method, budget_k=2, sink_size=2)
+    chain = ChainConfig(num_agents=2, latent_steps=2, compression=comp)
+    with pytest.raises(PositionOverlap) as err:
+        run_chain(lambda round_i: rounds[round_i - 1], chain)
+    assert str(err.value) == "round starts at 5 but the message ends at 11"
