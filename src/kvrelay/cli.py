@@ -334,21 +334,29 @@ def _episode_reports(cfg: RunConfig, episode: _Episode, rounds: tuple[EpisodeRou
 def _write_outputs(cfg: RunConfig, results: dict, emitted: dict[int, tuple[EpisodeRound, ...]]) -> dict:
     """Write every report, the ``emitted`` rounds as fixtures, and ``summary.json``; return the summary."""
     cfg.out.mkdir(parents=True, exist_ok=True)
-    # Reports only read the echo, so the methods of one episode share it.
-    echoes = {episode.index: _config_echo(cfg.chain, episode) for episode in cfg.episodes}
-    for method in cfg.methods:
-        for episode in cfg.episodes:
+    for episode in cfg.episodes:
+        # The aliases of one base method differ only in "method" and
+        # "granularity", so the rest of the report and the CSV are encoded once.
+        bodies: dict[str, tuple[dict, bytes]] = {}
+        for method in cfg.methods:
             report = results[episode.index][method]
-            doc = report.to_dict(cfg.verbosity)
-            doc["method"] = method  # full CLI name, including granularity suffix
-            doc["episode"] = episode.index
-            doc["config"] = echoes[episode.index]
+            base = METHOD_TABLE[method][0]
+            if base not in bodies:
+                doc = report.to_dict(cfg.verbosity)
+                del doc["method"], doc["granularity"]
+                doc["episode"] = episode.index
+                doc["config"] = _config_echo(cfg.chain, episode)
+                lines = [",".join(str(cell) for cell in row) for row in report.csv_rows()]
+                bodies[base] = (
+                    {key: fixtures.fragment(value) for key, value in doc.items()},
+                    ("\n".join(lines) + "\n").encode("utf-8"),
+                )
+            body, csv = bodies[base]
+            # "method" is the full CLI name, including the granularity suffix
+            doc = dict(body, method=method, granularity=report.granularity)
             fixtures.dump_json(cfg.out / f"{method}__ep{episode.index:03d}.json", doc)
             if cfg.verbosity >= 1:
-                lines = [",".join(str(cell) for cell in row) for row in report.csv_rows()]
-                (cfg.out / f"{method}__ep{episode.index:03d}.csv").write_bytes(
-                    ("\n".join(lines) + "\n").encode("utf-8")
-                )
+                (cfg.out / f"{method}__ep{episode.index:03d}.csv").write_bytes(csv)
 
     if emitted:
         fix_dir = cfg.out / "fixtures"

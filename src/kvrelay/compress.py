@@ -22,11 +22,16 @@ in six array operations written once in ``_orthogonal_backfill``:
 where ``m_del`` are the deleted rows' attention masses through that head
 and ``keep_mass``/``del_mass`` the kept and deleted totals. Keys are never
 modified, and the whole step is skipped for a unit when there is nothing
-deleted or the residual norm is negligible (<= 1e-10 * (1 + ||v_del||_F),
-both norms rescaled by the largest entry when squaring overflows); a
-skipped unit's rows keep their exact bits. Any larger residual has a
-nonzero largest singular value, which the rank tolerance always counts, so
-it has at least one principal direction.
+deleted, when its kept rows already span every value direction, or when
+the residual norm is negligible (<= 1e-10 * (1 + ||v_del||_F), both norms
+rescaled by the largest entry when squaring overflows); a skipped unit's
+rows keep their exact bits. Whether kept rows have full rank ``value_dim``
+is read from the singular values of every unit's kept rows, one stacked
+SVD per round, and only when at least ``value_dim`` rows are kept. A
+full-rank unit has no residual: it reports ``basis_rank = value_dim`` and
+``residual_norm`` 0.0, and no deleted row is read for it. Any larger
+residual has a nonzero largest singular value, which the rank tolerance
+always counts, so it has at least one principal direction.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import numpy as np
 from .backbone import EpisodeRound
 from .errors import BudgetUnset, EmptyKeep, require_int
 from .kv import KvCache, freeze, index_array, locate, read_only, select
-from .linalg import orthonormal_basis, principal_subspace, project_out, top_k_indices
+from .linalg import matrix_ranks, orthonormal_basis, principal_subspace, project_out, top_k_indices
 from .scoring import GLOBAL, GRANULARITIES, aggregate_global, attention_mass_headwise, demand_sums
 
 METHODS = ("full", "streaming", "h2o", "h2o_obf")
@@ -246,7 +251,12 @@ def _orthogonal_backfill(
         raise EmptyKeep("budget left no retained prompt rows to backfill into")
     _, kept = locate(keep, eligible)
     demands, del_masses = demand_sums(masses, kept)
-    deleted_values = select(local, deleted).values if deleted.size else None
+    dim = local.value_dim
+    # A unit whose kept rows have rank ``dim`` leaves no residual to backfill.
+    full_rank = np.zeros(demands.shape[:2], dtype=bool)
+    if deleted.size and keep.size >= dim:
+        full_rank = matrix_ranks(block.values[:, :, kept_slice]) == dim
+    deleted_values = select(local, deleted).values if deleted.size and not full_rank.all() else None
 
     values: np.ndarray | None = None
     units: dict[tuple[int, int], ObfUnitTrace] = {}
@@ -255,7 +265,9 @@ def _orthogonal_backfill(
         keep_mass, del_mass = demands[unit].tolist()
         # With nothing deleted a unit has no basis, no residual and no subspace.
         basis_rank, residual_norm, rows = 0, 0.0, None
-        if deleted_values is not None:
+        if full_rank[unit]:
+            basis_rank = dim
+        elif deleted_values is not None:
             v_keep = block.values[layer, head, kept_slice]
             v_del = deleted_values[layer, head]
             q, residual = obf_residual(v_keep, v_del)
@@ -263,7 +275,7 @@ def _orthogonal_backfill(
             if residual_norm > RESIDUAL_NEGLIGIBLE * (1.0 + _norm(v_del)):
                 rows = principal_subspace(residual, cfg.pca_rank)
         weights = summary = direction = None
-        injection = np.zeros(local.value_dim)
+        injection = np.zeros(dim)
         if rows is not None:
             unit_masses = del_masses[layer, head]
             weights = unit_masses / (unit_masses.sum() + cfg.epsilon)

@@ -17,7 +17,8 @@ write or edit by hand.
 Every document, report and summary goes through :func:`dump_json`, whose
 bytes are those of ``json.dumps(obj, indent=2, sort_keys=True,
 allow_nan=False)`` encoded as ASCII with one LF appended, on every
-platform.
+platform. A value that several documents share at their top level can be
+encoded once with :func:`fragment` and placed in each of them.
 """
 
 from __future__ import annotations
@@ -55,16 +56,30 @@ def _key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
+class JsonFragment(str):
+    """JSON text, encoded by :func:`fragment`, that :func:`_encode` writes verbatim."""
+
+
+def fragment(obj) -> JsonFragment:
+    """``obj`` encoded once, to be a value of the top-level dict of any number of :func:`dump_json` documents.
+
+    The text is indented for that place only: a fragment anywhere else
+    yields valid JSON with the wrong indentation.
+    """
+    return JsonFragment(_encode(obj, "  "))
+
+
 def _encode(obj, indent: str) -> str:
     """``obj`` as ``json.dumps(indent=2, sort_keys=True, allow_nan=False)`` writes it at ``indent``.
 
     Each container is one join of its encoded items, where ``json`` yields
     every token from a chain of generators once ``indent`` is set. The type
     tests follow ``json``'s order (``bool`` before ``int``) and accept the
-    same subclasses, such as ``np.float64``.
+    same subclasses, such as ``np.float64``; a :class:`JsonFragment` is
+    already encoded.
     """
     if isinstance(obj, str):
-        return _encode_str(obj)
+        return obj if obj.__class__ is JsonFragment else _encode_str(obj)
     if obj is None:
         return "null"
     if obj is True:

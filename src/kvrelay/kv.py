@@ -212,8 +212,9 @@ class RelayMessage:
     """The cache handed from one agent to the next, with one record per round in round order.
 
     Only the first round relays a sink, and it is tracked once, outside the
-    per-round records, so the cache length always equals the sink length
-    plus the sum over rounds of retained prompt and generation lengths.
+    per-round records. The cache positions must be exactly the sink
+    followed by each round's retained prompt and generation positions, or
+    :class:`ShapeMismatch` names the first row that differs.
     """
 
     cache: KvCache
@@ -223,13 +224,18 @@ class RelayMessage:
     def __post_init__(self):
         object.__setattr__(self, "sink", index_array(self.sink))
         object.__setattr__(self, "rounds", tuple(self.rounds))
-        expected = len(self.sink) + sum(
-            len(r.kept_prompt) + len(r.generation) for r in self.rounds
-        )
-        if expected != self.cache.num_tokens:
+        parts = [self.sink]
+        for record in self.rounds:
+            parts += (record.kept_prompt, record.generation)
+        expected, got = np.concatenate(parts), self.cache.positions
+        if not np.array_equal(got, expected):
+            n = min(got.size, expected.size)
+            differs = np.flatnonzero(got[:n] != expected[:n])
+            row = int(differs[0]) if differs.size else n
+            held = f"position {got[row]}" if row < got.size else "nothing"
+            named = f"position {expected[row]}" if row < expected.size else "nothing"
             raise ShapeMismatch(
-                f"message cache holds {self.cache.num_tokens} rows but records "
-                f"account for {expected}"
+                f"message cache row {row} holds {held} but the sink and round records name {named}"
             )
 
 

@@ -3,7 +3,9 @@
 All float64, all deterministic. Orthonormal bases, their rank and the
 principal right singular vectors all come from one LAPACK SVD
 (``np.linalg.svd(full_matrices=False)``) and are returned as read-only
-arrays. Shared conventions:
+arrays; :func:`matrix_ranks` takes the ranks of a whole stack of matrices
+from one singular-value-only SVD (``compute_uv=False``). Shared
+conventions:
 
   * basis vectors carry whatever sign LAPACK gives them: the backfill
     uses a basis only as ``x - (x Q) Q^T`` and a subspace only as
@@ -49,6 +51,27 @@ def _rank(sigmas: np.ndarray, shape: tuple[int, int]) -> int:
     if sigmas.size == 0 or sigmas[0] == 0.0:
         return 0
     return int(np.count_nonzero(sigmas > max(shape) * _EPS * sigmas[0]))
+
+
+def matrix_ranks(stack) -> np.ndarray:
+    """Numeric rank of every (rows x cols) matrix of a (..., rows, cols) ``stack``.
+
+    One SVD that computes singular values only, with the tolerance and the
+    failure rules of the bases below; no singular vector is formed.
+    """
+    stack = np.asarray(stack, dtype=np.float64)
+    if stack.ndim < 2:
+        raise DimensionMismatch("expected a stack of 2-D matrices")
+    # The checks of ``_svd`` and the rule of ``_rank``, written out for a
+    # stack so that the per-unit kernels keep their single call.
+    rows, cols = stack.shape[-2:]
+    if not np.isfinite(stack).all():
+        raise NumericalFailure(f"{rows}x{cols} matrix has non-finite entries")
+    try:
+        sigmas = np.linalg.svd(stack, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"SVD of a {rows}x{cols} matrix failed: {exc}") from exc
+    return np.count_nonzero(sigmas > max(rows, cols) * _EPS * sigmas[..., :1], axis=-1)
 
 
 def orthonormal_basis(m) -> np.ndarray:

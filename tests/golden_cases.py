@@ -19,8 +19,11 @@ Without ``--overwrite`` the script refuses to replace existing golden files.
 Report floats pass through BLAS and LAPACK, and OpenBLAS picks its kernel
 per CPU (``OPENBLAS_CORETYPE`` overrides the pick), so the bytes hold per
 kernel. The golden files were made on :data:`GOLDEN_BLAS_CORE` (numpy
-2.4.6, OpenBLAS 0.3.31); under ``Haswell``, the kernel of an x86-64 CPU
-without AVX-512, the backfill floats of the ``h2o_obf`` reports differ.
+2.4.6, OpenBLAS 0.3.31). Under ``Haswell``, the kernel of an x86-64 CPU
+without AVX-512, ``desk`` gives the same bytes: every one of its backfill
+units keeps full-rank rows and reports ``residual_norm`` 0.0 without
+computing a residual. The other cases have active or rank-deficient
+units, whose backfill floats in the ``h2o_obf`` reports differ there.
 :func:`blas_core` names the kernel a run uses.
 """
 

@@ -595,6 +595,17 @@ def test_simulate_sweep_reports_match_single_method_runs(tmp_path):
     assert main(["simulate", "--config", str(config), "--out", str(sweep)]) == 0
     active = json.loads((sweep / "h2o_obf_headwise__ep001.json").read_text())
     assert any(not unit["skipped"] for r in active["obf"]["per_round"] for unit in r["units"])
+    granularities = ("global", "layerwise", "headwise")
+    for index in (0, 1):
+        # the aliases of one base method differ only in their two labels
+        bodies = []
+        for granularity in granularities:
+            doc = json.loads((sweep / f"h2o_obf_{granularity}__ep{index:03d}.json").read_text())
+            assert (doc.pop("method"), doc.pop("granularity")) == (f"h2o_obf_{granularity}", granularity)
+            bodies.append(doc)
+        assert bodies[0] == bodies[1] == bodies[2]
+        csvs = {(sweep / f"h2o_obf_{g}__ep{index:03d}.csv").read_bytes() for g in granularities}
+        assert len(csvs) == 1
     for method in ALL_METHODS:
         single = tmp_path / method
         assert main(["simulate", "--config", str(config), "--out", str(single), "--method", method]) == 0

@@ -1,6 +1,7 @@
 """Compression methods: eviction, value backfill, and their kernels."""
 
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -511,6 +512,57 @@ def test_backfill_skip_decisions_survive_values_whose_squares_overflow(structure
             assert big.units[key].residual_norm == pytest.approx(unit.residual_norm * 1e200, rel=1e-12)
 
 
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    structure=st.sampled_from(["gaussian", "low_rank"]),
+    value_dim=st.integers(2, 10),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_backfill_with_as_many_kept_rows_as_value_dims(seed, structure, value_dim, data):
+    """With k >= value_dim kept rows, a unit whose kept rows have full rank skips without a residual.
+
+    Its trace reports ``basis_rank = value_dim`` and ``residual_norm`` 0.0,
+    and its rows keep the bits ``h2o`` relays. A rank-deficient unit still
+    projects its deleted rows out of the kept span with ``obf_residual``.
+    """
+    k = data.draw(st.integers(value_dim, value_dim + 4), label="budget_k")
+    ep, sink, eligible = one_round(
+        seed=seed,
+        sink_size=2,
+        num_layers=data.draw(st.integers(1, 2), label="num_layers"),
+        num_kv_heads=data.draw(st.integers(1, 2), label="num_kv_heads"),
+        value_dim=value_dim,
+        prompt_lens=(2 + k + data.draw(st.integers(1, 5), label="deleted"),),
+        value_structure=structure,
+        value_rank=data.draw(st.integers(1, 10), label="value_rank"),
+    )
+    plain, selection, _ = compress(ep, sink, eligible, CompressionConfig(method="h2o", budget_k=k, sink_size=2))
+    residual_calls = []
+
+    def counting_residual(v_keep, v_del):
+        residual_calls.append(v_keep.shape)
+        return obf_residual(v_keep, v_del)
+
+    with pytest.MonkeyPatch.context() as patch:
+        # the package exports the function ``compress`` under the module's name
+        patch.setattr(importlib.import_module("kvrelay.compress"), "obf_residual", counting_residual)
+        block, _, trace = compress(ep, sink, eligible, CompressionConfig(method="h2o_obf", budget_k=k, sink_size=2))
+    assert len(selection.keep) == k and selection.deleted.size
+    kept_values = select(ep.cache, selection.keep).values
+    deficient = 0
+    for (layer, head), unit in trace.units.items():
+        rank = oracles.svd_rank(kept_values[layer, head])
+        assert unit.basis_rank == rank
+        if rank == value_dim:
+            assert unit.skipped and unit.residual_norm == 0.0
+            assert np.array_equal(block.values[layer, head], plain.values[layer, head])
+        else:
+            deficient += 1
+    assert len(residual_calls) == deficient
+    assert deficient or np.array_equal(block.values, plain.values)
+
+
 @given(seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=30, deadline=None)
 def test_backfill_injection_is_uniform_across_kept_rows(seed):
@@ -533,7 +585,9 @@ def reference_h2o_obf(ep, sink, eligible, cfg):
     """h2o_obf built the long way: gather rows through a position dict, collect
     one injection per active unit, then shift the kept slice of a fresh block.
     Only the linalg kernels are shared with the code under test; every step
-    of the backfill formula is written out here.
+    of the backfill formula is written out here. Whether a unit's kept rows
+    have full rank, so that it skips with no residual, is decided by
+    ``oracles.svd_rank``, one matrix at a time.
 
     Returns (positions, keys, values, units) with each unit's trace fields in
     a dict.
@@ -561,6 +615,9 @@ def reference_h2o_obf(ep, sink, eligible, cfg):
         if not deleted:
             continue
         v_keep = local.values[layer, head, keep_rows, :]
+        if oracles.svd_rank(v_keep) == local.value_dim:
+            fields.update(basis_rank=local.value_dim)
+            continue
         v_del = local.values[layer, head, del_rows, :]
         q = orthonormal_basis(v_keep)
         residual = project_out(v_del, q)
@@ -670,10 +727,16 @@ def test_basis_signs_are_unobservable(case, seed, flips):
 
     The backfill reads a basis only as ``x - (x Q) Q^T`` and a subspace only
     as ``(s C^T) C``; negation is exact in IEEE arithmetic, so both are
-    bit-for-bit invariant and the kernels need no sign convention.
+    bit-for-bit invariant and the kernels need no sign convention. Singular
+    vectors are formed only when something is deleted and some unit's kept
+    rows are rank-deficient; a round of full-rank units needs none.
     """
     ep, sink, eligible, cfg = backfill_case(case, seed)
     plain_block, selection, plain = compress(ep, sink, eligible, cfg)
+    kept_values = select(ep.cache, selection.keep).values
+    deficient = any(
+        oracles.svd_rank(kept_values[unit]) < ep.cache.value_dim for unit in np.ndindex(kept_values.shape[:2])
+    )
     svd = linalg._svd
     calls = []
 
@@ -687,7 +750,7 @@ def test_basis_signs_are_unobservable(case, seed, flips):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "_svd", flipped_svd)
         block, _, trace = compress(ep, sink, eligible, cfg)
-    assert calls or not selection.deleted.size
+    assert bool(calls) == bool(selection.deleted.size and deficient)
     assert np.array_equal(block.values, plain_block.values)
     assert sorted(trace.units) == sorted(plain.units)
     for key, unit in trace.units.items():

@@ -220,6 +220,19 @@ def test_relay_message_checks_row_accounting():
         RelayMessage(cache=cache, sink=(0,), rounds=(record,))
 
 
+def test_relay_message_positions_are_the_sink_then_each_round():
+    cache = make_cache((0, 1, 2))
+    with pytest.raises(ShapeMismatch) as err:
+        RelayMessage(cache=cache, sink=(5,), rounds=(RoundRecord(kept_prompt=(7,), generation=(9,)),))
+    assert str(err.value) == "message cache row 0 holds position 0 but the sink and round records name position 5"
+    # the rows agree until the records run out, and the cache holds one more
+    with pytest.raises(ShapeMismatch) as err:
+        RelayMessage(cache=cache, sink=(0,), rounds=(RoundRecord(kept_prompt=(1,), generation=()),))
+    assert str(err.value) == "message cache row 2 holds position 2 but the sink and round records name nothing"
+    # the sink and records may split the rows between them in any way that keeps their order
+    RelayMessage(cache=cache, sink=(0, 1), rounds=(RoundRecord(kept_prompt=(), generation=(2,)),))
+
+
 def test_decompose_first_round_carves_sink():
     sink, eligible = decompose(None, local_round(range(10), (10, 11)), sink_size=4)
     assert sink.tolist() == [0, 1, 2, 3]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from kvrelay.errors import DimensionMismatch, EmptyInput, KvRelayError, NumericalFailure
-from kvrelay.linalg import orthonormal_basis, principal_subspace, project_out, top_k_indices
+from kvrelay.linalg import matrix_ranks, orthonormal_basis, principal_subspace, project_out, top_k_indices
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -112,6 +112,11 @@ def test_numeric_rank_examples():
     assert orthonormal_basis([[1.0, 2.0], [2.0, 4.0]]).shape[1] == 1
     assert orthonormal_basis(np.zeros((2, 3))).shape[1] == 0
     assert orthonormal_basis(np.ones((4, 4))).shape[1] == 1
+    stack = np.stack([np.eye(3), [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 0.0]], np.zeros((3, 3)), np.ones((3, 3))])
+    assert matrix_ranks(stack).tolist() == [3, 1, 0, 1]
+    assert matrix_ranks(stack.reshape(2, 2, 3, 3)).tolist() == [[3, 1], [0, 1]]
+    with pytest.raises(DimensionMismatch):
+        matrix_ranks(np.ones(3))
 
 
 def test_top_k_picks_highest_scores():
@@ -150,6 +155,9 @@ def test_basis_rank_matches_svd_oracle(seed):
     rng = np.random.default_rng(seed)
     m = random_matrix(rng)
     assert orthonormal_basis(m).shape[1] == oracles.svd_rank(m)
+    # a stack of matrices of one shape, some of them rank-deficient
+    stack = np.stack([m, m * 1e-300, np.zeros_like(m), rng.standard_normal(m.shape)])
+    assert matrix_ranks(stack).tolist() == [oracles.svd_rank(x) for x in stack]
 
 
 @given(seed=seeds)
@@ -223,6 +231,7 @@ def test_known_rank_is_recovered_by_every_kernel(seed):
     m = with_spectrum(rng, rows, cols, sigmas)
     assert orthonormal_basis(m).shape[1] == r
     assert principal_subspace(m, max_rank=cols).shape[0] == r
+    assert matrix_ranks(m).tolist() == r
 
 
 @pytest.mark.parametrize("shape", [(300, 16), (1000, 64)])
@@ -250,6 +259,8 @@ def test_kernels_reject_non_finite_input(bad):
         orthonormal_basis(m)
     with pytest.raises(NumericalFailure):
         principal_subspace(m, max_rank=2)
+    with pytest.raises(NumericalFailure):
+        matrix_ranks(np.stack([np.eye(4, 3), m]))
     assert issubclass(NumericalFailure, KvRelayError)
 
 
@@ -258,6 +269,6 @@ def test_kernels_wrap_svd_failure(monkeypatch):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", no_convergence)
-    for kernel in (orthonormal_basis, lambda m: principal_subspace(m, 2)):
+    for kernel in (orthonormal_basis, lambda m: principal_subspace(m, 2), matrix_ranks):
         with pytest.raises(NumericalFailure, match="did not converge"):
             kernel(np.eye(3))
