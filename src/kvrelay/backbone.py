@@ -43,7 +43,8 @@ class EpisodeSpec:
 
     A ``low_rank`` episode kept with at least ``value_rank`` generic rows
     puts the deleted value rows in the span of the kept ones, so backfill
-    takes its skip path.
+    takes its skip path. An episode whose caches or attention would pass
+    numpy's limit of 2**63 - 1 bytes raises ``ValueError``.
     """
 
     seed: int = 0
@@ -80,6 +81,13 @@ class EpisodeSpec:
             )
         if self.value_rank < 1:
             raise ValueError("value_rank must be positive")
+        # A relay cache holds at most every position of the episode; numpy
+        # cannot make an array of more than 2**63 - 1 bytes at any memory size.
+        tokens = sum(self.prompt_lens) + self.num_rounds * self.gen_len
+        cache = self.num_layers * self.num_kv_heads * tokens * max(self.key_dim, self.value_dim)
+        attention = self.num_layers * self.num_query_heads * self.gen_len * max(self.key_dim, *self.prompt_lens)
+        if 8 * max(cache, attention) > np.iinfo(np.intp).max:
+            raise ValueError("its arrays would pass numpy's limit of 2**63 - 1 bytes")
 
     @property
     def num_rounds(self) -> int:
@@ -94,11 +102,11 @@ class EpisodeSpec:
 class EpisodeRound:
     """One agent round as the backbone hands it to the relay.
 
-    The attention columns must equal ``prompt`` and its rows
-    ``generation``; prompt and generation must be non-empty cache
-    positions, every generation position after every prompt position, and
-    every ``padding`` position a prompt position. Any other round raises
-    :class:`RoundMismatch`.
+    The attention must have the cache's layers and kv heads, its columns
+    must equal ``prompt`` and its rows ``generation``; prompt and
+    generation must be non-empty cache positions, every generation
+    position after every prompt position, and every ``padding`` position a
+    prompt position. Any other round raises :class:`RoundMismatch`.
     """
 
     cache: KvCache
@@ -119,6 +127,12 @@ class EpisodeRound:
             raise RoundMismatch("attention columns are not the prompt positions")
         if not np.array_equal(self.attention.gen_positions, generation):
             raise RoundMismatch("attention rows are not the generation positions")
+        attention, cache = self.attention, self.cache
+        if (attention.num_layers, attention.num_kv_heads) != (cache.num_layers, cache.num_kv_heads):
+            raise RoundMismatch(
+                f"attention has {attention.num_layers} layers x {attention.num_kv_heads} kv heads, "
+                f"the cache {cache.num_layers} x {cache.num_kv_heads}"
+            )
         _, padded = locate(prompt, self.padding)
         if not padded.all():
             raise RoundMismatch(f"padding position {self.padding[int(padded.argmin())]} is not a prompt position")

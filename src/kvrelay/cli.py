@@ -13,26 +13,29 @@ pure-Python parser otherwise; both give the same document.
 
 ``simulate`` runs episode by episode: each episode is generated or parsed
 once, also under ``--emit-fixtures``, and each group of method aliases runs
-one chain whose report is relabelled per alias. It writes one report per
-(method, episode) plus a comparison summary, only after every chain
-succeeded, so ``--emit-fixtures`` holds every generated episode's rounds
-until then (2.0 MB of arrays for a default ``EpisodeSpec``). Outputs are
-byte-identical for identical config and seed on one BLAS kernel (report
-floats pass through BLAS and LAPACK): reports, CSVs and fixtures are
-written as bytes with LF line ends. Exit codes follow the error type: 0 on
-success, 3 on :class:`NumericalFailure` (non-finite input, or an SVD that
-did not converge), 2 on every other error. A fixture that does not load as
-an episode (including one whose generation positions are not strictly
-increasing, or one with a padding position outside its round's prompt),
-one with fewer rounds than agents, a fixture that cannot be read, a
-chain that rejects an episode (such as a sink longer than the first
-prompt, or a round that starts before the previous round's relayed
-message ends), an episode too large to allocate, a config that is not
-UTF-8, is not valid YAML or nests collections more than 32 deep, a fixture
-nested too deep for the JSON parser or whose decimal float arrays hold
-anything but numbers, an integer field given a float, string or bool, a
-bool or non-finite ``epsilon``, empty ``methods``, a ``verbosity``
-outside 0-2, and an output directory that cannot be created or written
+one chain whose report is encoded once and written per alias. It writes
+one report per (method, episode) plus a comparison summary, only after
+every chain succeeded, so ``--emit-fixtures`` holds every generated
+episode's rounds until then (2.0 MB of arrays for a default
+``EpisodeSpec``). Outputs are byte-identical for identical config and seed
+on one BLAS kernel (report floats pass through BLAS and LAPACK): reports,
+CSVs and fixtures are written as bytes with LF line ends. Exit codes
+follow the error type: 0 on success, 3 on :class:`NumericalFailure`
+(non-finite input, or an SVD that did not converge), 2 on every other
+error. A fixture that does not load as an episode (including one whose
+generation positions are not strictly increasing, one with a padding
+position outside its round's prompt, or one whose attention layers or kv
+heads differ from its cache's), one with fewer rounds than agents, a
+fixture that cannot be read, a chain that rejects an episode (such as a
+sink longer than the first prompt, or a round that starts before the
+previous round's relayed message ends), an episode too large to allocate
+or whose arrays would pass numpy's 2**63 - 1 byte limit, a config that is
+not UTF-8, is not valid YAML, holds an integer past Python's 4300-digit
+limit or nests collections more than 32 deep, a fixture nested too deep
+for the JSON parser or whose decimal float arrays hold anything but
+numbers, an integer field given a float, string or bool, a bool or
+non-finite ``epsilon``, empty ``methods``, a ``verbosity`` outside 0-2,
+and an output directory that cannot be created or written
 all exit 2 with one ``error:`` line.
 """
 
@@ -248,7 +251,8 @@ def load_run_config(config_path, method_overrides=(), seed: int | None = None, o
         doc = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {_yaml_problem(exc)}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: text that is not UTF-8, or an integer past Python's digit limit
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     doc = _require_mapping(doc, "config document")
     _reject_unknown(doc, _TOP_KEYS, "config document")
@@ -298,11 +302,11 @@ def _config_echo(chain: ChainConfig, episode: _Episode) -> dict:
 
 
 def _episode_reports(cfg: RunConfig, episode: _Episode, rounds: tuple[EpisodeRound, ...]) -> dict:
-    """Reports of every configured method on one episode's rounds, keyed by method name.
+    """Reports of every configured base method on one episode's rounds, keyed by base method.
 
     Aliases of one base method select the same tokens, so each base method
-    runs one chain and every alias gets that report with its own granularity
-    label. A fixture with fewer rounds than the chain has agents raises
+    runs one chain, whose report every alias shares. A fixture with fewer
+    rounds than the chain has agents raises
     :class:`ConfigError` before any chain runs, as does a chain that rejects
     the episode with any error but :class:`NumericalFailure`.
     """
@@ -314,20 +318,19 @@ def _episode_reports(cfg: RunConfig, episode: _Episode, rounds: tuple[EpisodeRou
     def source(round_i: int) -> EpisodeRound:
         return rounds[round_i - 1]
 
-    by_base: dict[str, RelayReport] = {}
     reports: dict[str, RelayReport] = {}
     for method in cfg.methods:
-        base, granularity = METHOD_TABLE[method]
-        if base not in by_base:
-            try:
-                _, by_base[base] = run_chain(source, _method_chain(cfg.chain, method))
-            except NumericalFailure:
-                raise
-            except KvRelayError as exc:
-                raise ConfigError(
-                    f"episode {episode.label} cannot run {method} ({type(exc).__name__}: {exc})"
-                ) from exc
-        reports[method] = dataclasses.replace(by_base[base], granularity=granularity)
+        base = METHOD_TABLE[method][0]
+        if base in reports:
+            continue
+        try:
+            _, reports[base] = run_chain(source, _method_chain(cfg.chain, method))
+        except NumericalFailure:
+            raise
+        except KvRelayError as exc:
+            raise ConfigError(
+                f"episode {episode.label} cannot run {method} ({type(exc).__name__}: {exc})"
+            ) from exc
     return reports
 
 
@@ -337,26 +340,19 @@ def _write_outputs(cfg: RunConfig, results: dict, emitted: dict[int, tuple[Episo
     for episode in cfg.episodes:
         # The aliases of one base method differ only in "method" and
         # "granularity", so the rest of the report and the CSV are encoded once.
-        bodies: dict[str, tuple[dict, bytes]] = {}
-        for method in cfg.methods:
-            report = results[episode.index][method]
-            base = METHOD_TABLE[method][0]
-            if base not in bodies:
-                doc = report.to_dict(cfg.verbosity)
-                del doc["method"], doc["granularity"]
-                doc["episode"] = episode.index
-                doc["config"] = _config_echo(cfg.chain, episode)
-                lines = [",".join(str(cell) for cell in row) for row in report.csv_rows()]
-                bodies[base] = (
-                    {key: fixtures.fragment(value) for key, value in doc.items()},
-                    ("\n".join(lines) + "\n").encode("utf-8"),
-                )
-            body, csv = bodies[base]
-            # "method" is the full CLI name, including the granularity suffix
-            doc = dict(body, method=method, granularity=report.granularity)
-            fixtures.dump_json(cfg.out / f"{method}__ep{episode.index:03d}.json", doc)
-            if cfg.verbosity >= 1:
-                (cfg.out / f"{method}__ep{episode.index:03d}.csv").write_bytes(csv)
+        config = fixtures.fragment(_config_echo(cfg.chain, episode))
+        for base, report in results[episode.index].items():
+            doc = dict(report.to_dict(cfg.verbosity), episode=episode.index, config=config)
+            del doc["method"], doc["granularity"]
+            body = {key: fixtures.fragment(value) for key, value in doc.items()}
+            lines = [",".join(str(cell) for cell in row) for row in report.csv_rows()]
+            csv = ("\n".join(lines) + "\n").encode("utf-8")
+            for method in (m for m in cfg.methods if METHOD_TABLE[m][0] == base):
+                # "method" is the full CLI name, including the granularity suffix
+                doc = dict(body, method=method, granularity=METHOD_TABLE[method][1])
+                fixtures.dump_json(cfg.out / f"{method}__ep{episode.index:03d}.json", doc)
+                if cfg.verbosity >= 1:
+                    (cfg.out / f"{method}__ep{episode.index:03d}.csv").write_bytes(csv)
 
     if emitted:
         fix_dir = cfg.out / "fixtures"
@@ -366,7 +362,7 @@ def _write_outputs(cfg: RunConfig, results: dict, emitted: dict[int, tuple[Episo
 
     summary = {"episodes": len(cfg.episodes), "seed": cfg.chain.seed, "methods": {}}
     for method in cfg.methods:
-        reports = [results[ep.index][method] for ep in cfg.episodes]
+        reports = [results[ep.index][METHOD_TABLE[method][0]] for ep in cfg.episodes]
         rates = [r.obf_skip_rate for r in reports if r.obf_skip_rate is not None]
         summary["methods"][method] = {
             "rho_achieved": sum(r.rho_achieved for r in reports) / len(reports),

@@ -1,11 +1,11 @@
 """Dense linear-algebra kernels for selection and backfill.
 
-All float64, all deterministic. Orthonormal bases, their rank and the
-principal right singular vectors all come from one LAPACK SVD
-(``np.linalg.svd(full_matrices=False)``) and are returned as read-only
-arrays; :func:`matrix_ranks` takes the ranks of a whole stack of matrices
-from one singular-value-only SVD (``compute_uv=False``). Shared
-conventions:
+All float64, all deterministic. Every SVD goes through ``_svd``, the one
+call of LAPACK's thin SVD (``np.linalg.svd(full_matrices=False)``):
+orthonormal bases, their rank and the principal right singular vectors
+come from one SVD each and are returned as read-only arrays, and
+:func:`matrix_ranks` takes the ranks of a whole stack of matrices from one
+singular-value-only SVD (``compute_uv=False``). Shared conventions:
 
   * basis vectors carry whatever sign LAPACK gives them: the backfill
     uses a basis only as ``x - (x Q) Q^T`` and a subspace only as
@@ -36,14 +36,15 @@ def _as_matrix(m) -> np.ndarray:
     return m
 
 
-def _svd(m: np.ndarray):
-    """Thin LAPACK SVD of a finite matrix: (U, sigmas descending, V^T)."""
+def _svd(m: np.ndarray, compute_uv: bool = True):
+    """Thin LAPACK SVD of a finite (..., rows, cols) array: (U, sigmas descending, V^T), or the sigmas alone."""
+    rows, cols = m.shape[-2:]
     if not np.isfinite(m).all():
-        raise NumericalFailure(f"{m.shape[0]}x{m.shape[1]} matrix has non-finite entries")
+        raise NumericalFailure(f"{rows}x{cols} matrix has non-finite entries")
     try:
-        return np.linalg.svd(m, full_matrices=False)
+        return np.linalg.svd(m, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD of a {m.shape[0]}x{m.shape[1]} matrix failed: {exc}") from exc
+        raise NumericalFailure(f"SVD of a {rows}x{cols} matrix failed: {exc}") from exc
 
 
 def _rank(sigmas: np.ndarray, shape: tuple[int, int]) -> int:
@@ -62,16 +63,8 @@ def matrix_ranks(stack) -> np.ndarray:
     stack = np.asarray(stack, dtype=np.float64)
     if stack.ndim < 2:
         raise DimensionMismatch("expected a stack of 2-D matrices")
-    # The checks of ``_svd`` and the rule of ``_rank``, written out for a
-    # stack so that the per-unit kernels keep their single call.
-    rows, cols = stack.shape[-2:]
-    if not np.isfinite(stack).all():
-        raise NumericalFailure(f"{rows}x{cols} matrix has non-finite entries")
-    try:
-        sigmas = np.linalg.svd(stack, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD of a {rows}x{cols} matrix failed: {exc}") from exc
-    return np.count_nonzero(sigmas > max(rows, cols) * _EPS * sigmas[..., :1], axis=-1)
+    sigmas = _svd(stack, compute_uv=False)
+    return np.count_nonzero(sigmas > max(stack.shape[-2:]) * _EPS * sigmas[..., :1], axis=-1)
 
 
 def orthonormal_basis(m) -> np.ndarray:

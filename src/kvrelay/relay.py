@@ -156,7 +156,7 @@ def effective_retention_ratio(prompt_lengths, budgets) -> float:
         raise ValueError("prompt lengths must be positive")
     if any(k < 0 for k in budgets):
         raise ValueError("budgets must be non-negative")
-    return sum(min(1.0, k / n) for k, n in zip(budgets, lengths)) / len(lengths)
+    return sum(min(k, n) / n for k, n in zip(budgets, lengths)) / len(lengths)
 
 
 def compression_ratio(total_prompt_len: int, k: int, rounds: int) -> float:

@@ -41,6 +41,12 @@ def test_spec_defaults():
         dict(value_structure="sparse"),
         dict(value_structure="planted_in_span"),
         dict(value_rank=0),
+        dict(num_layers=10**20),
+        dict(key_dim=10**20),
+        dict(kv_group_size=10**20),
+        dict(prompt_lens=(10**20,)),
+        dict(gen_len=10**20),
+        dict(num_kv_heads=2**30, value_dim=2**30),
     ],
 )
 def test_spec_rejects_bad_fields(kwargs):
@@ -342,3 +348,24 @@ def test_episode_round_checks_its_labels():
     early, late = ep.cache.positions[: len(generation)], ep.cache.positions[len(generation):]
     with pytest.raises(RoundMismatch, match=f"generation position {early[0]} does not follow prompt position {late[-1]}"):
         relabelled(late, early)
+
+
+def test_episode_round_checks_the_attention_layout_against_the_cache():
+    ep = generate_episode(small_spec(), 1)  # 2 layers x 2 kv heads, 2 query heads per kv head
+    attention = ep.attention
+
+    def rebuilt(weights, kv_group_size):
+        record = AttentionRecord(
+            weights=weights, gen_positions=attention.gen_positions,
+            columns=attention.columns, kv_group_size=kv_group_size,
+        )
+        return EpisodeRound(cache=ep.cache, prompt=ep.prompt, generation=ep.generation, attention=record)
+
+    assert rebuilt(attention.weights, 2).attention.num_kv_heads == 2
+    with pytest.raises(RoundMismatch, match=r"^attention has 1 layers x 2 kv heads, the cache 2 x 2$"):
+        rebuilt(attention.weights[:1], 2)
+    with pytest.raises(RoundMismatch, match=r"^attention has 3 layers x 2 kv heads, the cache 2 x 2$"):
+        rebuilt(np.concatenate([attention.weights, attention.weights[:1]]), 2)
+    for group, kv_heads in ((1, 4), (4, 1)):
+        with pytest.raises(RoundMismatch, match=rf"^attention has 2 layers x {kv_heads} kv heads, the cache 2 x 2$"):
+            rebuilt(attention.weights, group)

@@ -883,6 +883,84 @@ def test_simulate_episode_too_large_to_allocate_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["episodes"][0].update(num_layers=10**20),
+        lambda doc: doc["episodes"][0].update(key_dim=10**20),
+        lambda doc: doc["episodes"][0].update(kv_group_size=10**20),
+        lambda doc: doc["episodes"][0].update(prompt_lens=[10**20]),
+        lambda doc: doc["chain"].update(latent_steps=10**20),
+    ],
+    ids=["num_layers", "key_dim", "kv_group_size", "prompt_lens", "latent_steps"],
+)
+def test_simulate_episode_beyond_numpy_index_range_exits_2(tmp_path, capsys, edit):
+    # no array of 2**63 bytes or more can be made, so numpy raises ValueError, not MemoryError
+    doc = {
+        "chain": {"num_agents": 1, "latent_steps": 4},
+        "episodes": [{"prompt_lens": [8]}],
+        "methods": ["h2o_global"],
+    }
+    edit(doc)
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", str(write_config(tmp_path, yaml.safe_dump(doc))), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: episode 0: its arrays would pass numpy's limit of 2**63 - 1 bytes\n"
+
+
+def test_simulate_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path, BASE_CONFIG.replace("seed: 7", "seed: 1" + "0" * 5000))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot parse {config}: Exceeds the limit (4300 digits)")
+    assert err.count("\n") == 1
+
+
+def test_simulate_budget_past_float_range_exits_0(tmp_path):
+    config = write_config(tmp_path, BASE_CONFIG.replace("budget_k: 4", "budget_k: 1" + "0" * 400))
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["methods"]["h2o_global"]["r_eff"] == 1.0  # streaming keeps only the sink whatever the budget
+
+
+def _third_layer(attention):
+    weights = attention["weights"]
+    data = np.frombuffer(base64.b64decode(weights["float64_le_base64"]), "<f8").reshape(weights["shape"])
+    data = np.concatenate([data, data[:1]])
+    weights.update(shape=list(data.shape), float64_le_base64=base64.b64encode(data.tobytes()).decode("ascii"))
+    attention["num_layers"] = 3
+
+
+@pytest.mark.parametrize(
+    "edit, layout",
+    [
+        (lambda attention: attention.update(kv_group_size=1), "2 layers x 4 kv heads"),
+        (lambda attention: attention.update(kv_group_size=4), "2 layers x 1 kv heads"),
+        (_third_layer, "3 layers x 2 kv heads"),
+    ],
+    ids=["kv_group_size_1", "kv_group_size_4", "third_layer"],
+)
+@pytest.mark.parametrize("method", ["h2o_global", "h2o_obf_global"])
+def test_simulate_attention_layout_unlike_the_cache_exits_2(tmp_path, capsys, edit, layout, method):
+    desk = Path(__file__).resolve().parent / "golden" / "desk.yaml"
+    emitted = tmp_path / "desk"
+    assert main(["simulate", "--config", str(desk), "--out", str(emitted), "--emit-fixtures", "--method", "full"]) == 0
+    doc = json.loads((emitted / "fixtures" / "ep000.json").read_text())
+    for round_doc in doc["rounds"]:
+        edit(round_doc["attention"])
+    (tmp_path / "layout.json").write_text(json.dumps(doc))
+    replay = dict(yaml.safe_load(desk.read_text()), episodes=["layout.json"], methods=[method])
+    config = write_config(tmp_path, yaml.safe_dump(replay))
+    capsys.readouterr()
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"error: fixture layout.json is malformed (RoundMismatch: attention has {layout}, the cache 2 x 2)\n"
+    )
+
+
 def test_config_accepts_and_echoes_every_dataclass_field(tmp_path):
     episode = dict(
         seed=11, num_layers=1, num_kv_heads=1, kv_group_size=2, key_dim=3, value_dim=5,

@@ -521,7 +521,7 @@ POSITION_CASES = {
     "SelectionResult": (lambda w: SelectionResult(keep=w([1, 3]), deleted=w([2]), budget=2), ("keep", "deleted")),
     "EpisodeRound": (
         lambda w: EpisodeRound(
-            cache=make_cache((0, 1, 2)),
+            cache=make_cache((0, 1, 2), layers=1, heads=1),
             prompt=w([0, 1]),
             generation=w([2]),
             attention=_attention((2,), (0, 1)),

@@ -75,6 +75,7 @@ def test_retention_ratio_examples():
     assert effective_retention_ratio([16], [32]) == 1.0
     assert effective_retention_ratio([8, 4], [32, 32]) == 1.0
     assert effective_retention_ratio([16, 64], [0, 0]) == 0.0
+    assert effective_retention_ratio([8], [10**400]) == 1.0  # past float range, still clipped to the prompt
 
 
 def test_retention_ratio_validation():
