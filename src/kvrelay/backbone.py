@@ -139,10 +139,6 @@ class EpisodeRound:
         local = np.concatenate([prompt, generation])
         if np.array_equal(self.cache.positions, local):
             return  # a generated round: its cache holds exactly these positions
-        _, shared = locate(prompt, generation)
-        if shared.any():
-            first = generation[int(shared.argmax())]
-            raise RoundMismatch(f"position {first} is both a prompt and a generation position")
         if generation[0] <= prompt[-1]:
             raise RoundMismatch(
                 f"generation position {generation[0]} does not follow prompt position {prompt[-1]}"

@@ -25,7 +25,8 @@ follow the error type: 0 on success, 3 on :class:`NumericalFailure`
 error. A fixture that does not load as an episode (including one whose
 generation positions are not strictly increasing, one with a padding
 position outside its round's prompt, or one whose attention layers or kv
-heads differ from its cache's), one with fewer rounds than agents, a
+heads differ from its cache's), one with fewer rounds than agents or
+with a round of other than ``chain.latent_steps`` generation steps, a
 fixture that cannot be read, a chain that rejects an episode (such as a
 sink longer than the first prompt, or a round that starts before the
 previous round's relayed message ends), an episode too large to allocate
@@ -306,7 +307,8 @@ def _episode_reports(cfg: RunConfig, episode: _Episode, rounds: tuple[EpisodeRou
 
     Aliases of one base method select the same tokens, so each base method
     runs one chain, whose report every alias shares. A fixture with fewer
-    rounds than the chain has agents raises
+    rounds than the chain has agents, or whose rounds in the chain do not
+    each have ``chain.latent_steps`` generation steps, raises
     :class:`ConfigError` before any chain runs, as does a chain that rejects
     the episode with any error but :class:`NumericalFailure`.
     """
@@ -314,6 +316,12 @@ def _episode_reports(cfg: RunConfig, episode: _Episode, rounds: tuple[EpisodeRou
         raise ConfigError(
             f"fixture {episode.label} has {len(rounds)} rounds for {cfg.chain.num_agents} agents"
         )
+    for round_i, episode_round in enumerate(rounds[: cfg.chain.num_agents], start=1):
+        if len(episode_round.generation) != cfg.chain.latent_steps:
+            raise ConfigError(
+                f"fixture {episode.label} round {round_i} has {len(episode_round.generation)} "
+                f"generation steps for chain.latent_steps {cfg.chain.latent_steps}"
+            )
 
     def source(round_i: int) -> EpisodeRound:
         return rounds[round_i - 1]

@@ -8,23 +8,18 @@ with the digests of the emitted fixtures (56-351 KB each) and of every
 file the replay wrote.
 
 ``tests/test_golden.py`` compares exact bytes: a one-ulp change to any
-report float fails it. Regenerate the expected files only for a change
-that alters report bytes on purpose, and list every changed file and key
-in ``CHANGES.md``::
+report float fails it. Report floats pass through BLAS and LAPACK, and
+OpenBLAS picks its kernel per CPU, so the bytes hold per kernel: the test
+runs every case in one child interpreter under ``OPENBLAS_CORETYPE`` set to
+:data:`GOLDEN_BLAS_CORE`, which every x86-64 CPU with AVX2 can run.
+:func:`blas_core` names the kernel a run uses. Regenerate the expected
+files only for a change that alters report bytes on purpose, and list
+every changed file and key in ``CHANGES.md``::
 
-    PYTHONPATH=src python tests/golden_cases.py --overwrite
+    OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python tests/golden_cases.py --overwrite
 
-Without ``--overwrite`` the script refuses to replace existing golden files.
-
-Report floats pass through BLAS and LAPACK, and OpenBLAS picks its kernel
-per CPU (``OPENBLAS_CORETYPE`` overrides the pick), so the bytes hold per
-kernel. The golden files were made on :data:`GOLDEN_BLAS_CORE` (numpy
-2.4.6, OpenBLAS 0.3.31). Under ``Haswell``, the kernel of an x86-64 CPU
-without AVX-512, ``desk`` gives the same bytes: every one of its backfill
-units keeps full-rank rows and reports ``residual_norm`` 0.0 without
-computing a residual. The other cases have active or rank-deficient
-units, whose backfill floats in the ``h2o_obf`` reports differ there.
-:func:`blas_core` names the kernel a run uses.
+The script refuses to run on any other kernel, and without
+``--overwrite`` it refuses to replace existing golden files.
 """
 
 from __future__ import annotations
@@ -47,7 +42,7 @@ from kvrelay import cli
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = sorted(path.stem for path in GOLDEN.glob("*.yaml"))
 DIGESTS = "SHA256SUMS"
-GOLDEN_BLAS_CORE = "SkylakeX"
+GOLDEN_BLAS_CORE = "Haswell"
 
 
 def blas_core() -> str:
@@ -107,6 +102,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Regenerate the golden simulate outputs.")
     parser.add_argument("--overwrite", action="store_true", help="replace existing golden files")
     args = parser.parse_args(argv)
+    core = blas_core()
+    if core != GOLDEN_BLAS_CORE:
+        print(f"error: this run uses the {core} BLAS kernel; rerun with OPENBLAS_CORETYPE={GOLDEN_BLAS_CORE}", file=sys.stderr)
+        return 2
     existing = [case for case in CASES if (GOLDEN / case).exists()]
     if existing and not args.overwrite:
         print(f"error: golden files exist for {existing}; pass --overwrite to replace them", file=sys.stderr)

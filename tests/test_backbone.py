@@ -326,7 +326,7 @@ def test_episode_round_checks_its_labels():
         columns=prompt,
         kv_group_size=ep.attention.kv_group_size,
     )
-    with pytest.raises(RoundMismatch, match=f"position {prompt[-1]} is both"):
+    with pytest.raises(RoundMismatch, match=f"generation position {prompt[-1]} does not follow prompt position {prompt[-1]}"):
         rebuilt(generation=overlap.gen_positions, attention=overlap)
 
     # each round below has attention labels that match its prompt and generation;

@@ -175,6 +175,24 @@ def test_simulate_short_fixture_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: fixture short.json has 1 rounds for 3 agents\n"
 
 
+@pytest.mark.parametrize("latent_steps", [10**20, 9])
+def test_simulate_fixture_generation_unlike_latent_steps_exits_2(tmp_path, capsys, latent_steps):
+    # the desk fixture's rounds have 8 generation steps; the report would echo latent_steps
+    desk = Path(__file__).resolve().parent / "golden" / "desk.yaml"
+    emitted = tmp_path / "desk"
+    assert main(["simulate", "--config", str(desk), "--out", str(emitted), "--emit-fixtures", "--method", "full"]) == 0
+    doc = yaml.safe_load(desk.read_text())
+    doc["chain"]["latent_steps"] = latent_steps
+    replay = dict(doc, episodes=[str(emitted / "fixtures" / "ep000.json")], methods=["h2o_global"])
+    capsys.readouterr()
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", str(write_config(tmp_path, yaml.safe_dump(replay))), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"error: fixture ep000.json round 1 has 8 generation steps for chain.latent_steps {latent_steps}\n"
+    )
+
+
 def test_simulate_from_emitted_fixture_matches_spec_run(tmp_path):
     config = write_config(tmp_path)
     out_spec = tmp_path / "from_spec"
