@@ -20,7 +20,6 @@ from .backbone import (
 from .compress import (
     CompressionConfig,
     ObfTrace,
-    ObfUnitTrace,
     SelectionResult,
     compress,
     h2o_select,
@@ -77,7 +76,6 @@ __all__ = [
     "KvCache",
     "LAYERWISE",
     "ObfTrace",
-    "ObfUnitTrace",
     "RelayMessage",
     "RelayReport",
     "RoundRecord",

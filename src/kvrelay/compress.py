@@ -32,13 +32,16 @@ full-rank unit has no residual: it reports ``basis_rank = value_dim`` and
 ``residual_norm`` 0.0, and no deleted row is read for it. Any larger
 residual has a nonzero largest singular value, which the rank tolerance
 always counts, so it has at least one principal direction.
+
+A round's ``ObfTrace`` holds each diagnostic as one array over the (layer,
+kv head) units, filled by the per-unit loop; a skipped unit's vectors are 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from collections import namedtuple
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -132,74 +135,76 @@ class SelectionResult:
             raise ValueError("budget must be non-negative")
 
 
-@dataclass(frozen=True, eq=False)
-class ObfUnitTrace:
-    """Diagnostics for one (layer, kv head) backfill evaluation; vectors are read-only float64."""
+def _unit_array(ndim: int, dtype=np.float64):
+    """A trace field of ``dtype`` whose default holds no unit."""
+    return field(default_factory=lambda: np.zeros((0,) * ndim, dtype), metadata={"dtype": dtype})
 
-    layer: int
-    head: int
-    basis_rank: int
-    residual_norm: float
-    subspace_rank: int
-    keep_mass: float
-    del_mass: float
-    injection: np.ndarray
-    skipped: bool
-    weights: np.ndarray | None = None
-    summary: np.ndarray | None = None
-    direction: np.ndarray | None = None
 
-    def __post_init__(self):
-        for name in ("injection", "weights", "summary", "direction"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, read_only(value))
-        if self.skipped and self.injection.size and float(np.abs(self.injection).max()) != 0.0:
-            raise ValueError("a skipped unit must carry a zero injection")
-
-    @property
-    def zero_keep_demand(self) -> bool:
-        """An active unit whose kept rows got no attention mass: its scale divides by epsilon alone."""
-        return not self.skipped and self.keep_mass == 0.0
-
-    def to_dict(self, include_vectors: bool = False) -> dict:
-        out = {
-            "layer": self.layer,
-            "head": self.head,
-            "basis_rank": self.basis_rank,
-            "residual_norm": float(self.residual_norm),
-            "subspace_rank": self.subspace_rank,
-            "keep_mass": float(self.keep_mass),
-            "del_mass": float(self.del_mass),
-            "skipped": self.skipped,
-            "zero_keep_demand": self.zero_keep_demand,
-        }
-        if include_vectors:
-            out["weights"] = self.weights.tolist() if self.weights is not None else None
-            out["summary"] = self.summary.tolist() if self.summary is not None else None
-            out["direction"] = self.direction.tolist() if self.direction is not None else None
-            out["injection"] = self.injection.tolist()
-        return out
+_UnitView = namedtuple("_UnitView", "injection skipped")
 
 
 @dataclass(frozen=True, eq=False)
 class ObfTrace:
-    """Per-unit backfill diagnostics for one round (empty unless h2o_obf)."""
+    """Backfill diagnostics of one round as read-only arrays over its (layer, kv head) units.
 
-    units: Mapping[tuple[int, int], ObfUnitTrace] = field(default_factory=dict)
+    ``basis_rank``, ``residual_norm``, ``subspace_rank``, ``keep_mass``,
+    ``del_mass`` and ``skipped`` are (layers, kv_heads); ``summary``,
+    ``direction`` and ``injection`` are (layers, kv_heads, value_dim) and
+    ``weights`` (layers, kv_heads, n_deleted). Every vector of a skipped unit
+    is zero. Only h2o_obf rounds have units.
+    """
+
+    basis_rank: np.ndarray = _unit_array(2, np.int64)
+    residual_norm: np.ndarray = _unit_array(2)
+    subspace_rank: np.ndarray = _unit_array(2, np.int64)
+    keep_mass: np.ndarray = _unit_array(2)
+    del_mass: np.ndarray = _unit_array(2)
+    skipped: np.ndarray = _unit_array(2, np.bool_)
+    summary: np.ndarray = _unit_array(3)
+    direction: np.ndarray = _unit_array(3)
+    injection: np.ndarray = _unit_array(3)
+    weights: np.ndarray = _unit_array(3)
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, read_only(getattr(self, f.name), f.metadata["dtype"]))
+        if self.injection[self.skipped].any():
+            raise ValueError("a skipped unit must carry a zero injection")
 
     @property
     def total(self) -> int:
-        return len(self.units)
+        return self.skipped.size
 
     @property
     def skipped_count(self) -> int:
-        return sum(1 for unit in self.units.values() if unit.skipped)
+        return int(self.skipped.sum())
+
+    @property
+    def zero_keep_demand(self) -> np.ndarray:
+        """Active units whose kept rows got no attention mass: their scale divides by epsilon alone."""
+        return ~self.skipped & (self.keep_mass == 0.0)
+
+    @property
+    def units(self) -> dict[tuple[int, int], _UnitView]:
+        """Each unit's ``(injection, skipped)`` by ``(layer, head)``, for ``perfbench``'s ``check_chain``."""
+        shape = self.skipped.shape
+        return {u: _UnitView(self.injection[u], bool(self.skipped[u])) for u in np.ndindex(shape)}
 
     def to_dict(self, include_vectors: bool = False) -> dict:
-        return {
-            "units": [self.units[key].to_dict(include_vectors) for key in sorted(self.units)],
-        }
+        """Unit documents in (layer, head) order; a skipped unit's weights, summary and direction are None."""
+        keys = ("basis_rank", "residual_norm", "subspace_rank", "keep_mass", "del_mass", "skipped",
+                "zero_keep_demand")
+        keys += ("weights", "summary", "direction", "injection") if include_vectors else ()
+        units = []
+        for layer, heads in enumerate(zip(*(getattr(self, key).tolist() for key in keys))):
+            for head, values in enumerate(zip(*heads)):
+                units.append({"layer": layer, "head": head, **dict(zip(keys, values))})
+                if include_vectors and units[-1]["skipped"]:
+                    units[-1].update(weights=None, summary=None, direction=None)
+        return {"units": units}
+
+
+_NO_UNITS = ObfTrace()
 
 
 def h2o_select(masses: np.ndarray, k: int, positions) -> SelectionResult:
@@ -253,55 +258,46 @@ def _orthogonal_backfill(
     demands, del_masses = demand_sums(masses, kept)
     dim = local.value_dim
     # A unit whose kept rows have rank ``dim`` leaves no residual to backfill.
-    full_rank = np.zeros(demands.shape[:2], dtype=bool)
+    shape = demands.shape[:2]
+    full_rank = np.zeros(shape, dtype=bool)
     if deleted.size and keep.size >= dim:
         full_rank = matrix_ranks(block.values[:, :, kept_slice]) == dim
     deleted_values = select(local, deleted).values if deleted.size and not full_rank.all() else None
 
+    keep_mass, del_mass = demands[..., 0], demands[..., 1]
+    # A unit that skips keeps these: with nothing deleted no basis, no residual and no subspace.
+    basis_rank = np.where(full_rank, dim, 0)
+    residual_norm, subspace_rank, skipped = np.zeros(shape), np.zeros(shape, np.int64), np.ones(shape, bool)
+    summary, direction, injection = (np.zeros((*shape, dim)) for _ in range(3))
+    weights = np.zeros((*shape, deleted.size))
     values: np.ndarray | None = None
-    units: dict[tuple[int, int], ObfUnitTrace] = {}
-    for unit in np.ndindex(demands.shape[:2]):
-        layer, head = unit
-        keep_mass, del_mass = demands[unit].tolist()
-        # With nothing deleted a unit has no basis, no residual and no subspace.
-        basis_rank, residual_norm, rows = 0, 0.0, None
-        if full_rank[unit]:
-            basis_rank = dim
-        elif deleted_values is not None:
-            v_keep = block.values[layer, head, kept_slice]
-            v_del = deleted_values[layer, head]
-            q, residual = obf_residual(v_keep, v_del)
-            basis_rank, residual_norm = q.shape[1], _norm(residual)
-            if residual_norm > RESIDUAL_NEGLIGIBLE * (1.0 + _norm(v_del)):
-                rows = principal_subspace(residual, cfg.pca_rank)
-        weights = summary = direction = None
-        injection = np.zeros(dim)
-        if rows is not None:
-            unit_masses = del_masses[layer, head]
-            weights = unit_masses / (unit_masses.sum() + cfg.epsilon)
-            summary = weights @ residual
-            direction = (summary @ rows.T) @ rows
-            injection = (del_mass / (keep_mass + cfg.epsilon)) * direction
-            if values is None:
-                values = np.array(block.values)
-            values[layer, head, kept_slice] = v_keep + injection
-        units[unit] = ObfUnitTrace(
-            layer=layer,
-            head=head,
-            basis_rank=basis_rank,
-            residual_norm=residual_norm,
-            subspace_rank=0 if rows is None else rows.shape[0],
-            keep_mass=keep_mass,
-            del_mass=del_mass,
-            injection=injection,
-            skipped=rows is None,
-            weights=weights,
-            summary=summary,
-            direction=direction,
-        )
+    for unit in np.ndindex(shape):
+        if full_rank[unit] or deleted_values is None:
+            continue
+        v_keep = block.values[unit][kept_slice]
+        v_del = deleted_values[unit]
+        q, residual = obf_residual(v_keep, v_del)
+        norm = _norm(residual)
+        basis_rank[unit], residual_norm[unit] = q.shape[1], norm
+        if norm <= RESIDUAL_NEGLIGIBLE * (1.0 + _norm(v_del)):
+            continue
+        rows = principal_subspace(residual, cfg.pca_rank)
+        skipped[unit], subspace_rank[unit] = False, rows.shape[0]
+        unit_masses = del_masses[unit]
+        weights[unit] = w = unit_masses / (unit_masses.sum() + cfg.epsilon)
+        summary[unit] = s = w @ residual
+        direction[unit] = d = (s @ rows.T) @ rows
+        injection[unit] = (del_mass[unit] / (keep_mass[unit] + cfg.epsilon)) * d
+        if values is None:
+            values = np.array(block.values)
+        values[unit][kept_slice] = v_keep + injection[unit]
     if values is not None:
         block = KvCache(keys=block.keys, values=freeze(values), positions=block.positions)
-    return block, ObfTrace(units=units)
+    return block, ObfTrace(
+        basis_rank=basis_rank, residual_norm=residual_norm, subspace_rank=subspace_rank, keep_mass=keep_mass,
+        del_mass=del_mass, skipped=skipped, summary=summary, direction=direction, injection=injection,
+        weights=weights,
+    )
 
 
 def compress(
@@ -329,7 +325,7 @@ def compress(
 
     block = select(local, np.concatenate([sink, selection.keep, generation]))
     if cfg.method != "h2o_obf":
-        return block, selection, ObfTrace()
+        return block, selection, _NO_UNITS
     kept_slice = slice(len(sink), len(sink) + len(selection.keep))
     block, trace = _orthogonal_backfill(local, block, kept_slice, selection, eligible, masses, cfg)
     return block, selection, trace

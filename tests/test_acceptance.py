@@ -176,15 +176,14 @@ def test_criterion_05_backfill_closed_form_and_skip():
         del_cols = [col_of[p] for p in selection.deleted]
         for layer in range(layers):
             for head in range(heads):
-                unit = trace.units[(layer, head)]
-                assert not unit.skipped
+                assert not trace.skipped[layer, head]
                 v_keep = ep.cache.values[layer, head, keep_rows, :]
                 v_del = ep.cache.values[layer, head, del_rows, :]
                 residual = oracles.lstsq_residual(v_del, v_keep)
                 a_keep = float(mass[layer, head, keep_cols].sum())
                 a_del = float(mass[layer, head, del_cols].sum())
                 delta = (a_del / (a_keep + 1e-12)) * residual[0]
-                worst = max(worst, float(np.abs(unit.injection - delta).max()))
+                worst = max(worst, float(np.abs(trace.injection[layer, head] - delta).max()))
     closed_form_ok = worst <= 1e-10
 
     # rank-3 values kept with 6 rows put the deleted rows inside the retained
@@ -217,11 +216,7 @@ def test_criterion_05_backfill_closed_form_and_skip():
     skip_ok = (
         backed_report.obf_skip_rate == 1.0
         and plain_msg.cache.values.tobytes() == backed_msg.cache.values.tobytes()
-        and all(
-            unit.residual_norm <= 1e-8
-            for trace in backed_report.obf_traces
-            for unit in trace.units.values()
-        )
+        and all((trace.residual_norm <= 1e-8).all() for trace in backed_report.obf_traces)
     )
     check(5, "backfill closed form + low-rank skip", closed_form_ok and skip_ok,
           f"(worst {worst:.2e})")

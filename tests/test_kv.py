@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvrelay.backbone import EpisodeRound, EpisodeSpec, episode_source, generate_episode
-from kvrelay.compress import CompressionConfig, ObfTrace, ObfUnitTrace, SelectionResult, h2o_select
+from kvrelay.compress import CompressionConfig, ObfTrace, SelectionResult, h2o_select
 from kvrelay.errors import (
     NumericalFailure,
     PositionOverlap,
@@ -570,7 +570,7 @@ def test_positions_are_read_only_int64_arrays_the_caller_cannot_change(case):
 # Frozen dataclasses that hold arrays, directly or through another container.
 ARRAY_CONTAINERS = (
     KvCache, RoundRecord, RelayMessage, AttentionRecord, SelectionResult,
-    ObfUnitTrace, ObfTrace, EpisodeRound, RelayReport,
+    ObfTrace, EpisodeRound, RelayReport,
 )
 VALUE_CLASSES = {
     EpisodeSpec: lambda: EpisodeSpec(prompt_lens=[8, 9]),
@@ -593,12 +593,11 @@ def containers():
     )
     message, report = run_chain(episode_source(spec), chain)
     trace = report.obf_traces[0]
-    (unit,) = trace.units.values()
-    assert not unit.skipped
+    assert trace.skipped.tolist() == [[False]]
     ep = generate_episode(spec, 1)
     masses = attention_mass_headwise(ep.attention, ep.generation, ep.prompt)
     found = [
-        ep.cache, message.rounds[0], message, ep.attention, h2o_select(masses, 2, ep.prompt), unit, trace, ep, report,
+        ep.cache, message.rounds[0], message, ep.attention, h2o_select(masses, 2, ep.prompt), trace, ep, report,
     ]
     return {type(obj): obj for obj in found}
 
@@ -626,6 +625,6 @@ def test_every_dataclass_is_an_array_container_or_a_value_class():
         obj for name in ("backbone", "compress", "kv", "linalg", "relay", "scoring")
         for module in [importlib.import_module(f"kvrelay.{name}")]
         for obj in vars(module).values()
-        if dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__
     }
     assert found == set(ARRAY_CONTAINERS) | set(VALUE_CLASSES)

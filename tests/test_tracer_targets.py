@@ -1,4 +1,4 @@
-"""The benchmark tracer in perfbench/ wraps kvrelay functions by module and name."""
+"""perfbench/ reads kvrelay from outside: its tracer wraps functions, its checks read results."""
 
 import importlib
 import importlib.util
@@ -11,11 +11,12 @@ from kvrelay.backbone import EpisodeSpec, episode_source, generate_episode
 from kvrelay.compress import CompressionConfig
 from kvrelay.fixtures import save_episode_fixture
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def load_perfbench(name):
+    """Import ``perfbench/<name>.py`` by path, without making it importable afterwards."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     try:
@@ -26,14 +27,14 @@ def load_tracer():
 
 
 def test_tracer_targets_resolve_on_kvrelay():
-    tracer = load_tracer()
+    tracer = load_perfbench("tracer")
     for module_name, func_name in tracer.TARGETS:
         module = importlib.import_module(f"kvrelay.{module_name}")
         assert callable(getattr(module, func_name, None)), f"kvrelay.{module_name}.{func_name}"
 
 
 def test_tracer_mass_counter_reads_positional_arguments():
-    tracer = load_tracer()
+    tracer = load_perfbench("tracer")
     scoring = importlib.import_module("kvrelay.scoring")
     ep = generate_episode(EpisodeSpec(num_layers=2, num_kv_heads=3, kv_group_size=1, prompt_lens=(9,), gen_len=3), 1)
     args = (ep.attention, ep.generation, ep.prompt)
@@ -48,7 +49,7 @@ def test_every_tracer_counter_reads_a_real_call(tmp_path):
     The chain keeps 2 of at least 8 eligible rows of 6-dimensional values, so
     every backfill unit is active; the CLI run replays a saved fixture.
     """
-    tracer_module = load_tracer()
+    tracer_module = load_perfbench("tracer")
     spec = EpisodeSpec(seed=5, num_layers=1, num_kv_heads=2, kv_group_size=1, key_dim=4,
                        value_dim=6, prompt_lens=(10, 9), gen_len=3)
     chain = kvrelay.relay.ChainConfig(
@@ -78,3 +79,28 @@ def test_every_tracer_counter_reads_a_real_call(tmp_path):
     for name in tracer_module.COUNTERS:
         assert recorded.get(name), name
         assert all(type(value) is int for value in recorded[name]), (name, recorded[name])
+
+
+def test_chain_check_reads_the_backfill_trace():
+    """``workloads.check_chain`` passes an active h2o_obf chain and flags every unit of one that skips.
+
+    With budget_k 2 of 6 value dimensions every unit is active; with budget_k
+    6 the kept Gaussian rows have full rank, so every unit skips.
+    """
+    workloads = load_perfbench("workloads")
+    spec = EpisodeSpec(seed=5, num_layers=2, num_kv_heads=1, kv_group_size=2, key_dim=4,
+                       value_dim=6, prompt_lens=(12, 10), gen_len=3)
+    rounds = [generate_episode(spec, i) for i in (1, 2)]
+    problems = {}
+    for budget_k in (2, 6):
+        chain = kvrelay.relay.ChainConfig(
+            num_agents=2, latent_steps=3,
+            compression=CompressionConfig(method="h2o_obf", budget_k=budget_k, sink_size=1),
+        )
+        message, report = kvrelay.relay.run_chain(lambda i: rounds[i - 1], chain)
+        assert report.obf_units == 4 and report.obf_skipped == (0 if budget_k == 2 else 4)
+        problems[budget_k] = workloads.check_chain(rounds, message, report, budget_k, sink_size=1, obf=True)
+    assert problems[2] == []
+    assert problems[6] == [
+        f"round {r} unit {unit} took the skip path" for r in (1, 2) for unit in ((0, 0), (1, 0))
+    ]
