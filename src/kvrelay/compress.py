@@ -9,8 +9,9 @@ Four methods share one entry point:
 
 Every method first assembles the block it relays (the sink, which only
 the first round has, kept prompt rows, generation rows). Orthogonal
-backfill then edits the kept slice of that block, per (layer, kv head),
-in six array operations written once in ``_orthogonal_backfill``:
+backfill then shifts the kept slice of that block per (layer, kv head) in
+six array operations: ``_orthogonal_backfill`` computes the round's trace
+from arrays, and ``compress`` adds its injection.
 
   residual   = v_del - (v_del Q) Q^T       Q: orthonormal basis of span(v_keep)
   C          = the residual's top right singular directions, at most ``pca_rank``
@@ -34,7 +35,8 @@ residual has a nonzero largest singular value, which the rank tolerance
 always counts, so it has at least one principal direction.
 
 A round's ``ObfTrace`` holds each diagnostic as one array over the (layer,
-kv head) units, filled by the per-unit loop; a skipped unit's vectors are 0.
+kv head) units, filled by the per-unit loop and frozen, so the trace keeps
+it without a copy; a skipped unit's vectors are 0.
 """
 
 from __future__ import annotations
@@ -239,44 +241,39 @@ def _norm(m: np.ndarray) -> float:
 
 
 def _orthogonal_backfill(
-    local: KvCache,
-    block: KvCache,
-    kept_slice: slice,
-    selection: SelectionResult,
-    eligible: np.ndarray,
-    masses: np.ndarray,
+    v_keep: np.ndarray, values: np.ndarray, del_rows: np.ndarray, masses: np.ndarray, kept: np.ndarray,
     cfg: CompressionConfig,
-) -> tuple[KvCache, ObfTrace]:
-    """Backfill the kept rows ``block.values[:, :, kept_slice]`` of an assembled block.
+) -> ObfTrace:
+    """The backfill trace of one round, whose injections ``compress`` adds to the kept rows.
 
-    ``masses`` are those of :func:`h2o_select`, last axis in ``eligible`` order.
+    ``v_keep`` holds the block's kept value rows, (layers, kv_heads, k, d).
+    Of the round's (layers, kv_heads, T, d) ``values`` only the rows
+    ``del_rows`` of the deleted positions are read, and only when some
+    unit's kept rows lack full rank. ``masses`` are those of
+    :func:`h2o_select` and ``kept`` the mask of the kept positions over
+    their last axis.
     """
-    keep, deleted = selection.keep, selection.deleted
-    if deleted.size and not keep.size:
+    shape, (k, dim), n_del = v_keep.shape[:2], v_keep.shape[2:], len(del_rows)
+    if n_del and not k:
         raise EmptyKeep("budget left no retained prompt rows to backfill into")
-    _, kept = locate(keep, eligible)
     demands, del_masses = demand_sums(masses, kept)
-    dim = local.value_dim
     # A unit whose kept rows have rank ``dim`` leaves no residual to backfill.
-    shape = demands.shape[:2]
     full_rank = np.zeros(shape, dtype=bool)
-    if deleted.size and keep.size >= dim:
-        full_rank = matrix_ranks(block.values[:, :, kept_slice]) == dim
-    deleted_values = select(local, deleted).values if deleted.size and not full_rank.all() else None
+    if n_del and k >= dim:
+        full_rank = matrix_ranks(v_keep) == dim
+    v_dels = np.take(values, del_rows, axis=2) if n_del and not full_rank.all() else None
 
     keep_mass, del_mass = demands[..., 0], demands[..., 1]
     # A unit that skips keeps these: with nothing deleted no basis, no residual and no subspace.
     basis_rank = np.where(full_rank, dim, 0)
     residual_norm, subspace_rank, skipped = np.zeros(shape), np.zeros(shape, np.int64), np.ones(shape, bool)
     summary, direction, injection = (np.zeros((*shape, dim)) for _ in range(3))
-    weights = np.zeros((*shape, deleted.size))
-    values: np.ndarray | None = None
+    weights = np.zeros((*shape, n_del))
     for unit in np.ndindex(shape):
-        if full_rank[unit] or deleted_values is None:
+        if full_rank[unit] or v_dels is None:
             continue
-        v_keep = block.values[unit][kept_slice]
-        v_del = deleted_values[unit]
-        q, residual = obf_residual(v_keep, v_del)
+        v_del = v_dels[unit]
+        q, residual = obf_residual(v_keep[unit], v_del)
         norm = _norm(residual)
         basis_rank[unit], residual_norm[unit] = q.shape[1], norm
         if norm <= RESIDUAL_NEGLIGIBLE * (1.0 + _norm(v_del)):
@@ -288,16 +285,9 @@ def _orthogonal_backfill(
         summary[unit] = s = w @ residual
         direction[unit] = d = (s @ rows.T) @ rows
         injection[unit] = (del_mass[unit] / (keep_mass[unit] + cfg.epsilon)) * d
-        if values is None:
-            values = np.array(block.values)
-        values[unit][kept_slice] = v_keep + injection[unit]
-    if values is not None:
-        block = KvCache(keys=block.keys, values=freeze(values), positions=block.positions)
-    return block, ObfTrace(
-        basis_rank=basis_rank, residual_norm=residual_norm, subspace_rank=subspace_rank, keep_mass=keep_mass,
-        del_mass=del_mass, skipped=skipped, summary=summary, direction=direction, injection=injection,
-        weights=weights,
-    )
+    filled = dict(basis_rank=basis_rank, residual_norm=residual_norm, subspace_rank=subspace_rank, skipped=skipped,
+                  summary=summary, direction=direction, injection=injection, weights=weights)
+    return ObfTrace(keep_mass=keep_mass, del_mass=del_mass, **{name: freeze(a) for name, a in filled.items()})
 
 
 def compress(
@@ -309,9 +299,10 @@ def compress(
     gives the round; the sink is empty after the first round. The block is
     the sink followed by the retained ``eligible`` rows followed by every
     generation row. Keys are bit-exact row selections of the round's cache
-    for every method; only ``h2o_obf`` modifies retained prompt values.
-    Eviction ranks by the mass of the round's attention record, totalled
-    whatever ``cfg.granularity`` says.
+    for every method; only ``h2o_obf`` modifies retained prompt values, by
+    adding each active unit's ``trace.injection`` to its kept rows (a
+    skipped unit's rows keep their bits). Eviction ranks by the mass of the
+    round's attention record, totalled whatever ``cfg.granularity`` says.
     """
     local, generation = episode.cache, episode.generation
     sink, eligible = index_array(sink), index_array(eligible)
@@ -326,6 +317,13 @@ def compress(
     block = select(local, np.concatenate([sink, selection.keep, generation]))
     if cfg.method != "h2o_obf":
         return block, selection, _NO_UNITS
-    kept_slice = slice(len(sink), len(sink) + len(selection.keep))
-    block, trace = _orthogonal_backfill(local, block, kept_slice, selection, eligible, masses, cfg)
+    kept_rows = slice(len(sink), len(sink) + len(selection.keep))
+    del_rows, _ = locate(local.positions, selection.deleted)
+    _, kept = locate(selection.keep, eligible)
+    trace = _orthogonal_backfill(block.values[:, :, kept_rows], local.values, del_rows, masses, kept, cfg)
+    active = ~trace.skipped
+    if active.any():
+        values = np.array(block.values)
+        values[active, kept_rows] += trace.injection[active, None]
+        block = KvCache(keys=block.keys, values=freeze(values), positions=block.positions)
     return block, selection, trace

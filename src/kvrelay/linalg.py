@@ -11,8 +11,10 @@ singular-value-only SVD (``compute_uv=False``). Shared conventions:
     uses a basis only as ``x - (x Q) Q^T`` and a subspace only as
     ``(s C^T) C``, and both are exactly invariant under flipping the
     sign of a vector;
-  * numeric rank counts singular values above ``tol * sigma_max`` with
-    the fixed ``tol = max(rows, cols) * machine_eps``;
+  * numeric rank has one count, ``_rank``, which the bases, the subspace
+    and :func:`matrix_ranks` share: the singular values of each matrix
+    above ``tol * sigma_max``, with the fixed
+    ``tol = max(rows, cols) * machine_eps``;
   * non-finite input raises :class:`NumericalFailure`, as does an SVD
     that does not converge;
   * top-k breaks score ties toward the smaller global position and
@@ -47,24 +49,21 @@ def _svd(m: np.ndarray, compute_uv: bool = True):
         raise NumericalFailure(f"SVD of a {rows}x{cols} matrix failed: {exc}") from exc
 
 
-def _rank(sigmas: np.ndarray, shape: tuple[int, int]) -> int:
-    """Singular values above ``max(shape) * eps * sigma_max``."""
-    if sigmas.size == 0 or sigmas[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sigmas > max(shape) * _EPS * sigmas[0]))
+def _rank(sigmas: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Singular values above ``max(shape) * eps * sigma_max``, counted over the last axis of ``sigmas``."""
+    return np.count_nonzero(sigmas > max(shape) * _EPS * sigmas[..., :1], axis=-1)
 
 
 def matrix_ranks(stack) -> np.ndarray:
     """Numeric rank of every (rows x cols) matrix of a (..., rows, cols) ``stack``.
 
-    One SVD that computes singular values only, with the tolerance and the
+    One SVD that computes singular values only, with the rank count and the
     failure rules of the bases below; no singular vector is formed.
     """
     stack = np.asarray(stack, dtype=np.float64)
     if stack.ndim < 2:
         raise DimensionMismatch("expected a stack of 2-D matrices")
-    sigmas = _svd(stack, compute_uv=False)
-    return np.count_nonzero(sigmas > max(stack.shape[-2:]) * _EPS * sigmas[..., :1], axis=-1)
+    return _rank(_svd(stack, compute_uv=False), stack.shape[-2:])
 
 
 def orthonormal_basis(m) -> np.ndarray:

@@ -14,6 +14,7 @@ from kvrelay.compress import (
     CompressionConfig,
     ObfTrace,
     SelectionResult,
+    _orthogonal_backfill,
     compress,
     h2o_select,
     obf_residual,
@@ -370,6 +371,47 @@ def test_skipped_unit_rows_keep_their_exact_bits():
     assert np.signbit(kept).any() and not np.array_equal(np.signbit(kept + 0.0), np.signbit(kept))
     assert block.values[0, 1, :2].tobytes() == kept.tobytes()
     assert block.values[0, 0, :2].tobytes() != local.values[0, 0, :2].tobytes()
+
+
+def backfill_on_nan_values(ep, sink, eligible, cfg, keep_deleted_rows):
+    """Run ``_orthogonal_backfill`` on ``compress``'s round over a value array of NaN.
+
+    The deleted rows hold their real values if ``keep_deleted_rows``.
+    Returns (the trace ``compress`` gives, the direct call's trace).
+    """
+    _, selection, trace = compress(ep, sink, eligible, cfg)
+    masses = attention_mass_headwise(ep.attention, ep.generation, eligible)
+    del_rows = ep.cache.positions.searchsorted(selection.deleted)
+    values = np.full(ep.cache.values.shape, np.nan)
+    if keep_deleted_rows:
+        values[:, :, del_rows] = ep.cache.values[:, :, del_rows]
+    v_keep = select(ep.cache, selection.keep).values
+    kept = np.isin(eligible, selection.keep)
+    assert del_rows.size
+    return trace, _orthogonal_backfill(v_keep, values, del_rows, masses, kept, cfg)
+
+
+def assert_traces_equal(a, b):
+    for f in dataclasses.fields(ObfTrace):
+        assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
+def test_backfill_reads_no_value_row_outside_the_deleted_rows():
+    ep, sink, eligible = one_round(sink_size=1, num_layers=2, num_kv_heads=2, prompt_lens=(11,), value_dim=6)
+    cfg = CompressionConfig(method="h2o_obf", budget_k=3, sink_size=1)
+    expected, trace = backfill_on_nan_values(ep, sink, eligible, cfg, keep_deleted_rows=True)
+    assert not expected.skipped.any()
+    assert_traces_equal(trace, expected)
+
+
+def test_full_rank_units_read_no_deleted_row():
+    """A unit whose kept rows have full rank skips without reading a deleted row (README, "Notes on the numbers")."""
+    ep, sink, eligible = one_round(sink_size=1, num_layers=2, num_kv_heads=2, prompt_lens=(11,), value_dim=4)
+    cfg = CompressionConfig(method="h2o_obf", budget_k=6, sink_size=1)
+    expected, trace = backfill_on_nan_values(ep, sink, eligible, cfg, keep_deleted_rows=False)
+    assert trace.skipped.all()
+    assert (trace.basis_rank == 4).all() and (trace.residual_norm == 0.0).all()
+    assert_traces_equal(trace, expected)
 
 
 # --- the compress operator --------------------------------------------------
