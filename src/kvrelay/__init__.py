@@ -20,8 +20,6 @@ from .backbone import (
 from .compress import (
     CompressionConfig,
     ObfTrace,
-    SelectionResult,
-    compress,
     h2o_select,
     obf_residual,
 )
@@ -80,12 +78,10 @@ __all__ = [
     "RelayReport",
     "RoundRecord",
     "RoundReportRow",
-    "SelectionResult",
     "aggregate_global",
     "aggregate_layerwise",
     "attention_mass_headwise",
     "caches_equal",
-    "compress",
     "compression_ratio",
     "concat",
     "decompose",

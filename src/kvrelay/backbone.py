@@ -136,13 +136,11 @@ class EpisodeRound:
         _, padded = locate(prompt, self.padding)
         if not padded.all():
             raise RoundMismatch(f"padding position {self.padding[int(padded.argmin())]} is not a prompt position")
-        local = np.concatenate([prompt, generation])
-        if np.array_equal(self.cache.positions, local):
-            return  # a generated round: its cache holds exactly these positions
         if generation[0] <= prompt[-1]:
             raise RoundMismatch(
                 f"generation position {generation[0]} does not follow prompt position {prompt[-1]}"
             )
+        local = np.concatenate([prompt, generation])
         _, cached = locate(self.cache.positions, local)
         if not cached.all():
             raise RoundMismatch(f"position {local[int(cached.argmin())]} is not in the cache")

@@ -49,7 +49,7 @@ import numpy as np
 
 from .backbone import EpisodeRound
 from .errors import BudgetUnset, EmptyKeep, require_int
-from .kv import KvCache, freeze, index_array, locate, read_only, select
+from .kv import KvCache, RoundRecord, freeze, index_array, locate, read_only, select
 from .linalg import matrix_ranks, orthonormal_basis, principal_subspace, project_out, top_k_indices
 from .scoring import GLOBAL, GRANULARITIES, aggregate_global, attention_mass_headwise, demand_sums
 
@@ -116,25 +116,6 @@ class CompressionConfig:
         if self.budget_ratio is None:
             raise BudgetUnset("neither budget_k nor budget_ratio is set")
         return max(1, round(self.budget_ratio * eligible_count))
-
-
-@dataclass(frozen=True, eq=False)
-class SelectionResult:
-    """Outcome of splitting the eligible prompt into kept and deleted."""
-
-    keep: np.ndarray
-    deleted: np.ndarray
-    budget: int
-
-    def __post_init__(self):
-        keep = index_array(self.keep)
-        deleted = index_array(self.deleted)
-        if locate(keep, deleted)[1].any():
-            raise ValueError("keep and deleted must be disjoint")
-        object.__setattr__(self, "keep", keep)
-        object.__setattr__(self, "deleted", deleted)
-        if self.budget < 0:
-            raise ValueError("budget must be non-negative")
 
 
 def _unit_array(ndim: int, dtype=np.float64):
@@ -209,16 +190,14 @@ class ObfTrace:
 _NO_UNITS = ObfTrace()
 
 
-def h2o_select(masses: np.ndarray, k: int, positions) -> SelectionResult:
-    """Keep the ``min(k, |positions|)`` positions of highest total mass.
+def h2o_select(masses: np.ndarray, k: int, positions) -> np.ndarray:
+    """The ``min(k, |positions|)`` positions of highest total mass, a read-only ascending int64 array.
 
     ``masses`` is (layers, kv_heads, len(positions)), its last axis in
     ``positions`` order. One shared ranking by :func:`aggregate_global`,
     ties toward the smaller position.
     """
-    keep = top_k_indices(aggregate_global(masses), k, positions)
-    _, kept = locate(keep, positions)
-    return SelectionResult(keep=keep, deleted=np.asarray(positions)[~kept], budget=k)
+    return top_k_indices(aggregate_global(masses), k, positions)
 
 
 def obf_residual(v_keep, v_del) -> tuple[np.ndarray, np.ndarray]:
@@ -292,38 +271,42 @@ def _orthogonal_backfill(
 
 def compress(
     episode: EpisodeRound, sink, eligible, cfg: CompressionConfig
-) -> tuple[KvCache, SelectionResult, ObfTrace]:
-    """Build the block ``episode`` appends to the relay message.
+) -> tuple[KvCache, RoundRecord, ObfTrace]:
+    """Build the block ``episode`` appends to the relay message, with its round record and backfill trace.
 
     ``sink`` and ``eligible`` are the positions :func:`~kvrelay.kv.decompose`
     gives the round; the sink is empty after the first round. The block is
     the sink followed by the retained ``eligible`` rows followed by every
-    generation row. Keys are bit-exact row selections of the round's cache
-    for every method; only ``h2o_obf`` modifies retained prompt values, by
-    adding each active unit's ``trace.injection`` to its kept rows (a
-    skipped unit's rows keep their bits). Eviction ranks by the mass of the
-    round's attention record, totalled whatever ``cfg.granularity`` says.
+    generation row, and the returned :class:`~kvrelay.kv.RoundRecord` names
+    those retained prompt positions and the generation. Keys are bit-exact
+    row selections of the round's cache for every method; only ``h2o_obf``
+    modifies retained prompt values, by adding each active unit's
+    ``trace.injection`` to its kept rows (a skipped unit's rows keep their
+    bits). Every other method returns a trace with no units. Eviction ranks
+    by the mass of the round's attention record, totalled whatever
+    ``cfg.granularity`` says.
     """
     local, generation = episode.cache, episode.generation
     sink, eligible = index_array(sink), index_array(eligible)
     if cfg.method == "full":
-        selection = SelectionResult(keep=eligible, deleted=(), budget=len(eligible))
+        keep = eligible
     elif cfg.method == "streaming":
-        selection = SelectionResult(keep=(), deleted=eligible, budget=0)
+        keep = eligible[:0]
     else:
         masses = attention_mass_headwise(episode.attention, generation, eligible)
-        selection = h2o_select(masses, cfg.round_budget(len(eligible)), eligible)
+        keep = h2o_select(masses, cfg.round_budget(len(eligible)), eligible)
+    record = RoundRecord(kept_prompt=keep, generation=generation)
 
-    block = select(local, np.concatenate([sink, selection.keep, generation]))
+    block = select(local, np.concatenate([sink, keep, generation]))
     if cfg.method != "h2o_obf":
-        return block, selection, _NO_UNITS
-    kept_rows = slice(len(sink), len(sink) + len(selection.keep))
-    del_rows, _ = locate(local.positions, selection.deleted)
-    _, kept = locate(selection.keep, eligible)
+        return block, record, _NO_UNITS
+    kept_rows = slice(len(sink), len(sink) + len(keep))
+    _, kept = locate(keep, eligible)
+    del_rows, _ = locate(local.positions, eligible[~kept])
     trace = _orthogonal_backfill(block.values[:, :, kept_rows], local.values, del_rows, masses, kept, cfg)
     active = ~trace.skipped
     if active.any():
         values = np.array(block.values)
         values[active, kept_rows] += trace.injection[active, None]
         block = KvCache(keys=block.keys, values=freeze(values), positions=block.positions)
-    return block, selection, trace
+    return block, record, trace

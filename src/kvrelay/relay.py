@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .backbone import EpisodeRound
-from .compress import CompressionConfig, ObfTrace, compress
+from .compress import EVICTION_METHODS, CompressionConfig, ObfTrace, compress
 from .errors import ChainEmpty, EmptyList, ZeroLength, require_int
-from .kv import RelayMessage, RoundRecord, concat, decompose
+from .kv import RelayMessage, concat, decompose
 
 # Reference total prompt lengths (sum over three agent rounds) for standard
 # benchmarks, as used by the bundled ratio table.
@@ -185,8 +185,7 @@ def run_chain(
     for round_i in range(1, chain.num_agents + 1):
         episode = source(round_i)
         sink, eligible = decompose(message, episode, cfg.sink_size)
-        retained, selection, trace = compress(episode, sink, eligible, cfg)
-        record = RoundRecord(kept_prompt=selection.keep, generation=episode.generation)
+        retained, record, trace = compress(episode, sink, eligible, cfg)
         if message is None:
             message = RelayMessage(cache=retained, sink=sink, rounds=(record,))
         else:
@@ -199,12 +198,12 @@ def run_chain(
             RoundReportRow(
                 round=round_i,
                 prompt_len=len(episode.prompt),
-                kept_prompt=len(selection.keep),
+                kept_prompt=len(record.kept_prompt),
                 gen_len=len(episode.generation),
                 message_len=message.cache.num_tokens,
             )
         )
-        budgets.append(selection.budget)
+        budgets.append(cfg.round_budget(len(eligible)) if cfg.method in EVICTION_METHODS else 0)
         traces.append(trace)
 
     total_prompt = sum(row.prompt_len for row in rows)

@@ -130,10 +130,10 @@ def test_criterion_04_topk_matches_sort_oracle():
         scores = {p: float(rng.integers(0, 6)) / 4.0 for p in eligible}
         k = int(rng.integers(0, n + 3))
         result = h2o_select(np.array([[[scores[p] for p in eligible]]]), k, eligible)
-        if tuple(result.keep.tolist()) != oracles.topk(scores, k, eligible):
+        if tuple(result.tolist()) != oracles.topk(scores, k, eligible):
             mismatches += 1
     # explicit tie pile-up: every score equal -> lowest positions win
-    tie_ok = h2o_select(np.ones((1, 1, 20)), 5, tuple(range(10, 30))).keep.tolist() == [10, 11, 12, 13, 14]
+    tie_ok = h2o_select(np.ones((1, 1, 20)), 5, tuple(range(10, 30))).tolist() == [10, 11, 12, 13, 14]
     elapsed = time.perf_counter() - start
     ok = mismatches == 0 and tie_ok and elapsed < 5.0
     check(4, "top-k vs full-sort oracle", ok, f"({elapsed:.2f}s)")
@@ -163,17 +163,19 @@ def test_criterion_05_backfill_closed_form_and_skip():
         cfg = CompressionConfig(
             method="h2o_obf", budget_k=n - 1, granularity=granularity, sink_size=0
         )
-        _, selection, trace = compress(ep, sink, eligible, cfg)
-        assert len(selection.deleted) == 1
+        _, record, trace = compress(ep, sink, eligible, cfg)
+        keep = record.kept_prompt.tolist()
+        deleted = [p for p in eligible.tolist() if p not in keep]
+        assert len(deleted) == 1
         mass = oracles.headwise_mass(
             ep.attention.weights, list(range(3)), list(range(n)), group
         )
         row_of = {pos: i for i, pos in enumerate(ep.cache.positions)}
         col_of = {pos: i for i, pos in enumerate(ep.prompt)}
-        keep_rows = [row_of[p] for p in selection.keep]
-        del_rows = [row_of[p] for p in selection.deleted]
-        keep_cols = [col_of[p] for p in selection.keep]
-        del_cols = [col_of[p] for p in selection.deleted]
+        keep_rows = [row_of[p] for p in keep]
+        del_rows = [row_of[p] for p in deleted]
+        keep_cols = [col_of[p] for p in keep]
+        del_cols = [col_of[p] for p in deleted]
         for layer in range(layers):
             for head in range(heads):
                 assert not trace.skipped[layer, head]

@@ -1,7 +1,6 @@
 """Compression methods: eviction, value backfill, and their kernels."""
 
 import dataclasses
-import importlib
 
 import numpy as np
 import pytest
@@ -13,13 +12,12 @@ from kvrelay.backbone import EpisodeRound, EpisodeSpec, generate_episode
 from kvrelay.compress import (
     CompressionConfig,
     ObfTrace,
-    SelectionResult,
     _orthogonal_backfill,
     compress,
     h2o_select,
     obf_residual,
 )
-from kvrelay import linalg
+from kvrelay import compress as compress_module, linalg
 from kvrelay.errors import BudgetUnset, EmptyKeep
 from kvrelay.kv import KvCache, decompose, index_array, select
 from kvrelay.linalg import orthonormal_basis, principal_subspace, project_out
@@ -102,6 +100,13 @@ def test_round_budget_fixed_and_ratio():
     assert CompressionConfig(budget_k=None, budget_ratio=0.1).round_budget(5) == 1
 
 
+def test_package_attribute_compress_names_the_submodule():
+    import kvrelay.compress as module
+
+    assert module is compress_module and module.__name__ == "kvrelay.compress"
+    assert module.compress is compress and module.CompressionConfig is CompressionConfig
+
+
 # --- selection --------------------------------------------------------------
 
 
@@ -111,33 +116,33 @@ def global_select(scores, k):
     return h2o_select(np.array([[[scores[p] for p in positions]]]), k, positions)
 
 
+def evicted(eligible, kept) -> np.ndarray:
+    """The ``eligible`` positions not in ``kept``, in order, as int64."""
+    eligible = np.asarray(eligible, dtype=np.int64)
+    return eligible[~np.isin(eligible, kept)]
+
+
 def test_select_keeps_highest_mass_with_tie_toward_lower():
-    result = global_select({4: 0.9, 5: 0.1, 6: 0.5, 7: 0.5}, 2)
-    assert result.keep.tolist() == [4, 6]
-    assert result.deleted.tolist() == [5, 7]
-    assert result.budget == 2
+    keep = global_select({4: 0.9, 5: 0.1, 6: 0.5, 7: 0.5}, 2)
+    assert keep.tolist() == [4, 6]
+    assert evicted([4, 5, 6, 7], keep).tolist() == [5, 7]
 
 
 def test_select_all_zero_masses_uses_position_cascade():
-    assert global_select({p: 0.0 for p in range(4, 10)}, 2).keep.tolist() == [4, 5]
+    assert global_select({p: 0.0 for p in range(4, 10)}, 2).tolist() == [4, 5]
 
 
 def test_select_without_pressure_deletes_nothing():
-    result = global_select({4: 0.9, 5: 0.1}, 2)
-    assert result.keep.tolist() == [4, 5]
-    assert result.deleted.tolist() == []
+    keep = global_select({4: 0.9, 5: 0.1}, 2)
+    assert keep.tolist() == [4, 5]
+    assert evicted([4, 5], keep).tolist() == []
 
 
 def test_select_packs_unit_rankings_by_summing():
     # two layers, one kv head each
-    result = h2o_select(np.array([[[0.9, 0.1]], [[0.2, 0.8]]]), 1, (1, 2))
-    assert result.keep.tolist() == [1]  # 1.1 beats 0.9 on the summed ranking
-    assert result.deleted.tolist() == [2]
-
-
-def test_selection_result_rejects_overlap():
-    with pytest.raises(ValueError):
-        SelectionResult(keep=(1,), deleted=(1, 2), budget=1)
+    keep = h2o_select(np.array([[[0.9, 0.1]], [[0.2, 0.8]]]), 1, (1, 2))
+    assert keep.tolist() == [1]  # 1.1 beats 0.9 on the summed ranking
+    assert evicted((1, 2), keep).tolist() == [2]
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -148,10 +153,10 @@ def test_selection_budget_is_exact(seed):
     eligible = tuple(sorted(rng.choice(100, size=n, replace=False).tolist()))
     scores = {p: float(rng.integers(0, 4)) for p in eligible}
     k = int(rng.integers(0, n + 4))
-    result = global_select(scores, k)
-    assert len(result.keep) == min(k, n)
-    assert tuple(sorted(result.keep.tolist() + result.deleted.tolist())) == eligible
-    assert tuple(result.keep.tolist()) == oracles.topk(scores, k, eligible)
+    keep = global_select(scores, k)
+    assert len(keep) == min(k, n)
+    assert tuple(sorted(keep.tolist() + evicted(eligible, keep).tolist())) == eligible
+    assert tuple(keep.tolist()) == oracles.topk(scores, k, eligible)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -161,10 +166,11 @@ def test_select_deleted_set_matches_set_loop(seed):
     n = int(rng.integers(1, 40))
     positions = tuple(sorted(rng.choice(500, size=n, replace=False).tolist()))
     masses = rng.integers(0, 3, size=(int(rng.integers(1, 3)), 2, n)).astype(float)
-    result = h2o_select(masses, int(rng.integers(0, n + 3)), positions)
-    keep_set = set(result.keep.tolist())
-    assert result.deleted.tolist() == [pos for pos in positions if pos not in keep_set]
-    assert result.deleted.dtype == np.int64
+    keep = h2o_select(masses, int(rng.integers(0, n + 3)), positions)
+    keep_set = set(keep.tolist())
+    deleted = evicted(positions, keep)
+    assert deleted.tolist() == [pos for pos in positions if pos not in keep_set]
+    assert keep.dtype == deleted.dtype == np.int64
 
 
 # --- backfill kernels and formula -----------------------------------------
@@ -379,14 +385,14 @@ def backfill_on_nan_values(ep, sink, eligible, cfg, keep_deleted_rows):
     The deleted rows hold their real values if ``keep_deleted_rows``.
     Returns (the trace ``compress`` gives, the direct call's trace).
     """
-    _, selection, trace = compress(ep, sink, eligible, cfg)
+    _, record, trace = compress(ep, sink, eligible, cfg)
     masses = attention_mass_headwise(ep.attention, ep.generation, eligible)
-    del_rows = ep.cache.positions.searchsorted(selection.deleted)
+    del_rows = ep.cache.positions.searchsorted(evicted(eligible, record.kept_prompt))
     values = np.full(ep.cache.values.shape, np.nan)
     if keep_deleted_rows:
         values[:, :, del_rows] = ep.cache.values[:, :, del_rows]
-    v_keep = select(ep.cache, selection.keep).values
-    kept = np.isin(eligible, selection.keep)
+    v_keep = select(ep.cache, record.kept_prompt).values
+    kept = np.isin(eligible, record.kept_prompt)
     assert del_rows.size
     return trace, _orthogonal_backfill(v_keep, values, del_rows, masses, kept, cfg)
 
@@ -420,9 +426,9 @@ def test_full_rank_units_read_no_deleted_row():
 def test_full_method_relays_everything():
     ep, sink, eligible = one_round(sink_size=2)
     cfg = CompressionConfig(method="full", sink_size=2)
-    retained, selection, trace = compress(ep, sink, eligible, cfg)
-    assert np.array_equal(selection.keep, eligible)
-    assert selection.deleted.tolist() == []
+    retained, record, trace = compress(ep, sink, eligible, cfg)
+    assert np.array_equal(record.kept_prompt, eligible)
+    assert evicted(eligible, record.kept_prompt).tolist() == []
     assert np.array_equal(retained.positions, np.concatenate([sink, eligible, ep.generation]))
     assert caches_rows_match(ep.cache, retained)
     assert trace.total == 0
@@ -431,8 +437,8 @@ def test_full_method_relays_everything():
 def test_streaming_keeps_sink_and_generation_only():
     ep, sink, eligible = one_round(sink_size=2)
     cfg = CompressionConfig(method="streaming", sink_size=2)
-    retained, selection, _ = compress(ep, sink, eligible, cfg)
-    assert selection.keep.tolist() == []
+    retained, record, _ = compress(ep, sink, eligible, cfg)
+    assert record.kept_prompt.tolist() == []
     assert np.array_equal(retained.positions, np.concatenate([sink, ep.generation]))
 
 
@@ -453,45 +459,45 @@ def caches_rows_match(source, retained):
 def test_h2o_budget_and_key_preservation(granularity):
     ep, sink, eligible = one_round(num_layers=2, num_kv_heads=2, kv_group_size=2, prompt_lens=(9,))
     cfg = CompressionConfig(method="h2o", budget_k=4, granularity=granularity, sink_size=0)
-    retained, selection, _ = compress(ep, sink, eligible, cfg)
-    assert len(selection.keep) == 4
-    assert np.array_equal(retained.positions, np.concatenate([selection.keep, ep.generation]))
+    retained, record, _ = compress(ep, sink, eligible, cfg)
+    assert len(record.kept_prompt) == 4
+    assert np.array_equal(retained.positions, np.concatenate([record.kept_prompt, ep.generation]))
     assert caches_rows_match(ep.cache, retained)
 
 
 def test_h2o_saturates_at_eligible_count():
     ep, sink, eligible = one_round()
     cfg = CompressionConfig(method="h2o", budget_k=50, sink_size=0)
-    _, selection, _ = compress(ep, sink, eligible, cfg)
-    assert np.array_equal(selection.keep, eligible)
+    _, record, _ = compress(ep, sink, eligible, cfg)
+    assert np.array_equal(record.kept_prompt, eligible)
 
 
 def test_h2o_selection_agrees_with_mass_oracle():
     ep, sink, eligible = one_round(num_layers=2, num_kv_heads=2, kv_group_size=2, prompt_lens=(8,))
     cfg = CompressionConfig(method="h2o", budget_k=3, granularity=GLOBAL, sink_size=0)
-    _, selection, _ = compress(ep, sink, eligible, cfg)
+    _, record, _ = compress(ep, sink, eligible, cfg)
     mass = oracles.headwise_mass(
         ep.attention.weights, list(range(len(ep.generation))), list(range(len(ep.prompt))), 2
     ).sum(axis=(0, 1))
     scores = {pos: mass[i] for i, pos in enumerate(ep.prompt.tolist())}
-    assert tuple(selection.keep.tolist()) == oracles.topk(scores, 3, eligible.tolist())
+    assert tuple(record.kept_prompt.tolist()) == oracles.topk(scores, 3, eligible.tolist())
 
 
 def test_backfill_modifies_only_kept_prompt_values():
     ep, sink, eligible = one_round(sink_size=1, prompt_lens=(7,), value_dim=12)
     base = CompressionConfig(method="h2o", budget_k=3, sink_size=1)
     shifted = CompressionConfig(method="h2o_obf", budget_k=3, sink_size=1)
-    plain, selection, _ = compress(ep, sink, eligible, base)
-    backed, selection2, trace = compress(ep, sink, eligible, shifted)
-    assert np.array_equal(selection.keep, selection2.keep)
+    plain, record, _ = compress(ep, sink, eligible, base)
+    backed, record2, trace = compress(ep, sink, eligible, shifted)
+    assert np.array_equal(record.kept_prompt, record2.kept_prompt)
     assert np.array_equal(plain.keys, backed.keys)
     assert not trace.skipped[0, 0]
-    kept = slice(1, 1 + len(selection.keep))
+    kept = slice(1, 1 + len(record.kept_prompt))
     assert np.array_equal(backed.values[0, 0, kept, :], plain.values[0, 0, kept, :] + trace.injection[0, 0])
     # sink and generation rows are untouched
     assert np.array_equal(backed.values[0, 0, :1, :], plain.values[0, 0, :1, :])
-    assert np.array_equal(backed.values[0, 0, 1 + len(selection.keep):, :],
-                          plain.values[0, 0, 1 + len(selection.keep):, :])
+    assert np.array_equal(backed.values[0, 0, 1 + len(record.kept_prompt):, :],
+                          plain.values[0, 0, 1 + len(record.kept_prompt):, :])
 
 
 def test_backfill_without_deletion_matches_plain_h2o_bitwise():
@@ -523,8 +529,8 @@ def test_backfill_needs_retained_rows():
 def test_h2o_with_zero_budget_keeps_nothing():
     ep, sink, eligible = one_round()
     cfg = CompressionConfig(method="h2o", budget_k=0, sink_size=0)
-    retained, selection, _ = compress(ep, sink, eligible, cfg)
-    assert selection.keep.tolist() == []
+    retained, record, _ = compress(ep, sink, eligible, cfg)
+    assert record.kept_prompt.tolist() == []
     assert np.array_equal(retained.positions, ep.generation)
 
 
@@ -583,7 +589,7 @@ def test_backfill_with_as_many_kept_rows_as_value_dims(seed, structure, value_di
         value_structure=structure,
         value_rank=data.draw(st.integers(1, 10), label="value_rank"),
     )
-    plain, selection, _ = compress(ep, sink, eligible, CompressionConfig(method="h2o", budget_k=k, sink_size=2))
+    plain, record, _ = compress(ep, sink, eligible, CompressionConfig(method="h2o", budget_k=k, sink_size=2))
     residual_calls = []
 
     def counting_residual(v_keep, v_del):
@@ -591,11 +597,10 @@ def test_backfill_with_as_many_kept_rows_as_value_dims(seed, structure, value_di
         return obf_residual(v_keep, v_del)
 
     with pytest.MonkeyPatch.context() as patch:
-        # the package exports the function ``compress`` under the module's name
-        patch.setattr(importlib.import_module("kvrelay.compress"), "obf_residual", counting_residual)
+        patch.setattr(compress_module, "obf_residual", counting_residual)
         block, _, trace = compress(ep, sink, eligible, CompressionConfig(method="h2o_obf", budget_k=k, sink_size=2))
-    assert len(selection.keep) == k and selection.deleted.size
-    kept_values = select(ep.cache, selection.keep).values
+    assert len(record.kept_prompt) == k and evicted(eligible, record.kept_prompt).size
+    kept_values = select(ep.cache, record.kept_prompt).values
     deficient = 0
     for unit in np.ndindex(trace.skipped.shape):
         rank = oracles.svd_rank(kept_values[unit])
@@ -614,10 +619,10 @@ def test_backfill_with_as_many_kept_rows_as_value_dims(seed, structure, value_di
 def test_backfill_injection_is_uniform_across_kept_rows(seed):
     ep, sink, eligible = one_round(seed=seed, prompt_lens=(7,), value_dim=10)
     cfg = CompressionConfig(method="h2o_obf", budget_k=4, sink_size=0)
-    backed, selection, trace = compress(ep, sink, eligible, cfg)
+    backed, record, trace = compress(ep, sink, eligible, cfg)
     row_of = {pos: row for row, pos in enumerate(ep.cache.positions)}
-    original = ep.cache.values[0, 0, [row_of[p] for p in selection.keep], :]
-    got = backed.values[0, 0, : len(selection.keep), :]
+    original = ep.cache.values[0, 0, [row_of[p] for p in record.kept_prompt], :]
+    got = backed.values[0, 0, : len(record.kept_prompt), :]
     # adding the traced injection to the original rows reproduces the output
     # bit for bit, so the shift really is one shared vector
     assert np.array_equal(got, original + trace.injection[0, 0])
@@ -639,8 +644,8 @@ def reference_h2o_obf(ep, sink, eligible, cfg):
     """
     local, sink, eligible = ep.cache, sink.tolist(), eligible.tolist()
     masses = attention_mass_headwise(ep.attention, ep.generation, eligible)
-    selection = h2o_select(masses, cfg.round_budget(len(eligible)), eligible)
-    keep, deleted = selection.keep.tolist(), selection.deleted.tolist()
+    keep = h2o_select(masses, cfg.round_budget(len(eligible)), eligible).tolist()
+    deleted = [pos for pos in eligible if pos not in keep]
     row_of = {pos: row for row, pos in enumerate(local.positions.tolist())}
     keep_rows = [row_of[pos] for pos in keep]
     del_rows = [row_of[pos] for pos in deleted]
@@ -743,11 +748,11 @@ def backfill_case(case, seed):
 @settings(max_examples=25, deadline=None)
 def test_backfill_matches_row_gather_reference(case, seed):
     ep, sink, eligible, cfg = backfill_case(case, seed)
-    retained, selection, trace = compress(ep, sink, eligible, cfg)
+    retained, record, trace = compress(ep, sink, eligible, cfg)
     positions, keys, values, units = reference_h2o_obf(ep, sink, eligible, cfg)
 
     if BACKFILL_CASES[case].get("one_deleted"):
-        assert len(selection.deleted) == 1
+        assert len(evicted(eligible, record.kept_prompt)) == 1
     assert np.array_equal(retained.positions, positions)
     assert np.array_equal(retained.keys, keys)
     assert np.array_equal(retained.values, values)
@@ -773,8 +778,8 @@ def test_basis_signs_are_unobservable(case, seed, flips):
     rows are rank-deficient; a round of full-rank units needs none.
     """
     ep, sink, eligible, cfg = backfill_case(case, seed)
-    plain_block, selection, plain = compress(ep, sink, eligible, cfg)
-    kept_values = select(ep.cache, selection.keep).values
+    plain_block, record, plain = compress(ep, sink, eligible, cfg)
+    kept_values = select(ep.cache, record.kept_prompt).values
     deficient = any(
         oracles.svd_rank(kept_values[unit]) < ep.cache.value_dim for unit in np.ndindex(kept_values.shape[:2])
     )
@@ -793,7 +798,7 @@ def test_basis_signs_are_unobservable(case, seed, flips):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "_svd", flipped_svd)
         block, _, trace = compress(ep, sink, eligible, cfg)
-    assert bool(calls) == bool(selection.deleted.size and deficient)
+    assert bool(calls) == bool(evicted(eligible, record.kept_prompt).size and deficient)
     assert np.array_equal(block.values, plain_block.values)
     assert trace.to_dict(include_vectors=True) == plain.to_dict(include_vectors=True)
     for field in dataclasses.fields(ObfTrace):

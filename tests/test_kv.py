@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvrelay.backbone import EpisodeRound, EpisodeSpec, episode_source, generate_episode
-from kvrelay.compress import CompressionConfig, ObfTrace, SelectionResult, h2o_select
+from kvrelay.compress import CompressionConfig, ObfTrace, h2o_select
 from kvrelay.errors import (
     NumericalFailure,
     PositionOverlap,
@@ -32,7 +32,7 @@ from kvrelay.kv import (
 )
 from kvrelay.linalg import top_k_indices
 from kvrelay.relay import ChainConfig, RelayReport, RoundReportRow, run_chain
-from kvrelay.scoring import AttentionRecord, attention_mass_headwise
+from kvrelay.scoring import AttentionRecord
 
 
 def make_cache(positions, layers=2, heads=2, key_dim=3, value_dim=2):
@@ -518,7 +518,6 @@ POSITION_CASES = {
         ("sink",),
     ),
     "AttentionRecord": (lambda w: _attention(w([5, 6]), w([1, 2])), ("gen_positions", "columns")),
-    "SelectionResult": (lambda w: SelectionResult(keep=w([1, 3]), deleted=w([2]), budget=2), ("keep", "deleted")),
     "EpisodeRound": (
         lambda w: EpisodeRound(
             cache=make_cache((0, 1, 2), layers=1, heads=1),
@@ -530,6 +529,7 @@ POSITION_CASES = {
         ("prompt", "generation", "padding"),
     ),
     "select": (lambda w: select(make_cache((1, 2, 3)), w([1, 3])), ("positions",)),
+    "h2o_select": (lambda w: SimpleNamespace(keep=h2o_select(np.ones((1, 1, 3)), 2, w([1, 2, 3]))), ("keep",)),
     "top_k_indices": (lambda w: SimpleNamespace(result=top_k_indices([0.5, 0.2, 0.9], 2, w([4, 5, 6]))), ("result",)),
 }
 
@@ -569,8 +569,7 @@ def test_positions_are_read_only_int64_arrays_the_caller_cannot_change(case):
 
 # Frozen dataclasses that hold arrays, directly or through another container.
 ARRAY_CONTAINERS = (
-    KvCache, RoundRecord, RelayMessage, AttentionRecord, SelectionResult,
-    ObfTrace, EpisodeRound, RelayReport,
+    KvCache, RoundRecord, RelayMessage, AttentionRecord, ObfTrace, EpisodeRound, RelayReport,
 )
 VALUE_CLASSES = {
     EpisodeSpec: lambda: EpisodeSpec(prompt_lens=[8, 9]),
@@ -595,10 +594,7 @@ def containers():
     trace = report.obf_traces[0]
     assert trace.skipped.tolist() == [[False]]
     ep = generate_episode(spec, 1)
-    masses = attention_mass_headwise(ep.attention, ep.generation, ep.prompt)
-    found = [
-        ep.cache, message.rounds[0], message, ep.attention, h2o_select(masses, 2, ep.prompt), trace, ep, report,
-    ]
+    found = [ep.cache, message.rounds[0], message, ep.attention, trace, ep, report]
     return {type(obj): obj for obj in found}
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from kvrelay.backbone import EpisodeRound, EpisodeSpec, episode_source
-from kvrelay.compress import METHODS, CompressionConfig
+from kvrelay import relay
+from kvrelay.compress import EVICTION_METHODS, METHODS, CompressionConfig, compress
 from kvrelay.errors import ChainEmpty, EmptyList, PositionOverlap, ZeroLength
 from kvrelay.kv import KvCache, caches_equal, decompose
 from kvrelay.relay import (
@@ -241,6 +242,37 @@ def test_budget_ratio_scales_with_eligible_prompt():
     # round 1 eligible = 12 - sink 2 = 10 -> k = 5; then 9 -> 4 (round .5 to even), 10 -> 5
     assert [row.kept_prompt for row in report.rounds] == [5, 4, 5]
     assert report.relayed_prompt_tokens == 14
+
+
+@pytest.mark.parametrize("method", EVICTION_METHODS)
+def test_r_eff_reads_the_round_budget_not_the_kept_count(method):
+    # round 1 has 6 eligible positions (10 minus a sink of 4), fewer than budget_k 8
+    spec = small_spec(prompt_lens=(10, 12), gen_len=2)
+    for budget, kept, r_eff in (
+        (dict(budget_k=8), [6, 8], (8 / 10 + 8 / 12) / 2),
+        (dict(budget_k=None, budget_ratio=0.5), [3, 6], (3 / 10 + 6 / 12) / 2),
+    ):
+        compression = CompressionConfig(method=method, sink_size=4, **budget)
+        _, report = run_chain(episode_source(spec), ChainConfig(num_agents=2, latent_steps=2, compression=compression))
+        assert [row.kept_prompt for row in report.rounds] == kept
+        assert report.r_eff == r_eff
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_message_keeps_the_round_records_compress_returns(method, monkeypatch):
+    records = []
+
+    def recording_compress(*args):
+        block, record, trace = compress(*args)
+        records.append(record)
+        return block, record, trace
+
+    monkeypatch.setattr(relay, "compress", recording_compress)
+    message, report = run_chain(episode_source(small_spec()), small_chain(method))
+    assert len(records) == len(message.rounds) == 3
+    for i, record in enumerate(records):
+        assert message.rounds[i] is record
+        assert report.rounds[i].kept_prompt == len(record.kept_prompt)
 
 
 def test_report_document_layout():
