@@ -110,11 +110,14 @@ class CompressionConfig:
                 )
 
     def round_budget(self, eligible_count: int) -> int:
-        """Per-round token budget for ``eligible_count`` eligible positions."""
+        """Per-round token budget for ``eligible_count`` eligible positions.
+
+        Methods that do not evict by budget (``full``, ``streaming``) get 0.
+        """
+        if self.method not in EVICTION_METHODS:
+            return 0
         if self.budget_k is not None:
             return self.budget_k
-        if self.budget_ratio is None:
-            raise BudgetUnset("neither budget_k nor budget_ratio is set")
         return max(1, round(self.budget_ratio * eligible_count))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .backbone import EpisodeRound
-from .compress import EVICTION_METHODS, CompressionConfig, ObfTrace, compress
+from .compress import CompressionConfig, ObfTrace, compress
 from .errors import ChainEmpty, EmptyList, ZeroLength, require_int
 from .kv import RelayMessage, concat, decompose
 
@@ -203,7 +203,7 @@ def run_chain(
                 message_len=message.cache.num_tokens,
             )
         )
-        budgets.append(cfg.round_budget(len(eligible)) if cfg.method in EVICTION_METHODS else 0)
+        budgets.append(cfg.round_budget(len(eligible)))
         traces.append(trace)
 
     total_prompt = sum(row.prompt_len for row in rows)

@@ -98,6 +98,9 @@ def test_round_budget_fixed_and_ratio():
     assert ratio.round_budget(176) == 44
     # tiny eligible sets still retain at least one state
     assert CompressionConfig(budget_k=None, budget_ratio=0.1).round_budget(5) == 1
+    # methods that evict nothing by budget have none, whatever is set
+    assert CompressionConfig(method="full", budget_k=32).round_budget(500) == 0
+    assert CompressionConfig(method="streaming", budget_k=None).round_budget(500) == 0
 
 
 def test_package_attribute_compress_names_the_submodule():
