@@ -157,8 +157,9 @@ def tiny_attention_forward(keys, queries, scale: float) -> np.ndarray:
     head axes: keys (..., H_kv, P, d) and queries (..., H_q, G, d), with
     H_q a multiple of H_kv, give (..., H_q, G, P), query head h attending
     through key head h // (H_q // H_kv) as under grouped-query attention.
-    Each head's logits come from its own 2-D product, written straight into
-    the result; the softmax then runs in place over the whole array.
+    The logits come from one matmul that broadcasts each key head over its
+    group of query heads, written straight into the result through a
+    grouped view; the softmax then runs in place over the whole array.
     """
     keys = np.asarray(keys, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
@@ -181,9 +182,9 @@ def tiny_attention_forward(keys, queries, scale: float) -> np.ndarray:
             )
         group = q_heads // kv_heads
     weights = np.empty(queries.shape[:-1] + keys.shape[-2:-1])
-    for head in np.ndindex(queries.shape[:-2]):
-        kv_head = head[:-1] + (head[-1] // group,) if head else head
-        np.matmul(queries[head], keys[kv_head].T, out=weights[head])
+    grouped = keys.shape[:-2] + (group,) + queries.shape[-2:]
+    keys_t = np.swapaxes(keys[..., None, :, :], -1, -2)
+    np.matmul(queries.reshape(grouped), keys_t, out=weights.reshape(grouped[:-1] + keys.shape[-2:-1]))
     weights *= float(scale)
     weights -= weights.max(axis=-1, keepdims=True)
     np.exp(weights, out=weights)

@@ -36,7 +36,8 @@ limit or nests collections more than 32 deep, a fixture nested too deep
 for the JSON parser or whose decimal float arrays hold anything but
 numbers, an integer field given a float, string or bool, a bool or
 non-finite ``epsilon``, empty ``methods``, a ``verbosity`` outside 0-2,
-and an output directory that cannot be created or written
+unknown config keys (also of mixed types, such as ``1`` and ``zzz``) and
+an output directory that cannot be created or written
 all exit 2 with one ``error:`` line.
 """
 
@@ -150,7 +151,8 @@ def _require_path(value, where: str) -> str:
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
+    # str-then-type order: YAML keys may mix types, which plain sorted() rejects
+    unknown = sorted(set(mapping) - allowed, key=lambda k: (str(k), type(k).__name__))
     if unknown:
         raise ConfigError(f"unknown keys {unknown} in {where} (allowed: {sorted(allowed)})")
 

@@ -1024,13 +1024,30 @@ def test_config_accepts_and_echoes_every_dataclass_field(tmp_path):
             "unknown keys ['rounds'] in chain (allowed: ['compression', 'latent_steps', "
             "'num_agents', 'seed'])",
         ),
+        # Keys of mixed types, given as YAML text: yaml.safe_dump cannot sort them.
+        (
+            "config document",
+            "1: a\nzzz: b\n",
+            "unknown keys [1, 'zzz'] in config document (allowed: ['chain', 'episodes', 'methods', "
+            "'out', 'verbosity'])",
+        ),
+        (
+            "chain",
+            "chain:\n  1: a\n  zzz: b\n",
+            "unknown keys [1, 'zzz'] in chain (allowed: ['compression', 'latent_steps', "
+            "'num_agents', 'seed'])",
+        ),
     ],
 )
 def test_config_unknown_key_messages(tmp_path, where, edit, message):
-    doc = yaml.safe_load(BASE_CONFIG)
-    edit(doc)
+    if isinstance(edit, str):
+        text = edit
+    else:
+        doc = yaml.safe_load(BASE_CONFIG)
+        edit(doc)
+        text = yaml.safe_dump(doc)
     with pytest.raises(ConfigError) as info:
-        load_run_config(write_config(tmp_path, yaml.safe_dump(doc)))
+        load_run_config(write_config(tmp_path, text))
     assert str(info.value) == message
 
 
@@ -1162,6 +1179,16 @@ def test_readme_sample_config_loads(tmp_path):
     assert cfg.methods == doc["methods"] and cfg.verbosity == doc["verbosity"]
     assert [episode.label for episode in cfg.episodes] == ["spec0", "ep000.json"]
     assert len(cfg.episodes[1].rounds()) == doc["chain"]["num_agents"]
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library use\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    report = namespace["report"]
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == f"{report.final_message_len} {report.rho_achieved} {report.obf_skip_rate}"
 
 
 # --- exit-code contract over random fixture corruptions ----------------------
